@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -24,8 +22,8 @@ from .errors import (
     IntervalTooLarge,
     MalformedReport,
     MobiusLatticeError,
-    NotASubgroup,
     PowersetTooLarge,
+    ReducibleAmbientGroup,
 )
 from .gfq import FqField, primitive_element
 from .group import (
@@ -36,11 +34,15 @@ from .group import (
     Matrix,
     SubgroupRef,
     closure,
+    is_irreducible,
     overgroup_interval,
 )
-from .identities import mobius_between, stabilizer_family, verify_identities
-
-CACHE_ENV = "MOBIUS_LATTICE_CACHE"
+from .identities import (
+    build_complexes,
+    mobius_between,
+    stabilizer_family,
+    verify_identities,
+)
 
 
 @dataclass
@@ -57,10 +59,8 @@ class RunConfig:
     max_order: int = ORDER_CAP
     max_interval: int = INTERVAL_CAP
     max_powerset: int = POWERSET_CAP
-    jobs: int = 1
     out: Optional[str] = None
     fmt: str = "json"
-    strict: bool = False
     seed: int = 0
     timing: bool = False
     dump_faces: bool = False
@@ -112,34 +112,12 @@ def preset_generators(kind: str, n: int, fq: FqField) -> list:
     return gens
 
 
-def _matrix_from_lists(fq: FqField, rows) -> Matrix:
-    return Matrix.from_rows(fq, rows)
+def build_group(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
+    """The group generated by ``gens``, as an explicit element set.
 
-
-def _cache_key(fq: FqField, n: int, gens: Sequence[Matrix]) -> str:
-    payload = json.dumps({"field": fq.to_dict(), "n": n,
-                          "gens": sorted(str(g.to_lists()) for g in gens)},
-                         sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]
-
-
-def build_group(fq: FqField, n: int, gens: Sequence[Matrix],
-                cap: int = ORDER_CAP) -> GroupSet:
-    """Group closure, memoized on disk when MOBIUS_LATTICE_CACHE is set."""
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return closure(list(gens), cap=cap)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, _cache_key(fq, n, gens) + ".json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            rows = json.load(fh)
-        elements = [_matrix_from_lists(fq, m) for m in rows]
-        return GroupSet(fq, n, elements, list(gens), validate=True)
-    group = closure(list(gens), cap=cap)
-    with open(path, "w") as fh:
-        json.dump([m.to_lists() for m in group.elements], fh)
-    return group
+    Kept as its own function so that traced runs (bench/spans.py) see the
+    closure step of ``load_group`` under one name."""
+    return closure(gens, cap=cap)
 
 
 def load_group(cfg: RunConfig) -> tuple:
@@ -151,15 +129,15 @@ def load_group(cfg: RunConfig) -> tuple:
                 spec = json.load(fh)
             fq = FqField.from_dict(spec.get("field", cfg.field_spec))
             n = spec["n"]
-            gens = [_matrix_from_lists(fq, rows) for rows in spec["generators"]]
+            gens = [Matrix.from_rows(fq, rows) for rows in spec["generators"]]
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise GroupSpecError(f"cannot read generator file: {exc}") from exc
-        group = build_group(fq, n, gens, cap=cfg.max_order)
+        group = build_group(gens, cap=cfg.max_order)
         name = spec.get("name", os.path.basename(cfg.gens_file))
         return group, {"name": name, "n": n, "field": fq.to_dict()}
     kind = cfg.preset or "GL"
     gens = preset_generators(kind, cfg.n, fq)
-    group = build_group(fq, cfg.n, gens, cap=cfg.max_order)
+    group = build_group(gens, cap=cfg.max_order)
     expected = group_order_formula(kind, cfg.n, fq.q)
     if group.order != expected:
         raise GroupSpecError(
@@ -174,9 +152,9 @@ def _subgroup_descriptor(group: GroupSet, h: SubgroupRef) -> dict:
     return {"order": h.order, "generators": gens}
 
 
-def select_subgroups(group: GroupSet, cfg: RunConfig) -> list:
-    subs = overgroup_interval(group, group.trivial_subgroup(),
-                              cap=cfg.max_interval)
+def select_subgroups(group: GroupSet, cfg: RunConfig, subs: list) -> list:
+    """The subgroups H to verify, chosen by the configured scope from the
+    complete subgroup list ``subs`` (or read from the subgroup file)."""
     if cfg.subgroups == "file":
         if not cfg.subgroups_file:
             raise GroupSpecError("--subgroups file needs a path")
@@ -185,7 +163,7 @@ def select_subgroups(group: GroupSet, cfg: RunConfig) -> list:
                 gen_lists = json.load(fh)
             wanted = []
             for rows_list in gen_lists:
-                ids = [group.index_of(_matrix_from_lists(group.field, rows))
+                ids = [group.index_of(Matrix.from_rows(group.field, rows))
                        for rows in rows_list]
                 wanted.append(group.subgroup_closure(ids))
         except (OSError, KeyError, ValueError, TypeError) as exc:
@@ -204,87 +182,43 @@ def select_subgroups(group: GroupSet, cfg: RunConfig) -> list:
     return out
 
 
-_WORKER_CTX: dict = {}
-
-
-def _worker_init(field_spec, n, gen_lists, all_sub_ids, caps):
-    fq = FqField.from_dict(field_spec)
-    gens = [_matrix_from_lists(fq, rows) for rows in gen_lists]
-    group = closure(gens, cap=caps["max_order"])
-    subs = [group.subgroup(frozenset(ids), validate=False)
-            for ids in all_sub_ids]
-    _WORKER_CTX["group"] = group
-    _WORKER_CTX["subs"] = subs
-    _WORKER_CTX["caps"] = caps
-
-
-def _worker_verify(h_ids):
-    group = _WORKER_CTX["group"]
-    caps = _WORKER_CTX["caps"]
-    h = group.subgroup(frozenset(h_ids), validate=False)
-    report = verify_identities(group, h, all_subgroups=_WORKER_CTX["subs"],
-                               max_interval=caps["max_interval"],
-                               max_powerset=caps["max_powerset"],
-                               with_decomposition=True)
-    return report.to_dict()
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     try:
         group, descriptor = load_group(cfg)
-        subgroups = select_subgroups(group, cfg)
+        if not is_irreducible(group):
+            raise ReducibleAmbientGroup(
+                "ambient group fixes a proper non-trivial subspace")
+        # the one subgroup lattice of the run, shared by every pair
+        all_subs = overgroup_interval(group, group.trivial_subgroup(),
+                                      cap=cfg.max_interval)
+        subgroups = select_subgroups(group, cfg, all_subs)
     except MobiusLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    all_subs = overgroup_interval(group, group.trivial_subgroup(),
-                                  cap=cfg.max_interval)
-    caps = {"max_order": cfg.max_order, "max_interval": cfg.max_interval,
-            "max_powerset": cfg.max_powerset}
     rows = []
     failures = 0
     skips = []
     started = time.monotonic()
-    results: list = [None] * len(subgroups)
-    if cfg.jobs > 1:
-        gen_lists = [g.to_lists() for g in group.generators]
-        all_sub_ids = [s.ids for s in all_subs]
-        with ProcessPoolExecutor(
-                max_workers=cfg.jobs, initializer=_worker_init,
-                initargs=(group.field.to_dict(), group.n, gen_lists,
-                          all_sub_ids, caps)) as pool:
-            futures = {i: pool.submit(_worker_verify, h.ids)
-                       for i, h in enumerate(subgroups)}
-            for i, fut in futures.items():
-                try:
-                    results[i] = fut.result()
-                except (PowersetTooLarge, IntervalTooLarge) as exc:
-                    results[i] = exc
-    else:
-        for i, h in enumerate(subgroups):
-            t0 = time.monotonic()
-            try:
-                report = verify_identities(
-                    group, h, all_subgroups=all_subs,
-                    max_interval=cfg.max_interval,
-                    max_powerset=cfg.max_powerset, with_decomposition=True)
-                results[i] = report.to_dict()
-                if cfg.timing:
-                    results[i]["timing"] = round(time.monotonic() - t0, 6)
-            except (PowersetTooLarge, IntervalTooLarge) as exc:
-                results[i] = exc
-    for h, result in zip(subgroups, results):
+    for h in subgroups:
         desc = _subgroup_descriptor(group, h)
-        if isinstance(result, Exception):
+        t0 = time.monotonic()
+        try:
+            report = verify_identities(
+                group, h, all_subgroups=all_subs,
+                max_interval=cfg.max_interval,
+                max_powerset=cfg.max_powerset, with_decomposition=True)
+        except (PowersetTooLarge, IntervalTooLarge) as exc:
             skips.append({"h_order": desc["order"],
                           "h_generators": desc["generators"],
-                          "reason": str(result)})
+                          "reason": str(exc)})
             continue
         row = {"group": descriptor["name"], "n": descriptor["n"],
                "field": descriptor["field"], "h_order": desc["order"],
                "h_generators": desc["generators"]}
-        row.update(result)
+        row.update(report.to_dict())
+        if cfg.timing:
+            row["timing"] = round(time.monotonic() - t0, 6)
         if cfg.dump_faces:
-            from .identities import build_complexes
             fam = stabilizer_family(group, h)
             cx1, cx2 = build_complexes(group, h, fam,
                                        max_powerset=cfg.max_powerset)
@@ -302,15 +236,10 @@ def cmd_verify(cfg: RunConfig) -> int:
                "seed": cfg.seed}
     if cfg.timing:
         summary["wall_time"] = round(time.monotonic() - started, 3)
-    _emit(cfg, rows, summary)
+    _emit(rows, cfg.fmt, cfg.out, summary)
     if failures:
         return 1
-    if skips:
-        if cfg.strict:
-            print("error: pairs were skipped and --strict is set",
-                  file=sys.stderr)
-        return 3
-    return 0
+    return 3 if skips else 0
 
 
 _CSV_COLUMNS = ["group", "h_order", "mu_ideal", "subspace_sum",
@@ -319,21 +248,21 @@ _CSV_COLUMNS = ["group", "h_order", "mu_ideal", "subspace_sum",
                 "decomposition_residual", "identities_hold"]
 
 
-def _emit(cfg: RunConfig, rows: list, summary: dict) -> None:
-    if cfg.fmt == "csv":
+def _emit(rows: list, fmt: str, out: Optional[str],
+          summary: Optional[dict] = None) -> None:
+    """Write rows as CSV, or as JSON lines followed by the summary if any."""
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS,
                                 extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
-        lines = [json.dumps(row, sort_keys=True) for row in rows]
-        lines.append(json.dumps(summary, sort_keys=True))
-        text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+        records = rows if summary is None else rows + [summary]
+        text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -347,7 +276,7 @@ def _resolve_endpoint(group: GroupSet, spec: str) -> SubgroupRef:
     try:
         with open(spec) as fh:
             gen_lists = json.load(fh)
-        ids = [group.index_of(_matrix_from_lists(group.field, rows))
+        ids = [group.index_of(Matrix.from_rows(group.field, rows))
                for rows in gen_lists]
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise GroupSpecError(f"cannot resolve subgroup spec {spec!r}: {exc}")
@@ -359,13 +288,10 @@ def cmd_mobius(cfg: RunConfig, low_spec: str, high_spec: str) -> int:
         group, descriptor = load_group(cfg)
         low = _resolve_endpoint(group, low_spec)
         high = _resolve_endpoint(group, high_spec)
-        value = mobius_between(group, low, high,
-                               max_interval=cfg.max_interval)
         members = overgroup_interval(group, low, top=high,
                                      cap=cfg.max_interval)
-    except NotASubgroup as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        value = mobius_between(group, low, high, all_subgroups=members,
+                               max_interval=cfg.max_interval)
     except MobiusLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -400,22 +326,7 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
     except MalformedReport as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = [merged[k] for k in sorted(merged, key=str)]
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS,
-                                extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit([merged[k] for k in sorted(merged, key=str)], fmt, out)
     return 0
 
 
@@ -467,11 +378,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     default="all")
     pv.add_argument("--subgroups-file", default=None)
     pv.add_argument("--max-index", type=int, default=None)
-    pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--out", default=None)
     pv.add_argument("--format", dest="fmt", choices=["json", "csv"],
                     default="json")
-    pv.add_argument("--strict", action="store_true")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--timing", action="store_true")
     pv.add_argument("--dump-faces", action="store_true")
@@ -504,10 +413,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg.subgroups = args.subgroups
         cfg.subgroups_file = args.subgroups_file
         cfg.max_index = args.max_index
-        cfg.jobs = args.jobs
         cfg.out = args.out
         cfg.fmt = args.fmt
-        cfg.strict = args.strict
         cfg.seed = args.seed
         cfg.timing = args.timing
         cfg.dump_faces = args.dump_faces

@@ -23,10 +23,10 @@ from .errors import (
 )
 from .gfq import FqField
 from .linalg import Matrix, Subspace, invariant_subspaces
+from .poset import POWERSET_CAP
 
 ORDER_CAP = 250_000
 INTERVAL_CAP = 100_000
-POWERSET_CAP = 22
 # full multiplication table kept only for modest orders; above this products
 # are recomputed from the matrices on demand
 TABLE_CAP = 5_000
@@ -40,7 +40,7 @@ class GroupSet:
                  "_irreducible")
 
     def __init__(self, field: FqField, n: int, elements: Sequence[Matrix],
-                 generators: Sequence[Matrix], validate: bool = False):
+                 generators: Sequence[Matrix]):
         self.field = field
         self.n = n
         self.elements = tuple(sorted(elements))
@@ -63,13 +63,6 @@ class GroupSet:
         self._inv = {}
         self._stab_cache = {}
         self._irreducible = None
-        if validate and self._table is None:
-            # small orders are verified as a side effect of building the
-            # table; for larger ones check a deterministic sample of products
-            step = max(1, self.order // 100)
-            for i in range(0, self.order, step):
-                for j in range(0, self.order, step):
-                    self.mul(i, j)  # raises KeyError if not closed
 
     def _product_index(self, i: int, j: int) -> int:
         mul, add = self.field._mul, self.field._add
@@ -107,15 +100,14 @@ class GroupSet:
 
     # -- subgroups ------------------------------------------------------------
 
-    def subgroup(self, member_ids: Iterable[int], validate: bool = True) -> "SubgroupRef":
+    def subgroup(self, member_ids: Iterable[int]) -> "SubgroupRef":
         ids = frozenset(member_ids)
-        if validate:
-            if self.identity_index not in ids:
-                raise ValueError("subgroup must contain the identity")
-            for i in ids:
-                for j in ids:
-                    if self.mul(i, j) not in ids:
-                        raise ValueError("member set is not closed under product")
+        if self.identity_index not in ids:
+            raise ValueError("subgroup must contain the identity")
+        for i in ids:
+            for j in ids:
+                if self.mul(i, j) not in ids:
+                    raise ValueError("member set is not closed under product")
         return SubgroupRef(self, ids)
 
     def subgroup_closure(self, seed_ids: Iterable[int]) -> "SubgroupRef":

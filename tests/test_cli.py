@@ -1,6 +1,12 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
+import pytest
+
+from mobius_lattice import cli, identities
 from mobius_lattice.cli import main
 
 
@@ -158,20 +164,6 @@ def test_csv_output(tmp_path):
     assert len(lines) == 6
 
 
-def test_closure_cache_env(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("MOBIUS_LATTICE_CACHE", str(cache))
-    out1 = tmp_path / "r1.jsonl"
-    out2 = tmp_path / "r2.jsonl"
-    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "3",
-                    "--out", str(out1)]) == 0
-    dumps = os.listdir(cache)
-    assert len(dumps) == 1
-    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "3",
-                    "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_subgroups_file_scope(tmp_path):
     subs = tmp_path / "subs.json"
     subs.write_text(json.dumps([
@@ -185,16 +177,6 @@ def test_subgroups_file_scope(tmp_path):
     rows = read_jsonl(out)
     assert rows[-1]["pairs"] == 2
     assert sorted(r["h_order"] for r in rows[:-1]) == [2, 3]
-
-
-def test_jobs_parallel_smoke(tmp_path):
-    out_seq = tmp_path / "seq.jsonl"
-    out_par = tmp_path / "par.jsonl"
-    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "2",
-                    "--out", str(out_seq)]) == 0
-    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "2",
-                    "--jobs", "2", "--out", str(out_par)]) == 0
-    assert out_seq.read_bytes() == out_par.read_bytes()
 
 
 def test_extension_field_group(tmp_path):
@@ -236,3 +218,103 @@ def test_dump_faces_flag(tmp_path):
     row = read_jsonl(out)[0]
     assert "subspace_complex_faces" in row
     assert "stabilizer_complex_faces" in row
+
+
+# sha256 of reports written by the code before the single-enumeration
+# refactor; any change to report bytes shows up here
+GOLDEN_JSON = {
+    ("GL", "2", "2"):
+        "b1d267919fcf76730447e610d099552b89cb9599437fe860e565ed052acff007",
+    ("GL", "2", "3"):
+        "16444aac7b30c609b216ad605275222bb672999dd7fe587153cbabdef84f18d7",
+    ("SL", "2", "3"):
+        "1967451eae1d564fcc94872df7f9739645b2f50d8e3633b7a4da49c4239e9859",
+    ("GL", "3", "2"):
+        "1a082cbb8615785d9e189ffec9a35361ffd8a94c8d62d06abd8163ff0cc42ef3",
+}
+GOLDEN_CSV_GL23 = (
+    "4439714698b8c42fe835d0ad4ae8cccceafe05138f786dd93783f89c37142bf2")
+GOLDEN_MERGED_CSV = (
+    "c27313a08ac6433e3e952e0549e44d215f2956e2e052dbf8ed3e1c282729ab4c")
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_reports_match_golden_bytes(tmp_path):
+    reports = []
+    for (kind, n, q), digest in GOLDEN_JSON.items():
+        out = tmp_path / f"{kind}{n}{q}.jsonl"
+        assert run_cli(["verify", "--preset", kind, "--n", n, "--q", q,
+                        "--out", str(out)]) == 0
+        assert _sha256(out) == digest, (kind, n, q)
+        reports.append(str(out))
+    csv_out = tmp_path / "gl23.csv"
+    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "3",
+                    "--format", "csv", "--out", str(csv_out)]) == 0
+    assert _sha256(csv_out) == GOLDEN_CSV_GL23
+    merged = tmp_path / "merged.csv"
+    assert run_cli(["report", *reports, "--format", "csv",
+                    "--out", str(merged)]) == 0
+    assert _sha256(merged) == GOLDEN_MERGED_CSV
+
+
+@pytest.mark.parametrize("kind,n,q,mu,size", [
+    ("SL", "2", "4", -60, 59),   # A5
+    ("GL", "3", "2", 0, 179),    # PSL(2,7)
+    ("GL", "2", "3", 0, 55),
+])
+def test_mobius_published_values(capsys, kind, n, q, mu, size):
+    # P. Hall, "The Eulerian functions of a group", Q. J. Math. 7 (1936)
+    assert run_cli(["mobius", "--preset", kind, "--n", n, "--q", q,
+                    "--from", "trivial", "--to", "full"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["mu"], payload["interval_size"]) == (mu, size)
+
+
+@pytest.fixture
+def interval_calls(monkeypatch):
+    """Counts overgroup_interval calls made from cli.py and identities.py."""
+    calls = []
+    for module in (cli, identities):
+        original = module.overgroup_interval
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "overgroup_interval", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scope", ["all", "reducible", "file"])
+def test_verify_enumerates_lattice_once(tmp_path, interval_calls, scope):
+    subs = tmp_path / "subs.json"
+    subs.write_text(json.dumps([[[[0, 1], [1, 0]]]]))
+    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "3",
+                    "--subgroups", scope, "--subgroups-file", str(subs),
+                    "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert len(interval_calls) == 1
+
+
+def test_mobius_enumerates_interval_once(capsys, interval_calls):
+    assert run_cli(["mobius", "--preset", "GL", "--n", "2", "--q", "3",
+                    "--from", "trivial", "--to", "full"]) == 0
+    assert len(interval_calls) == 1
+
+
+def test_verify_reducible_ambient_group_exits_two(tmp_path):
+    spec = {"field": {"p": 2, "u": 1}, "n": 2,
+            "generators": [[[1, 1], [0, 1]]]}
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps(spec))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mobius_lattice.cli", "verify",
+         "--gens", str(path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
