@@ -37,12 +37,7 @@ from .group import (
     is_irreducible,
     overgroup_interval,
 )
-from .identities import (
-    build_complexes,
-    mobius_between,
-    stabilizer_family,
-    verify_identities,
-)
+from .identities import mobius_between, stabilizer_family, verify_identities
 
 
 @dataclass
@@ -219,13 +214,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         if cfg.timing:
             row["timing"] = round(time.monotonic() - t0, 6)
         if cfg.dump_faces:
-            fam = stabilizer_family(group, h)
-            cx1, cx2 = build_complexes(group, h, fam,
-                                       max_powerset=cfg.max_powerset)
             row["subspace_complex_faces"] = {
-                str(d): fl for d, fl in cx1.face_lists().items()}
+                str(d): fl
+                for d, fl in report.subspace_complex.face_lists().items()}
             row["stabilizer_complex_faces"] = {
-                str(d): fl for d, fl in cx2.face_lists().items()}
+                str(d): fl
+                for d, fl in report.stabilizer_complex.face_lists().items()}
         ok = row["all_equal"] and row.get("decomposition_residual", 0) == 0
         row["identities_hold"] = ok
         if not ok:
@@ -310,6 +304,10 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
                     if not line:
                         continue
                     row = json.loads(line)
+                    if not isinstance(row, dict):
+                        raise MalformedReport(
+                            f"malformed report: {path}: a line is not a "
+                            f"JSON object")
                     if row.get("type") == "summary":
                         continue
                     key = (row.get("group"),

@@ -63,6 +63,11 @@ class PowersetTooLarge(MobiusLatticeError):
     """A powerset walk over too many elements was requested."""
 
 
+class NotASubgroup(MobiusLatticeError):
+    """An element set is not closed under products, or requested interval
+    endpoints are not nested subgroups."""
+
+
 # posets
 
 class InvalidOrderRelation(MobiusLatticeError):
@@ -98,10 +103,6 @@ class SubgroupNotContained(MobiusLatticeError):
 
 
 # cli
-
-class NotASubgroup(MobiusLatticeError):
-    """Requested interval endpoints are not nested subgroups."""
-
 
 class MalformedReport(MobiusLatticeError):
     """Report file is invalid or contains conflicting duplicate rows."""

@@ -5,90 +5,134 @@ Groups are stored as deduplicated element sets with a deterministic index
 id sets are canonical and subgroup equality is set equality.  No permutation
 or polycyclic machinery: the scope is desk-scale exhaustive verification, and
 explicit sets make every lattice operation trivially correct.
+
+Products act on packed rows instead of multiplying matrices.  A row vector
+over GF(q) is packed into one integer code (its entries read as base-q
+digits), and an element is the tuple of its n row codes.  The right action
+of an element g on all q^n row codes, built once from ``apply_row``, turns
+any product h*g into n list lookups and one probe of the element index.  Up
+to ``TABLE_CAP`` elements, ``mul`` reads right-multiplication columns of the
+Cayley table, each built from that action the first time its right factor is
+used; above the cap every product is taken from the action directly.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
     AmbientMismatch,
     HypothesisViolated,
     IntervalTooLarge,
+    NotASubgroup,
     OrderCapExceeded,
     PowersetTooLarge,
     SingularGenerator,
 )
 from .gfq import FqField
-from .linalg import Matrix, Subspace, invariant_subspaces
+from .linalg import Matrix, Subspace, apply_row, invariant_subspaces
 from .poset import POWERSET_CAP
 
 ORDER_CAP = 250_000
 INTERVAL_CAP = 100_000
-# full multiplication table kept only for modest orders; above this products
-# are recomputed from the matrices on demand
+# columns of the multiplication table are kept only for modest orders; above
+# this products are taken from cached row actions on demand.  Below 2**16, so
+# a column's ids fit in unsigned 16-bit entries.
 TABLE_CAP = 5_000
 
 
 class GroupSet:
     """A finite matrix group as an explicit, canonically indexed element set."""
 
-    __slots__ = ("field", "n", "elements", "generators", "order", "_data",
-                 "_idx", "identity_index", "_table", "_inv", "_stab_cache",
-                 "_irreducible")
+    __slots__ = ("field", "n", "elements", "generators", "order", "_vectors",
+                 "_codes", "_rows", "_idx", "identity_index", "_table",
+                 "_actions", "_inv", "_stab_cache", "_irreducible")
 
     def __init__(self, field: FqField, n: int, elements: Sequence[Matrix],
                  generators: Sequence[Matrix]):
         self.field = field
         self.n = n
-        self.elements = tuple(sorted(elements))
+        # same order as sorted(elements), without a Python-level __lt__ call
+        # per comparison
+        self.elements = tuple(sorted(elements, key=Matrix._key))
         self.generators = tuple(generators)
         self.order = len(self.elements)
-        self._data = [m.data for m in self.elements]
-        self._idx = {d: i for i, d in enumerate(self._data)}
+        # row vectors in code order, and the code of each row vector
+        self._vectors = list(product(range(field.q), repeat=n))
+        self._codes = {v: c for c, v in enumerate(self._vectors)}
+        # _rows[i](action) picks the rows of element i out of the row action
+        # of an element g: the packed rows of the product i*g
+        self._rows = [itemgetter(*self._row_codes(m)) for m in self.elements]
+        # an element's key is its product with the identity, whose row action
+        # is range(q^n); for n = 1 itemgetter gives a bare code, not a tuple
+        identity_action = range(len(self._vectors))
+        self._idx = {rows(identity_action): i
+                     for i, rows in enumerate(self._rows)}
         if len(self._idx) != self.order:
             raise ValueError("duplicate elements")
         ident = Matrix.identity(field, n)
-        if ident.data not in self._idx:
-            raise ValueError("identity missing from element set")
-        self.identity_index = self._idx[ident.data]
+        try:
+            self.identity_index = self.index_of(ident)
+        except KeyError:
+            raise ValueError("identity missing from element set") from None
         if self.order <= TABLE_CAP:
-            self._table = [array("i", (self._product_index(i, j)
-                                       for j in range(self.order)))
-                           for i in range(self.order)]
+            self._table = [None] * self.order
+            self._actions = None
         else:
             self._table = None
+            self._actions = [None] * self.order
         self._inv = {}
         self._stab_cache = {}
         self._irreducible = None
 
-    def _product_index(self, i: int, j: int) -> int:
-        mul, add = self.field._mul, self.field._add
-        n = self.n
-        a, b = self._data[i], self._data[j]
-        out = []
-        for r in range(n):
-            arow = a[r * n:(r + 1) * n]
-            for c in range(n):
-                acc = 0
-                for t in range(n):
-                    x = arow[t]
-                    if x:
-                        acc = add[acc][mul[x][b[t * n + c]]]
-                out.append(acc)
-        return self._idx[tuple(out)]
+    def _row_codes(self, m: Matrix) -> list:
+        n, codes, data = self.n, self._codes, m.data
+        if m.nrows != n or m.ncols != n:
+            raise AmbientMismatch(f"{m.nrows}x{m.ncols} matrix in a group "
+                                  f"of {n}x{n} matrices")
+        return [codes[data[r * n:(r + 1) * n]] for r in range(n)]
+
+    def _row_action(self, j: int) -> list:
+        """Code of v*g_j for every row vector v, in code order."""
+        field, codes, m = self.field, self._codes, self.elements[j]
+        return [codes[apply_row(field, v, m)] for v in self._vectors]
+
+    def _column(self, j: int) -> array:
+        """Right-multiplication column j: entry i is the id of i*j."""
+        action, idx = self._row_action(j), self._idx
+        try:
+            return array("H", [idx[rows(action)] for rows in self._rows])
+        except KeyError:
+            raise NotASubgroup(
+                "element set is not closed under product") from None
+
+    def _product(self, i: int, j: int) -> int:
+        action = self._actions[j]
+        if action is None:
+            action = self._actions[j] = self._row_action(j)
+        try:
+            return self._idx[self._rows[i](action)]
+        except KeyError:
+            raise NotASubgroup(
+                "element set is not closed under product") from None
 
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
-        return self._product_index(i, j)
+        table = self._table
+        if table is None:
+            return self._product(i, j)
+        column = table[j]
+        if column is None:
+            column = table[j] = self._column(j)
+        return column[i]
 
     def inv(self, i: int) -> int:
         cached = self._inv.get(i)
         if cached is None:
-            cached = self._idx[self.elements[i].inverse().data]
+            cached = self.index_of(self.elements[i].inverse())
             self._inv[i] = cached
         return cached
 
@@ -96,7 +140,8 @@ class GroupSet:
         return self.elements[i]
 
     def index_of(self, m: Matrix) -> int:
-        return self._idx[m.data]
+        identity_action = range(len(self._vectors))
+        return self._idx[itemgetter(*self._row_codes(m))(identity_action)]
 
     # -- subgroups ------------------------------------------------------------
 
@@ -136,13 +181,13 @@ class GroupSet:
         if self._table is not None:
             return self.mul
         cache = {}
+        product_of, order = self._product, self.order
 
         def mul(i, j):
-            key = (i, j)
+            key = i * order + j
             v = cache.get(key)
             if v is None:
-                v = self._product_index(i, j)
-                cache[key] = v
+                v = cache[key] = product_of(i, j)
             return v
 
         return mul

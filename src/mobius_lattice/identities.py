@@ -21,7 +21,7 @@ and the Euler characteristics from explicit face counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
@@ -40,7 +40,7 @@ from .group import (
 )
 from .linalg import invariant_subspaces
 from .poset import BoundedPoset, FinitePoset, _bits, mobius_row
-from .simplicial import complex_from_faces, euler
+from .simplicial import SimplicialComplex, complex_from_faces, euler
 
 
 @dataclass(frozen=True)
@@ -313,6 +313,12 @@ class IdentityReport:
     stabilizer_chi_reduced: int
     mu_full: Optional[int] = None
     decomposition_residual: Optional[int] = None
+    # the two complexes the Euler characteristics came from, for face dumps;
+    # not part of the report's values, its dict form or its equality
+    subspace_complex: Optional[SimplicialComplex] = field(
+        default=None, compare=False, repr=False)
+    stabilizer_complex: Optional[SimplicialComplex] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def all_equal(self) -> bool:
@@ -371,7 +377,7 @@ def verify_identities(group: GroupSet, subgroup: SubgroupRef,
                                            max_interval=max_interval)
     return IdentityReport(mu_hat, sums.subspace_sum, sums.stabilizer_sum,
                           sums.stabilizer_complement_sum, chi1, chi2,
-                          mu_full, residual)
+                          mu_full, residual, subspace_cx, stab_cx)
 
 
 def _interval_members(group: GroupSet, low: SubgroupRef, high: SubgroupRef,

@@ -220,6 +220,41 @@ def test_dump_faces_flag(tmp_path):
     assert "stabilizer_complex_faces" in row
 
 
+def test_dump_faces_reuses_complexes(tmp_path, monkeypatch):
+    calls = []
+    original = identities.build_complexes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "build_complexes", counted)
+    out = tmp_path / "faces.jsonl"
+    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "3",
+                    "--dump-faces", "--out", str(out)]) == 0
+    assert len(calls) == 54  # once per proper subgroup of GL(2,3)
+    # written by the code that built the complexes a second time per pair
+    assert _sha256(out) == (
+        "013b6bc5e28e569ee16d06cd111d355a42ce5c55c84342643309864cdc2c8580")
+
+
+def _run_module(*args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "mobius_lattice.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_report_non_object_line_exits_two(tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text("[1]\n")
+    proc = _run_module("report", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: malformed report")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 # sha256 of reports written by the code before the single-enumeration
 # refactor; any change to report bytes shows up here
 GOLDEN_JSON = {
@@ -309,11 +344,7 @@ def test_verify_reducible_ambient_group_exits_two(tmp_path):
             "generators": [[[1, 1], [0, 1]]]}
     path = tmp_path / "reducible.json"
     path.write_text(json.dumps(spec))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "mobius_lattice.cli", "verify",
-         "--gens", str(path)], capture_output=True, text=True, env=env)
+    proc = _run_module("verify", "--gens", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")

@@ -4,15 +4,21 @@ import random
 
 import pytest
 
+from mobius_lattice import group as group_module
+from mobius_lattice.cli import preset_generators
 from mobius_lattice.errors import (
+    AmbientMismatch,
     HypothesisViolated,
     IntervalTooLarge,
+    NotASubgroup,
     OrderCapExceeded,
     PowersetTooLarge,
     SingularGenerator,
 )
 from mobius_lattice.gfq import FqField
 from mobius_lattice.group import (
+    TABLE_CAP,
+    GroupSet,
     action_from_subspaces,
     as_groupset,
     closure,
@@ -21,6 +27,7 @@ from mobius_lattice.group import (
     stabilizer,
     verify_action_subset_sums,
 )
+from mobius_lattice.identities import mobius_between
 from mobius_lattice.linalg import Matrix, Subspace, enumerate_subspaces
 
 F2 = FqField(2)
@@ -62,6 +69,66 @@ def test_closure_contains_identity_and_inverses(gl22):
     ident = gl22.identity_index
     for i in range(gl22.order):
         assert gl22.mul(i, gl22.inv(i)) == ident
+
+
+def _preset(kind, n, p, u=1):
+    return closure(preset_generators(kind, n, FqField(p, u)))
+
+
+def _assert_products_match(group, pairs):
+    # oracle: the product of the two matrices, looked up by its entries
+    for i, j in pairs:
+        expected = group.index_of(group.elements[i] * group.elements[j])
+        assert group.mul(i, j) == expected, (i, j)
+
+
+@pytest.mark.parametrize("kind,n,p,u", [("GL", 2, 3, 1), ("SL", 2, 3, 1),
+                                        ("GL", 3, 2, 1), ("GL", 2, 2, 2)])
+def test_product_kernel_every_pair(kind, n, p, u):
+    group = _preset(kind, n, p, u)
+    pairs = itertools.product(range(group.order), repeat=2)
+    _assert_products_match(group, pairs)
+
+
+@pytest.mark.parametrize("kind,n,p,u", [("SL", 2, 3, 2), ("GL", 3, 3, 1)])
+def test_product_kernel_seeded_pairs(kind, n, p, u):
+    group = _preset(kind, n, p, u)
+    if n == 3:
+        assert group.order > TABLE_CAP  # the row-action path, no columns
+    rng = random.Random(f"{kind}{n}{p}{u}")
+    pairs = [(rng.randrange(group.order), rng.randrange(group.order))
+             for _ in range(3000)]
+    _assert_products_match(group, pairs)
+
+
+def test_query_builds_few_columns():
+    # mu(Borel, GL(2,7)) multiplies by the Borel's generators and a few
+    # coset representatives (13 columns); an eager |G|^2 table fills 2016
+    group = _preset("GL", 2, 7)
+    f7 = group.field
+    borel = group.subgroup_closure(
+        group.index_of(Matrix.from_rows(f7, rows))
+        for rows in ([[1, 1], [0, 1]], [[3, 0], [0, 1]], [[1, 0], [0, 3]]))
+    assert mobius_between(group, borel, group.full_subgroup()) == -1
+    built = sum(column is not None for column in group._table)
+    assert 0 < built < 64
+
+
+@pytest.mark.parametrize("table_cap", [TABLE_CAP, 0])
+def test_non_closed_element_set_raises(monkeypatch, table_cap):
+    # table_cap 0 sends every product through the row-action path
+    monkeypatch.setattr(group_module, "TABLE_CAP", table_cap)
+    t = Matrix.from_rows(F3, [[1, 1], [0, 1]])
+    group = GroupSet(F3, 2, [Matrix.identity(F3, 2), t], [t])  # t^2 left out
+    ti = group.index_of(t)
+    assert group.mul(ti, group.identity_index) == ti
+    with pytest.raises(NotASubgroup, match="not closed under product"):
+        group.mul(ti, ti)
+
+
+def test_index_of_rejects_other_shape(gl22):
+    with pytest.raises(AmbientMismatch):
+        gl22.index_of(Matrix.identity(F2, 3))
 
 
 def test_singular_generator_rejected():
