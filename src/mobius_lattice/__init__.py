@@ -6,7 +6,6 @@ from .gfq import FqField, FieldElement
 from .linalg import (
     Matrix,
     Subspace,
-    SubspaceLattice,
     enumerate_subspaces,
     gaussian_binomial,
     invariant_subspaces,

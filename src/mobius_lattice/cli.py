@@ -122,9 +122,15 @@ def load_group(cfg: RunConfig) -> tuple:
         try:
             with open(cfg.gens_file) as fh:
                 spec = json.load(fh)
+            if not isinstance(spec, dict):
+                raise TypeError("the file does not hold a JSON object")
             fq = FqField.from_dict(spec.get("field", cfg.field_spec))
             n = spec["n"]
             gens = [Matrix.from_rows(fq, rows) for rows in spec["generators"]]
+            if not gens:
+                raise ValueError("no generators")
+            if any(g.nrows != n or g.ncols != n for g in gens):
+                raise ValueError(f"generators are not {n}x{n} matrices")
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise GroupSpecError(f"cannot read generator file: {exc}") from exc
         group = build_group(gens, cap=cfg.max_order)
@@ -163,6 +169,10 @@ def select_subgroups(group: GroupSet, cfg: RunConfig, subs: list) -> list:
                 wanted.append(group.subgroup_closure(ids))
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise GroupSpecError(f"cannot read subgroup file: {exc}") from exc
+        if any(h.order == group.order for h in wanted):
+            raise GroupSpecError(
+                "subgroup file lists the whole group; identities are "
+                "verified for proper subgroups only")
         return sorted(set(wanted), key=SubgroupRef.sort_key)
     out = []
     for h in subs:
@@ -177,8 +187,21 @@ def select_subgroups(group: GroupSet, cfg: RunConfig, subs: list) -> list:
     return out
 
 
+def _check_writable(out: Optional[str]) -> None:
+    """Fail before any work when the report path cannot be written.
+
+    Append mode creates a missing file and leaves an existing one as it is
+    until the report is written."""
+    if out:
+        try:
+            open(out, "a").close()
+        except OSError as exc:
+            raise GroupSpecError(f"cannot write report: {exc}") from exc
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     try:
+        _check_writable(cfg.out)
         group, descriptor = load_group(cfg)
         if not is_irreducible(group):
             raise ReducibleAmbientGroup(
@@ -297,6 +320,7 @@ def cmd_mobius(cfg: RunConfig, low_spec: str, high_spec: str) -> int:
 def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
     merged = {}
     try:
+        _check_writable(out)
         for path in paths:
             with open(path) as fh:
                 for line in fh:
@@ -321,7 +345,7 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: malformed report: {exc}", file=sys.stderr)
         return 2
-    except MalformedReport as exc:
+    except (MalformedReport, GroupSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit([merged[k] for k in sorted(merged, key=str)], fmt, out)
@@ -359,7 +383,12 @@ def _field_spec_from_args(args) -> dict:
         p = 2
     spec = {"p": p, "u": u or 1}
     if args.modulus:
-        spec["modulus"] = [int(c) for c in args.modulus.split(",")]
+        try:
+            spec["modulus"] = [int(c) for c in args.modulus.split(",")]
+        except ValueError:
+            raise GroupSpecError(
+                f"--modulus {args.modulus!r} is not a comma-separated list "
+                f"of integers") from None
     return spec
 
 

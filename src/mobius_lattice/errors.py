@@ -109,4 +109,5 @@ class MalformedReport(MobiusLatticeError):
 
 
 class GroupSpecError(MobiusLatticeError):
-    """Group preset or generator file cannot be resolved."""
+    """A run's group, field, subgroup file or report path cannot be
+    resolved."""

@@ -14,6 +14,12 @@ any product h*g into n list lookups and one probe of the element index.  Up
 to ``TABLE_CAP`` elements, ``mul`` reads right-multiplication columns of the
 Cayley table, each built from that action the first time its right factor is
 used; above the cap every product is taken from the action directly.
+
+Subgroups are grown by one routine, ``GroupSet._join``: <K, g> is built one
+right coset of K at a time (Dimino's algorithm), with the generators of K
+and g as the only right factors.  Closures, generating sets and overgroup
+intervals all go through it, and every product through ``mul``; nothing is
+memoised beyond the Cayley-table columns.
 """
 
 from __future__ import annotations
@@ -156,41 +162,38 @@ class GroupSet:
         return SubgroupRef(self, ids)
 
     def subgroup_closure(self, seed_ids: Iterable[int]) -> "SubgroupRef":
-        return SubgroupRef(self, self._closure_ids(seed_ids))
+        return SubgroupRef(self, self._generate(seed_ids)[0])
 
-    def _closure_ids(self, seed_ids: Iterable[int], mul=None) -> frozenset:
-        if mul is None:
-            mul = self.mul
-        gens = sorted(set(seed_ids))
-        ids = {self.identity_index}
-        ids.update(gens)
-        frontier = sorted(ids)
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g in gens:
-                    y = mul(x, g)
-                    if y not in ids:
-                        ids.add(y)
-                        fresh.append(y)
-            frontier = fresh
-        return frozenset(ids)
+    def _join(self, members: frozenset, gens: list, g: int) -> frozenset:
+        """<K, g> for K = ``members`` generated by ``gens`` (Dimino).
 
-    def _cached_mul(self):
-        """Multiplication callable; memoizes on the fly when no table exists."""
-        if self._table is not None:
-            return self.mul
-        cache = {}
-        product_of, order = self._product, self.order
+        The join is grown one right coset of K at a time: a coset C times a
+        generator s is the coset K*(c*s), new exactly when c*s is not yet a
+        member.  Filling it as C*s, never as K times a new representative,
+        keeps the generators the only right factors.
+        """
+        mul = self.mul
+        cosets = [list(members)]
+        seen = set(members)
+        factors = list(gens) + [g]
+        for coset in cosets:
+            for s in factors:
+                if mul(coset[0], s) not in seen:
+                    image = [mul(x, s) for x in coset]
+                    seen.update(image)
+                    cosets.append(image)
+        return frozenset(seen)
 
-        def mul(i, j):
-            key = i * order + j
-            v = cache.get(key)
-            if v is None:
-                v = cache[key] = product_of(i, j)
-            return v
-
-        return mul
+    def _generate(self, ids: Iterable[int]) -> tuple:
+        """(members, gens) of the subgroup generated by ``ids``, where gens
+        are the ids, in the given order, that were not yet members."""
+        members = frozenset((self.identity_index,))
+        gens: list = []
+        for i in ids:
+            if i not in members:
+                members = self._join(members, gens, i)
+                gens.append(i)
+        return members, gens
 
     def trivial_subgroup(self) -> "SubgroupRef":
         return SubgroupRef(self, frozenset((self.identity_index,)))
@@ -229,8 +232,7 @@ class SubgroupRef:
     def generator_ids(self) -> tuple:
         """A small deterministic generating set (greedy over the id order)."""
         if self._gens is None:
-            self._gens = tuple(_greedy_generators(self.parent, self.ids,
-                                                  self.parent.mul))
+            self._gens = tuple(self.parent._generate(self.ids)[1])
         return self._gens
 
     def generator_matrices(self) -> list:
@@ -307,8 +309,12 @@ def stabilizer(group: GroupSet, subspace: Subspace) -> SubgroupRef:
     cached = group._stab_cache.get(subspace)
     if cached is not None:
         return cached
+    # every element is invertible, so W*g inside W already means W*g = W:
+    # testing the images of the basis rows needs no row reduction
+    field, rows = group.field, subspace.rows
     ids = frozenset(i for i, m in enumerate(group.elements)
-                    if subspace.apply(m) == subspace)
+                    if all(subspace.contains_vector(apply_row(field, r, m))
+                           for r in rows))
     ref = SubgroupRef(group, ids)
     group._stab_cache[subspace] = ref
     return ref
@@ -319,11 +325,12 @@ def overgroup_interval(group: GroupSet, low: SubgroupRef,
                        cap: int = INTERVAL_CAP) -> list:
     """All subgroups K with low <= K <= top (top defaults to the whole group).
 
-    Fixed-point closure: starting from {low}, extend every known subgroup K by
-    every element outside it and close; repeat until stable.  Any overgroup is
+    Fixed-point closure: starting from {low}, join every known subgroup K
+    with every element outside it; repeat until stable.  Any overgroup is
     generated by low plus finitely many elements, so this reaches them all.
     Elements of the same coset K*g generate the same extension, which prunes
-    the candidate loop without changing the result.
+    the candidate loop without changing the result.  Each subgroup is queued
+    with the generators it was found by, so joins never search for them.
     """
     if low.parent is not group:
         raise AmbientMismatch("subgroup belongs to a different group")
@@ -332,41 +339,27 @@ def overgroup_interval(group: GroupSet, low: SubgroupRef,
         raise AmbientMismatch("top subgroup belongs to a different group")
     if not low.member_ids <= top_ids:
         raise AmbientMismatch("low is not contained in top")
-    mul = group._cached_mul()
+    mul = group.mul
     candidates = sorted(top_ids)
     known = {low.member_ids}
-    queue = [low.member_ids]
+    queue = [(low.member_ids, list(low.generator_ids()))]
     while queue:
-        current = queue.pop()
-        gens = _greedy_generators(group, sorted(current), mul)
+        current, gens = queue.pop()
         covered = set(current)
         for g in candidates:
             if g in covered:
                 continue
-            extended = group._closure_ids(list(gens) + [g], mul)
+            extended = group._join(current, gens, g)
             covered.update(mul(k, g) for k in current)
             if extended not in known:
                 known.add(extended)
                 if len(known) > cap:
                     raise IntervalTooLarge(
                         f"interval exceeded cap {cap} subgroups")
-                queue.append(extended)
+                queue.append((extended, gens + [g]))
     refs = [SubgroupRef(group, ids) for ids in known]
     refs.sort(key=SubgroupRef.sort_key)
     return refs
-
-
-def _greedy_generators(group: GroupSet, sorted_ids: Sequence[int], mul) -> list:
-    current = {group.identity_index}
-    gens: list = []
-    target = len(sorted_ids)
-    for i in sorted_ids:
-        if i not in current:
-            gens.append(i)
-            current = set(group._closure_ids(gens, mul))
-            if len(current) == target:
-                break
-    return gens
 
 
 def as_groupset(ref: SubgroupRef) -> GroupSet:

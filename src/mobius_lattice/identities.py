@@ -93,16 +93,11 @@ class ReducibleIdeal:
     chain {H, G}.
     """
 
-    __slots__ = ("members", "ideal", "hat", "bottom_item", "top_item")
+    __slots__ = ("members", "hat")
 
-    def __init__(self, members: Sequence[SubgroupRef], ideal: FinitePoset,
-                 hat: BoundedPoset, bottom_item: SubgroupRef,
-                 top_item: SubgroupRef):
+    def __init__(self, members: Sequence[SubgroupRef], hat: BoundedPoset):
         self.members = tuple(members)
-        self.ideal = ideal
         self.hat = hat
-        self.bottom_item = bottom_item
-        self.top_item = top_item
 
 
 def build_ideal(group: GroupSet, subgroup: SubgroupRef, family: StabilizerFamily,
@@ -134,8 +129,6 @@ def build_ideal(group: GroupSet, subgroup: SubgroupRef, family: StabilizerFamily
             raise PowersetTooLarge(
                 f"ideal has {len(members_set)} members, cap {max_interval}")
     members = sorted(members_set.values(), key=SubgroupRef.sort_key)
-    ideal_poset = FinitePoset.from_leq(
-        members, lambda a, b: a.member_ids <= b.member_ids)
     top = group.full_subgroup()
     hat_items = list(members) + [top]
     if not members:
@@ -148,7 +141,7 @@ def build_ideal(group: GroupSet, subgroup: SubgroupRef, family: StabilizerFamily
         raise RuntimeError("ideal lost its minimum; enumeration is broken")
     hat = BoundedPoset(hat_poset, bottom_idx, hat_poset.index_of(top))
     _validate_meets(hat_poset, members_set, subgroup, top)
-    return ReducibleIdeal(members, ideal_poset, hat, subgroup, top)
+    return ReducibleIdeal(members, hat)
 
 
 def _validate_meets(hat_poset: FinitePoset, members_set: dict,

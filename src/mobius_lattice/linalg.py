@@ -1,5 +1,5 @@
 """Row-vector linear algebra over GF(q): matrices, canonical subspaces,
-subspace enumeration and invariant-subspace lattices.
+subspace enumeration and invariant subspaces.
 
 Vectors are rows and matrices act on the right (w -> w*g), so the stabilizer
 condition for a subspace W is W*g = W.  A subspace is represented by the
@@ -343,38 +343,15 @@ def enumerate_subspaces(field: FqField, n: int, k: Optional[int] = None,
     return out
 
 
-class SubspaceLattice:
-    """A family of subspaces of one ambient space, ordered by inclusion."""
-
-    __slots__ = ("field", "ambient_dim", "elements")
-
-    def __init__(self, field: FqField, ambient_dim: int, elements: Iterable[Subspace]):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.elements = tuple(sorted(elements, key=Subspace.sort_key))
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, subspace: Subspace) -> bool:
-        return subspace in set(self.elements)
-
-    @staticmethod
-    def leq(a: Subspace, b: Subspace) -> bool:
-        return a <= b
-
-
 def invariant_subspaces(matrices: Sequence[Matrix], n: Optional[int] = None,
                         proper_nontrivial: bool = False,
-                        cap: int = SUBSPACE_CAP) -> SubspaceLattice:
+                        cap: int = SUBSPACE_CAP) -> list:
     """Subspaces W with W*g = W for every supplied matrix.
 
     Checking the given matrices suffices for a generating set: the action
     preserves dimension, so invariance under generators extends to the group
     they generate.  With the flag set, 0 and the full space are removed.
+    The result is in canonical order (``Subspace.sort_key``).
     """
     matrices = list(matrices)
     if not matrices:
@@ -393,4 +370,4 @@ def invariant_subspaces(matrices: Sequence[Matrix], n: Optional[int] = None,
             continue
         if all(w.apply(m) == w for m in matrices):
             found.append(w)
-    return SubspaceLattice(field, n, found)
+    return sorted(found, key=Subspace.sort_key)

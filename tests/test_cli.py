@@ -349,3 +349,68 @@ def test_verify_reducible_ambient_group_exits_two(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+_GL22 = ["--preset", "GL", "--n", "2", "--q", "2"]
+_GL22_GENS = [[[1, 1], [0, 1]], [[0, 1], [1, 0]]]
+
+
+def _gens_file(tmp_path, spec):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(spec))
+    return ["--gens", str(path)]
+
+
+def _subgroups_file(tmp_path, gen_lists):
+    path = tmp_path / "subs.json"
+    path.write_text(json.dumps(gen_lists))
+    return [*_GL22, "--subgroups", "file", "--subgroups-file", str(path)]
+
+
+# (verify arguments built from tmp_path, expected exit code)
+EXIT_CASES = {
+    "all-verified": (lambda tmp: _GL22, 0),
+    "pairs-skipped": (lambda tmp: [*_GL22, "--max-powerset", "-1"], 3),
+    "no-generators": (lambda tmp: _gens_file(
+        tmp, {"field": {"p": 2, "u": 1}, "n": 2, "generators": []}), 2),
+    "generator-file-not-object": (lambda tmp: _gens_file(tmp, [1, 2]), 2),
+    "generator-size-not-n": (lambda tmp: _gens_file(
+        tmp, {"field": {"p": 2, "u": 1}, "n": 3,
+              "generators": _GL22_GENS}), 2),
+    "modulus-not-integers": (lambda tmp: [
+        "--preset", "GL", "--n", "2", "--p", "2", "--u", "2",
+        "--modulus", "1,x"], 2),
+    "out-dir-missing": (lambda tmp: [
+        *_GL22, "--out", str(tmp / "missing" / "out.jsonl")], 2),
+    "subgroup-file-whole-group": (lambda tmp: _subgroups_file(
+        tmp, [_GL22_GENS]), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_verify_exit_codes(tmp_path, case):
+    build_args, code = EXIT_CASES[case]
+    proc = _run_module("verify", *build_args(tmp_path))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_verify_exit_one_on_failed_identity(tmp_path, monkeypatch, capsys):
+    unequal = identities.IdentityReport(1, 0, 0, 0, 0, 0, 0, 0)
+    monkeypatch.setattr(cli, "verify_identities",
+                        lambda *args, **kwargs: unequal)
+    out = tmp_path / "out.jsonl"
+    assert run_cli(["verify", *_GL22, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert read_jsonl(out)[-1]["failures"] == 5
+
+
+def test_report_out_dir_missing_exits_two(tmp_path, capsys):
+    report = tmp_path / "gl22.jsonl"
+    assert run_cli(["verify", *_GL22, "--out", str(report)]) == 0
+    assert run_cli(["report", str(report),
+                    "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write report")

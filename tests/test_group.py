@@ -101,6 +101,39 @@ def test_product_kernel_seeded_pairs(kind, n, p, u):
     _assert_products_match(group, pairs)
 
 
+def _assert_join_matches_closure(group, ids):
+    # oracle: the matrix-level closure of the same elements, mapped back by
+    # entries; the generators found by the join must regenerate the subgroup
+    sub = group.subgroup_closure(ids)
+    oracle = closure([group.elements[i] for i in ids])
+    assert sub.member_ids == {group.index_of(m) for m in oracle.elements}, ids
+    assert group.subgroup_closure(sub.generator_ids()) == sub, ids
+    return sub
+
+
+def test_join_every_pair_gl23(gl23):
+    for i, j in itertools.combinations_with_replacement(range(gl23.order), 2):
+        _assert_join_matches_closure(gl23, [i, j])
+
+
+def test_join_seeded_sets_gl33():
+    # row-action path.  Elements come from the stabilizer of a line or of a
+    # plane (order 864 each), so the sets generate subgroups of many orders;
+    # drawn from all of GL(3,3), most sets generate SL(3,3) or GL(3,3), and
+    # the matrix-level oracle would take ~0.3 s for each of them
+    group = _preset("GL", 3, 3)
+    assert group.order > TABLE_CAP
+    pools = [stabilizer(group, Subspace.from_vectors(F3, 3, rows)).ids
+             for rows in ([[1, 0, 0]], [[1, 0, 0], [0, 1, 0]])]
+    rng = random.Random("join-gl33")
+    orders = set()
+    for _ in range(200):
+        pool = rng.choice(pools)
+        ids = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        orders.add(_assert_join_matches_closure(group, ids).order)
+    assert len(orders) > 10
+
+
 def test_query_builds_few_columns():
     # mu(Borel, GL(2,7)) multiplies by the Borel's generators and a few
     # coset representatives (13 columns); an eager |G|^2 table fills 2016
@@ -168,6 +201,13 @@ def test_stabilizer_line_gl23(gl23):
     assert stab.order == 12
     for m in stab.matrices():
         assert m.to_lists()[0][1] == 0  # row action fixes <e1>: lower triangular
+
+
+def test_stabilizer_matches_image_filter(gl23):
+    # oracle: the canonical image W*g compared with W, for every subspace
+    for w in enumerate_subspaces(F3, 2):
+        expected = {i for i, m in enumerate(gl23.elements) if w.apply(m) == w}
+        assert stabilizer(gl23, w).member_ids == expected, w
 
 
 def test_stabilizer_contains_identity_and_closed(gl23):
