@@ -54,6 +54,7 @@ from .identities import (
     mobius_between,
     mu_ideal,
     stabilizer_family,
+    subgroup_lattice,
     verify_identities,
 )
 

@@ -37,7 +37,12 @@ from .group import (
     is_irreducible,
     overgroup_interval,
 )
-from .identities import mobius_between, stabilizer_family, verify_identities
+from .identities import (
+    mobius_between,
+    stabilizer_family,
+    subgroup_lattice,
+    verify_identities,
+)
 
 
 @dataclass
@@ -153,7 +158,7 @@ def _subgroup_descriptor(group: GroupSet, h: SubgroupRef) -> dict:
     return {"order": h.order, "generators": gens}
 
 
-def select_subgroups(group: GroupSet, cfg: RunConfig, subs: list) -> list:
+def select_subgroups(group: GroupSet, cfg: RunConfig, subs: Sequence) -> list:
     """The subgroups H to verify, chosen by the configured scope from the
     complete subgroup list ``subs`` (or read from the subgroup file)."""
     if cfg.subgroups == "file":
@@ -207,9 +212,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             raise ReducibleAmbientGroup(
                 "ambient group fixes a proper non-trivial subspace")
         # the one subgroup lattice of the run, shared by every pair
-        all_subs = overgroup_interval(group, group.trivial_subgroup(),
-                                      cap=cfg.max_interval)
-        subgroups = select_subgroups(group, cfg, all_subs)
+        lattice = subgroup_lattice(overgroup_interval(
+            group, group.trivial_subgroup(), cap=cfg.max_interval))
+        subgroups = select_subgroups(group, cfg, lattice.items)
     except MobiusLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -222,7 +227,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         t0 = time.monotonic()
         try:
             report = verify_identities(
-                group, h, all_subgroups=all_subs,
+                group, h, lattice=lattice,
                 max_interval=cfg.max_interval,
                 max_powerset=cfg.max_powerset, with_decomposition=True)
         except (PowersetTooLarge, IntervalTooLarge) as exc:
@@ -305,15 +310,14 @@ def cmd_mobius(cfg: RunConfig, low_spec: str, high_spec: str) -> int:
         group, descriptor = load_group(cfg)
         low = _resolve_endpoint(group, low_spec)
         high = _resolve_endpoint(group, high_spec)
-        members = overgroup_interval(group, low, top=high,
-                                     cap=cfg.max_interval)
-        value = mobius_between(group, low, high, all_subgroups=members,
-                               max_interval=cfg.max_interval)
+        lattice = subgroup_lattice(overgroup_interval(
+            group, low, top=high, cap=cfg.max_interval))
+        value = mobius_between(group, low, high, lattice=lattice)
     except MobiusLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps({"group": descriptor["name"], "mu": value,
-                      "interval_size": len(members)}, sort_keys=True))
+                      "interval_size": lattice.size}, sort_keys=True))
     return 0
 
 
@@ -357,10 +361,8 @@ def _add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gens", dest="gens_file", default=None,
                    help="JSON file with field, n and generator matrices")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", type=int, default=None,
-                   help="field order; factored into p^u automatically")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--u", type=int, default=1)
+    p.add_argument("--q", type=int, default=2,
+                   help="field order, a prime power; factored into p^u")
     p.add_argument("--modulus", default=None,
                    help="comma-separated modulus coefficients, low degree first")
     p.add_argument("--max-order", type=int, default=ORDER_CAP)
@@ -369,19 +371,17 @@ def _add_group_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _field_spec_from_args(args) -> dict:
-    p, u = args.p, args.u
-    if args.q is not None:
-        q = args.q
-        p = next((d for d in range(2, q + 1) if q % d == 0), q)
-        u = 0
-        while q % p == 0 and q > 1:
-            q //= p
-            u += 1
-        if q != 1:
-            raise GroupSpecError(f"--q {args.q} is not a prime power")
-    if p is None:
-        p = 2
-    spec = {"p": p, "u": u or 1}
+    q = args.q
+    if q < 2:
+        raise GroupSpecError(f"--q {q} is not a prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    u = 0
+    while q % p == 0:
+        q //= p
+        u += 1
+    if q != 1:
+        raise GroupSpecError(f"--q {args.q} is not a prime power")
+    spec = {"p": p, "u": u}
     if args.modulus:
         try:
             spec["modulus"] = [int(c) for c in args.modulus.split(",")]

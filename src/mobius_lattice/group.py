@@ -142,9 +142,6 @@ class GroupSet:
             self._inv[i] = cached
         return cached
 
-    def matrix(self, i: int) -> Matrix:
-        return self.elements[i]
-
     def index_of(self, m: Matrix) -> int:
         identity_action = range(len(self._vectors))
         return self._idx[itemgetter(*self._row_codes(m))(identity_action)]

@@ -22,9 +22,10 @@ and the Euler characteristics from explicit face counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    NotASubgroup,
     PowersetTooLarge,
     ReducibleAmbientGroup,
     SubgroupNotContained,
@@ -100,51 +101,63 @@ class ReducibleIdeal:
         self.hat = hat
 
 
+def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
+    """The containment order on ``subgroups``, items sorted by ``sort_key``.
+
+    Orders grow with the index, so the index order is a linear extension.
+    """
+    return FinitePoset.from_leq(sorted(subgroups, key=SubgroupRef.sort_key),
+                                lambda a, b: a.member_ids <= b.member_ids)
+
+
+def _position(lattice: FinitePoset, subgroup: SubgroupRef) -> int:
+    try:
+        return lattice.index_of(subgroup)
+    except KeyError:
+        raise SubgroupNotContained(
+            f"subgroup of order {subgroup.order} is not in the lattice") from None
+
+
 def build_ideal(group: GroupSet, subgroup: SubgroupRef, family: StabilizerFamily,
-                all_subgroups: Optional[Sequence[SubgroupRef]] = None,
+                lattice: Optional[FinitePoset] = None,
                 max_interval: int = INTERVAL_CAP) -> ReducibleIdeal:
     """Assemble the ideal of subgroups dominated by a stabilizer.
 
-    With ``all_subgroups`` supplied (a complete subgroup list of the group)
-    the members are obtained by filtering; otherwise each interval
-    [H, M] is enumerated directly.  Both routes produce the same set.
+    The members are read off ``lattice`` (a subgroup lattice holding H and
+    every stabilizer, e.g. the whole lattice of the group) as the elements
+    above H and below some stabilizer.  Without one, the lattice is the
+    union of the intervals [H, M], enumerated directly.
     """
     _check_pair(group, subgroup)
     if subgroup.order == group.order:
         raise ValueError("the ideal is defined for proper subgroups only")
-    members_set = {}
-    if family.distinct_stabilizers:
-        if all_subgroups is not None:
-            for k in all_subgroups:
-                if subgroup.member_ids <= k.member_ids and any(
-                        k.member_ids <= m.member_ids
-                        for m in family.distinct_stabilizers):
-                    members_set[k.member_ids] = k
-        else:
-            for m in family.distinct_stabilizers:
+    stabs = family.distinct_stabilizers
+    members = []
+    if stabs:
+        if lattice is None:
+            lattice = subgroup_lattice({
+                k for m in stabs
                 for k in overgroup_interval(group, subgroup, top=m,
-                                            cap=max_interval):
-                    members_set[k.member_ids] = k
-        if len(members_set) > max_interval:
+                                            cap=max_interval)})
+        below = 0
+        for m in stabs:
+            below |= lattice.down[_position(lattice, m)]
+        mask = lattice.up[_position(lattice, subgroup)] & below
+        members = [lattice.items[i] for i in _bits(mask)]
+        if len(members) > max_interval:
             raise PowersetTooLarge(
-                f"ideal has {len(members_set)} members, cap {max_interval}")
-    members = sorted(members_set.values(), key=SubgroupRef.sort_key)
+                f"ideal has {len(members)} members, cap {max_interval}")
     top = group.full_subgroup()
-    hat_items = list(members) + [top]
-    if not members:
-        hat_items = [subgroup, top]
-    hat_poset = FinitePoset.from_leq(
-        hat_items, lambda a, b: a.member_ids <= b.member_ids)
-    bottom_idx = hat_poset.index_of(subgroup if not members else members[0])
+    hat_poset = subgroup_lattice((members or [subgroup]) + [top])
     # the minimum must be H itself: every member contains H and H is a member
-    if hat_poset.items[bottom_idx].member_ids != subgroup.member_ids:
+    if hat_poset.items[0].member_ids != subgroup.member_ids:
         raise RuntimeError("ideal lost its minimum; enumeration is broken")
-    hat = BoundedPoset(hat_poset, bottom_idx, hat_poset.index_of(top))
-    _validate_meets(hat_poset, members_set, subgroup, top)
+    hat = BoundedPoset(hat_poset, 0, hat_poset.size - 1)
+    _validate_meets(hat_poset, {k.member_ids for k in members}, subgroup, top)
     return ReducibleIdeal(members, hat)
 
 
-def _validate_meets(hat_poset: FinitePoset, members_set: dict,
+def _validate_meets(hat_poset: FinitePoset, members_set: set,
                     subgroup: SubgroupRef, top: SubgroupRef) -> None:
     """Meets in the hat are subgroup intersections; check they are members.
 
@@ -340,13 +353,15 @@ class IdentityReport:
 
 
 def verify_identities(group: GroupSet, subgroup: SubgroupRef,
-                      all_subgroups: Optional[Sequence[SubgroupRef]] = None,
+                      lattice: Optional[FinitePoset] = None,
                       max_interval: int = INTERVAL_CAP,
                       max_powerset: int = POWERSET_CAP,
                       with_decomposition: bool = False) -> IdentityReport:
     """Compute the five quantities independently and report them together.
 
-    Requires a proper subgroup of an irreducible group.  When
+    Requires a proper subgroup of an irreducible group.  ``lattice`` is a
+    subgroup lattice holding every overgroup of H (see ``subgroup_lattice``);
+    without it the intervals needed are enumerated directly.  When
     ``with_decomposition`` is set, the Mobius value over the full overgroup
     interval and the residual of the ideal/complement decomposition are
     attached as well.
@@ -354,8 +369,11 @@ def verify_identities(group: GroupSet, subgroup: SubgroupRef,
     _check_pair(group, subgroup)
     if subgroup.order == group.order:
         raise ValueError("identities are verified for proper subgroups only")
+    if lattice is None and with_decomposition:
+        lattice = subgroup_lattice(overgroup_interval(group, subgroup,
+                                                      cap=max_interval))
     family = stabilizer_family(group, subgroup)
-    ideal = build_ideal(group, subgroup, family, all_subgroups=all_subgroups,
+    ideal = build_ideal(group, subgroup, family, lattice=lattice,
                         max_interval=max_interval)
     mu_hat = mu_ideal(ideal)
     sums = alternating_sums(group, subgroup, family, max_powerset=max_powerset)
@@ -366,65 +384,46 @@ def verify_identities(group: GroupSet, subgroup: SubgroupRef,
     mu_full = residual = None
     if with_decomposition:
         mu_full, residual = _decomposition(group, subgroup, ideal, mu_hat,
-                                           all_subgroups=all_subgroups,
-                                           max_interval=max_interval)
+                                           lattice)
     return IdentityReport(mu_hat, sums.subspace_sum, sums.stabilizer_sum,
                           sums.stabilizer_complement_sum, chi1, chi2,
                           mu_full, residual, subspace_cx, stab_cx)
 
 
-def _interval_members(group: GroupSet, low: SubgroupRef, high: SubgroupRef,
-                      all_subgroups, max_interval: int) -> list:
-    if all_subgroups is not None:
-        return sorted((k for k in all_subgroups
-                       if low.member_ids <= k.member_ids <= high.member_ids),
-                      key=SubgroupRef.sort_key)
-    return overgroup_interval(group, low, top=high, cap=max_interval)
-
-
-def _interval_row(group: GroupSet, low: SubgroupRef, high: SubgroupRef,
-                  all_subgroups, max_interval: int):
-    members = _interval_members(group, low, high, all_subgroups, max_interval)
-    poset = FinitePoset.from_leq(members,
-                                 lambda a, b: a.member_ids <= b.member_ids)
-    row = mobius_row(poset, poset.index_of(low))
-    return members, poset, row
-
-
 def mobius_between(group: GroupSet, low: SubgroupRef,
                    high: Optional[SubgroupRef] = None,
-                   all_subgroups: Optional[Sequence[SubgroupRef]] = None,
+                   lattice: Optional[FinitePoset] = None,
                    max_interval: int = INTERVAL_CAP) -> int:
-    """Mobius value mu(low, high) inside the subgroup lattice of the group."""
+    """Mobius value mu(low, high) inside the subgroup lattice of the group.
+
+    ``lattice`` must hold the interval [low, high]; without it the interval
+    is enumerated directly.
+    """
     if high is None:
         high = group.full_subgroup()
     if not low.member_ids <= high.member_ids:
-        from .errors import NotASubgroup
         raise NotASubgroup("low endpoint is not contained in the high one")
-    _, poset, row = _interval_row(group, low, high, all_subgroups, max_interval)
-    return row[poset.index_of(high)]
+    if lattice is None:
+        lattice = subgroup_lattice(overgroup_interval(group, low, top=high,
+                                                      cap=max_interval))
+    row = mobius_row(lattice, _position(lattice, low))
+    return row[_position(lattice, high)]
 
 
 def _decomposition(group: GroupSet, subgroup: SubgroupRef,
-                   ideal: ReducibleIdeal, mu_hat: int, all_subgroups,
-                   max_interval: int):
-    top = group.full_subgroup()
-    members, poset, row = _interval_row(group, subgroup, top, all_subgroups,
-                                        max_interval)
-    mu_full = row[poset.index_of(top)]
-    in_ideal = {k.member_ids for k in ideal.members}
-    outside = 0
-    for k in members:
-        if (k.member_ids not in in_ideal
-                and k.member_ids != subgroup.member_ids
-                and k.member_ids != top.member_ids):
-            outside += row[poset.index_of(k)]
-    residual = mu_full - mu_hat + outside
-    return mu_full, residual
+                   ideal: ReducibleIdeal, mu_hat: int, lattice: FinitePoset):
+    """mu(H, G) and the residual of its split, from one row of ``lattice``."""
+    h = _position(lattice, subgroup)
+    top = _position(lattice, group.full_subgroup())
+    row = mobius_row(lattice, h)
+    skip = {h, top}
+    skip.update(_position(lattice, k) for k in ideal.members)
+    outside = sum(value for k, value in row.items() if k not in skip)
+    return row[top], row[top] - mu_hat + outside
 
 
 def decomposition_residual(group: GroupSet, subgroup: SubgroupRef,
-                           all_subgroups: Optional[Sequence[SubgroupRef]] = None,
+                           lattice: Optional[FinitePoset] = None,
                            max_interval: int = INTERVAL_CAP) -> int:
     """Residual of the split of mu(H, G) into the ideal value and the rest.
 
@@ -435,10 +434,12 @@ def decomposition_residual(group: GroupSet, subgroup: SubgroupRef,
     defining recursion of the Mobius function.
     """
     _check_pair(group, subgroup)
+    if lattice is None:
+        lattice = subgroup_lattice(overgroup_interval(group, subgroup,
+                                                      cap=max_interval))
     family = stabilizer_family(group, subgroup)
-    ideal = build_ideal(group, subgroup, family, all_subgroups=all_subgroups,
+    ideal = build_ideal(group, subgroup, family, lattice=lattice,
                         max_interval=max_interval)
     mu_hat = mu_ideal(ideal)
-    _, residual = _decomposition(group, subgroup, ideal, mu_hat,
-                                 all_subgroups, max_interval)
+    _, residual = _decomposition(group, subgroup, ideal, mu_hat, lattice)
     return residual

@@ -13,7 +13,7 @@ from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .errors import AmbientMismatch, SingularElement, TooManySubspaces
-from .gfq import FieldElement, FqField
+from .gfq import FqField
 
 SUBSPACE_CAP = 10 ** 6
 
@@ -53,9 +53,6 @@ class Matrix:
     def rows(self) -> list:
         return [self.row(i) for i in range(self.nrows)]
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.field.from_index(self.data[i * self.ncols + j])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -75,11 +72,6 @@ class Matrix:
                         acc = add[acc][mul[x][b[t * m + j]]]
                 out.append(acc)
         return Matrix(self.field, n, m, tuple(out))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.ncols, self.nrows,
-                      tuple(self.data[i * self.ncols + j]
-                            for j in range(self.ncols) for i in range(self.nrows)))
 
     def is_invertible(self) -> bool:
         if self.nrows != self.ncols:

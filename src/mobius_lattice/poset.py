@@ -28,7 +28,7 @@ class FinitePoset:
 
     __slots__ = ("items", "up", "down", "_index")
 
-    def __init__(self, items: Sequence, up: Sequence[int], validate: bool = True):
+    def __init__(self, items: Sequence, up: Sequence[int]):
         self.items = tuple(items)
         self.up = tuple(up)
         n = len(self.items)
@@ -38,8 +38,7 @@ class FinitePoset:
         self._index = {item: i for i, item in enumerate(self.items)}
         if len(self._index) != n:
             raise InvalidOrderRelation("duplicate items in poset")
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         n = len(self.items)
@@ -111,20 +110,17 @@ def _bits(mask: int):
         mask &= mask - 1
 
 
-def _linear_extension(poset: FinitePoset) -> list:
-    return sorted(range(poset.size), key=lambda i: (bin(poset.down[i]).count("1"), i))
-
-
 def mobius_row(poset: FinitePoset, start: int) -> dict:
-    """Values mu(start, j) for every j >= start, by the defining recursion."""
-    row = {start: 1}
-    for j in _linear_extension(poset):
-        if j == start or not poset.leq(start, j):
-            continue
-        acc = 0
-        for t in _bits(poset.up[start] & poset.down[j] & ~(1 << j)):
-            acc += row[t]
-        row[j] = -acc
+    """Values mu(start, j) for every j >= start, by the defining recursion.
+
+    Only the elements above ``start`` are visited, by the size of [start, j],
+    so each comes after everything strictly between ``start`` and it.
+    """
+    above, down = poset.up[start], poset.down
+    row = {}
+    for j in sorted(_bits(above), key=lambda j: bin(down[j] & above).count("1")):
+        row[j] = 1 if j == start else -sum(
+            row[t] for t in _bits(above & down[j] & ~(1 << j)))
     return row
 
 

@@ -20,12 +20,11 @@ from .poset import FinitePoset, _bits
 class SimplicialComplex:
     """Explicit complex: an indexed vertex tuple plus a set of face masks."""
 
-    __slots__ = ("vertices", "faces", "_index")
+    __slots__ = ("vertices", "faces")
 
     def __init__(self, vertices: Sequence, faces: Iterable[int]):
         self.vertices = tuple(vertices)
         self.faces = frozenset(faces)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
 
     def is_empty(self) -> bool:
         return not self.faces

@@ -310,16 +310,22 @@ def test_mobius_published_values(capsys, kind, n, q, mu, size):
 
 @pytest.fixture
 def interval_calls(monkeypatch):
-    """Counts overgroup_interval calls made from cli.py and identities.py."""
+    """Counts overgroup_interval calls made from cli.py and identities.py,
+    and subgroup_lattice builds made from cli.py, by name."""
     calls = []
-    for module in (cli, identities):
-        original = module.overgroup_interval
 
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+    def count(module, name):
+        original = getattr(module, name)
 
-        monkeypatch.setattr(module, "overgroup_interval", counted)
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli, "overgroup_interval")
+    count(identities, "overgroup_interval")
+    count(cli, "subgroup_lattice")
     return calls
 
 
@@ -330,13 +336,13 @@ def test_verify_enumerates_lattice_once(tmp_path, interval_calls, scope):
     assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "3",
                     "--subgroups", scope, "--subgroups-file", str(subs),
                     "--out", str(tmp_path / "out.jsonl")]) == 0
-    assert len(interval_calls) == 1
+    assert sorted(interval_calls) == ["overgroup_interval", "subgroup_lattice"]
 
 
 def test_mobius_enumerates_interval_once(capsys, interval_calls):
     assert run_cli(["mobius", "--preset", "GL", "--n", "2", "--q", "3",
                     "--from", "trivial", "--to", "full"]) == 0
-    assert len(interval_calls) == 1
+    assert sorted(interval_calls) == ["overgroup_interval", "subgroup_lattice"]
 
 
 def test_verify_reducible_ambient_group_exits_two(tmp_path):
@@ -378,8 +384,8 @@ EXIT_CASES = {
         tmp, {"field": {"p": 2, "u": 1}, "n": 3,
               "generators": _GL22_GENS}), 2),
     "modulus-not-integers": (lambda tmp: [
-        "--preset", "GL", "--n", "2", "--p", "2", "--u", "2",
-        "--modulus", "1,x"], 2),
+        "--preset", "GL", "--n", "2", "--q", "4", "--modulus", "1,x"], 2),
+    "q-zero": (lambda tmp: ["--preset", "GL", "--n", "2", "--q", "0"], 2),
     "out-dir-missing": (lambda tmp: [
         *_GL22, "--out", str(tmp / "missing" / "out.jsonl")], 2),
     "subgroup-file-whole-group": (lambda tmp: _subgroups_file(

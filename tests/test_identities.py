@@ -17,6 +17,7 @@ from mobius_lattice.identities import (
     mobius_between,
     mu_ideal,
     stabilizer_family,
+    subgroup_lattice,
     verify_identities,
 )
 from mobius_lattice.linalg import Matrix, Subspace
@@ -97,6 +98,12 @@ def test_family_rejects_reducible_ambient():
 def test_family_rejects_foreign_subgroup(gl22, gl23):
     with pytest.raises(SubgroupNotContained):
         stabilizer_family(gl22, gl23.trivial_subgroup())
+    # so do the identities, given a lattice that lacks the subgroups read
+    short = subgroup_lattice([gl22.full_subgroup()])
+    with pytest.raises(SubgroupNotContained):
+        verify_identities(gl22, gl22.trivial_subgroup(), lattice=short)
+    with pytest.raises(SubgroupNotContained):
+        mobius_between(gl22, gl22.trivial_subgroup(), lattice=short)
 
 
 def test_ideal_for_irreducible_subgroup_is_two_chain(gl22):
@@ -146,14 +153,20 @@ def test_reducible_subgroup_belongs_to_its_ideal(gl22, gl23):
 def test_ideal_filter_path_matches_direct_path(gl23, sl23):
     for group in (gl23, sl23):
         subs = overgroup_interval(group, group.trivial_subgroup())
+        lattice = subgroup_lattice(subs)
         for h in subs:
             if h.order == group.order:
                 continue
             fam = stabilizer_family(group, h)
             direct = build_ideal(group, h, fam)
-            filtered = build_ideal(group, h, fam, all_subgroups=subs)
+            filtered = build_ideal(group, h, fam, lattice=lattice)
             assert [k.member_ids for k in direct.members] == \
                    [k.member_ids for k in filtered.members]
+            shared = verify_identities(group, h, lattice=lattice,
+                                       with_decomposition=True)
+            alone = verify_identities(group, h, with_decomposition=True)
+            assert shared.to_dict() == alone.to_dict()
+            assert shared.mu_full is not None
 
 
 def test_sums_for_irreducible_subgroup(gl22):
@@ -296,7 +309,8 @@ def test_residual_zero_for_irreducible(gl22):
 def test_residuals_zero_on_small_sweeps(gl22, sl23):
     for group in (gl22, sl23):
         subs = overgroup_interval(group, group.trivial_subgroup())
+        lattice = subgroup_lattice(subs)
         for h in subs:
             if h.order == group.order:
                 continue
-            assert decomposition_residual(group, h, all_subgroups=subs) == 0
+            assert decomposition_residual(group, h, lattice=lattice) == 0
