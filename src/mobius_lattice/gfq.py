@@ -105,18 +105,20 @@ class FqField:
         if u < 1:
             raise UnsupportedExtension(f"extension degree must be >= 1, got {u}")
         q = p ** u
-        if u == 1:
-            mod = None
-        else:
-            if modulus is None:
-                if q not in BUILTIN_MODULI:
-                    raise UnsupportedExtension(
-                        f"no built-in modulus for q={q}; supply one explicitly")
-                modulus = BUILTIN_MODULI[q]
+        if modulus is None and u > 1:
+            if q not in BUILTIN_MODULI:
+                raise UnsupportedExtension(
+                    f"no built-in modulus for q={q}; supply one explicitly")
+            modulus = BUILTIN_MODULI[q]
+        if modulus is not None:
             mod = [c % p for c in modulus]
             if len(_trim(mod)) - 1 != u:
                 raise ReducibleModulus(
                     f"modulus must have degree {u}, got {_trim(mod)}")
+        if u == 1:
+            # GF(p)[x]/(a + bx) is GF(p) itself, with the same index order
+            mod = None
+        else:
             # normalise to a monic representative of the same ideal
             inv_lead = pow(mod[u], p - 2, p)
             mod = tuple((c * inv_lead) % p for c in mod[: u + 1])

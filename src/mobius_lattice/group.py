@@ -20,6 +20,14 @@ right coset of K at a time (Dimino's algorithm), with the generators of K
 and g as the only right factors.  Closures, generating sets and overgroup
 intervals all go through it, and every product through ``mul``; nothing is
 memoised beyond the Cayley-table columns.
+
+``overgroup_interval`` has two strategies.  The whole lattice [1, G] is
+enumerated by cyclic extension (Neubüser, 1960): one subgroup per conjugacy
+class is joined with each cyclic subgroup of prime-power order, and each new
+subgroup brings its whole class, found by conjugating its member set by G's
+generators.  Any other interval [H, M] is searched by joining each known
+subgroup with one element per right coset outside it; this search is also
+the test oracle of the first.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -320,14 +329,14 @@ def stabilizer(group: GroupSet, subspace: Subspace) -> SubgroupRef:
 def overgroup_interval(group: GroupSet, low: SubgroupRef,
                        top: Optional[SubgroupRef] = None,
                        cap: int = INTERVAL_CAP) -> list:
-    """All subgroups K with low <= K <= top (top defaults to the whole group).
+    """All subgroups K with low <= K <= top (top defaults to the whole group),
+    sorted by ``SubgroupRef.sort_key``.
 
-    Fixed-point closure: starting from {low}, join every known subgroup K
-    with every element outside it; repeat until stable.  Any overgroup is
-    generated by low plus finitely many elements, so this reaches them all.
-    Elements of the same coset K*g generate the same extension, which prunes
-    the candidate loop without changing the result.  Each subgroup is queued
-    with the generators it was found by, so joins never search for them.
+    The whole lattice [1, G] is enumerated by cyclic extension up to
+    conjugacy (``_lattice_by_cyclic_extension``); every other interval by
+    the coset-pruned search (``_interval_by_coset_search``).  Both return the
+    same member sets, and both raise ``IntervalTooLarge`` once more than
+    ``cap`` subgroups are known.
     """
     if low.parent is not group:
         raise AmbientMismatch("subgroup belongs to a different group")
@@ -336,6 +345,32 @@ def overgroup_interval(group: GroupSet, low: SubgroupRef,
         raise AmbientMismatch("top subgroup belongs to a different group")
     if not low.member_ids <= top_ids:
         raise AmbientMismatch("low is not contained in top")
+    if low.order == 1 and len(top_ids) == group.order:
+        known = _lattice_by_cyclic_extension(group, cap)
+    else:
+        known = _interval_by_coset_search(group, low, top_ids, cap)
+    refs = [SubgroupRef(group, ids) for ids in known]
+    refs.sort(key=SubgroupRef.sort_key)
+    return refs
+
+
+def _check_cap(known: set, cap: int) -> None:
+    if len(known) > cap:
+        raise IntervalTooLarge(f"interval exceeded cap {cap} subgroups: "
+                               f"{len(known)} found")
+
+
+def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
+                              top_ids: frozenset, cap: int) -> set:
+    """Member sets of [low, top] by fixed-point closure.
+
+    Starting from {low}, join every known subgroup K with every element of
+    top outside it; repeat until stable.  Any overgroup is generated by low
+    plus finitely many elements, so this reaches them all.  Elements of the
+    same coset K*g generate the same extension, which prunes the candidate
+    loop without changing the result.  Each subgroup is queued with the
+    generators it was found by, so joins never search for them.
+    """
     mul = group.mul
     candidates = sorted(top_ids)
     known = {low.member_ids}
@@ -350,13 +385,82 @@ def overgroup_interval(group: GroupSet, low: SubgroupRef,
             covered.update(mul(k, g) for k in current)
             if extended not in known:
                 known.add(extended)
-                if len(known) > cap:
-                    raise IntervalTooLarge(
-                        f"interval exceeded cap {cap} subgroups")
+                _check_cap(known, cap)
                 queue.append((extended, gens + [g]))
-    refs = [SubgroupRef(group, ids) for ids in known]
-    refs.sort(key=SubgroupRef.sort_key)
-    return refs
+    return known
+
+
+def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
+    """Member sets of the whole subgroup lattice (Neubüser's cyclic
+    extension method, over conjugacy-class representatives).
+
+    Every subgroup is generated by its cyclic subgroups of prime-power
+    order, so every subgroup H ends a chain 1 < <C1> < <C1, C2> < ... < H
+    of joins with such cyclic subgroups C.  Only one subgroup per
+    conjugacy class is queued, and it is joined with every such C it does
+    not contain; a new join brings its whole class into ``known``.
+    Conjugating a chain by g gives a chain of the same kind, so the chain of
+    H is followed through the representatives of its conjugates.
+    """
+    mul, inv = group.mul, group.inv
+    # conj[t] = g^-1 t^-1 g: since a subgroup holds the inverse of each of
+    # its members, mapping its members through conj conjugates it by g, and
+    # the only right factor is g
+    conjugations = []
+    for m in group.generators:
+        g = group.index_of(m)
+        conjugations.append([mul(inv(mul(t, g)), g)
+                             for t in range(group.order)])
+    trivial = frozenset((group.identity_index,))
+    known = {trivial}
+    queue = [(trivial, [])]
+    cyclic = _prime_power_cyclic_generators(group)
+    while queue:
+        current, gens = queue.pop()
+        for x in cyclic:
+            if x in current:
+                continue
+            extended = group._join(current, gens, x)
+            if extended in known:
+                continue
+            known.add(extended)
+            conjugates = [extended]
+            for sub in conjugates:
+                for conj in conjugations:
+                    image = frozenset(map(conj.__getitem__, sub))
+                    if image not in known:
+                        known.add(image)
+                        conjugates.append(image)
+            _check_cap(known, cap)
+            queue.append((extended, gens + [x]))
+    return known
+
+
+def _prime_power_cyclic_generators(group: GroupSet) -> list:
+    """One generator of each non-trivial cyclic subgroup of prime-power
+    order, in the order of their first generator's id."""
+    mul, identity = group.mul, group.identity_index
+    # done[y]: y generates a cyclic subgroup whose powers were already taken
+    done = bytearray(group.order)
+    found = []
+    for x in range(group.order):
+        if done[x] or x == identity:
+            continue
+        powers = [identity]
+        y = x
+        while y != identity:
+            powers.append(y)
+            y = mul(y, x)
+        order = len(powers)
+        for k in range(1, order):
+            if gcd(k, order) == 1:
+                done[powers[k]] = 1
+        p = next(d for d in range(2, order + 1) if order % d == 0)
+        while order % p == 0:
+            order //= p
+        if order == 1:
+            found.append(x)
+    return found
 
 
 def as_groupset(ref: SubgroupRef) -> GroupSet:

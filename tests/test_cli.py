@@ -385,6 +385,7 @@ EXIT_CASES = {
               "generators": _GL22_GENS}), 2),
     "modulus-not-integers": (lambda tmp: [
         "--preset", "GL", "--n", "2", "--q", "4", "--modulus", "1,x"], 2),
+    "modulus-prime-field": (lambda tmp: [*_GL22, "--modulus", "1,1,1"], 2),
     "q-zero": (lambda tmp: ["--preset", "GL", "--n", "2", "--q", "0"], 2),
     "out-dir-missing": (lambda tmp: [
         *_GL22, "--out", str(tmp / "missing" / "out.jsonl")], 2),

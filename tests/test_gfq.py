@@ -41,6 +41,14 @@ def test_reducible_modulus_rejected():
         FqField(2, 2, [1, 0, 1])
 
 
+def test_prime_field_modulus_must_have_degree_one():
+    # a modulus of degree 2 over GF(2) names GF(4), not the prime field
+    with pytest.raises(ReducibleModulus):
+        FqField(2, 1, [1, 1, 1])
+    # x + 1 over GF(3): the quotient is GF(3) itself
+    assert FqField(3, 1, [1, 1]) == FqField(3)
+
+
 def test_missing_modulus_for_unknown_extension():
     with pytest.raises(UnsupportedExtension):
         FqField(7, 2)

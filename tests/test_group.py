@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -271,6 +272,89 @@ def test_interval_cap():
             [[[1, 1], [0, 1]], [[0, 1], [2, 0]], [[2, 0], [0, 1]]])))
     with pytest.raises(IntervalTooLarge):
         overgroup_interval(g, g.trivial_subgroup(), cap=3)
+    # GL(2,3) has 55 subgroups; the whole lattice adds a conjugacy class at
+    # a time, so the cap must still hold at its exact boundary
+    assert len(overgroup_interval(g, g.trivial_subgroup(), cap=55)) == 55
+    with pytest.raises(IntervalTooLarge, match=r"cap 54 subgroups: 55 found"):
+        overgroup_interval(g, g.trivial_subgroup(), cap=54)
+
+
+def _from_rows(p, rows):
+    return closure([Matrix.from_rows(FqField(p), m) for m in rows])
+
+
+# name: (group builder, its order)
+_LATTICE_GROUPS = {
+    "GL(2,2)": (lambda: _preset("GL", 2, 2), 6),
+    "GL(2,3)": (lambda: _preset("GL", 2, 3), 48),
+    "SL(2,3)": (lambda: _preset("SL", 2, 3), 24),
+    "GL(3,2)": (lambda: _preset("GL", 3, 2), 168),
+    "SL(2,4)": (lambda: _preset("SL", 2, 2, 2), 60),
+    "GL(2,4)": (lambda: _preset("GL", 2, 2, 2), 180),
+    "GL(2,5)": (lambda: _preset("GL", 2, 5), 480),
+    # generator lists as a --gens file gives them, not in the preset's
+    # order: GL(2,3) with the diagonal generator first, and SL(2,5) from a
+    # lower transvection, a Weyl element and the redundant -I
+    "GL(2,3) reordered": (lambda: _from_rows(3, [
+        [[2, 0], [0, 1]], [[0, 1], [2, 0]], [[1, 1], [0, 1]]]), 48),
+    "SL(2,5) from rows": (lambda: _from_rows(5, [
+        [[1, 0], [1, 1]], [[0, 4], [1, 0]], [[4, 0], [0, 4]]]), 120),
+}
+
+
+@pytest.mark.parametrize("name", list(_LATTICE_GROUPS))
+def test_cyclic_extension_matches_coset_search(name):
+    build, order = _LATTICE_GROUPS[name]
+    g = build()
+    assert g.order == order
+    cap = group_module.INTERVAL_CAP
+    by_classes = group_module._lattice_by_cyclic_extension(g, cap)
+    by_cosets = group_module._interval_by_coset_search(
+        g, g.trivial_subgroup(), frozenset(range(g.order)), cap)
+    assert by_classes == by_cosets
+
+
+def test_cyclic_extension_queues_one_subgroup_per_class(monkeypatch, gl23,
+                                                       sl23):
+    # oracle: conjugacy classes of subgroups from matrix conjugation by
+    # every element of G
+    queued = set()
+    join = GroupSet._join
+
+    def recording_join(self, members, gens, g):
+        queued.add(members)
+        return join(self, members, gens, g)
+
+    monkeypatch.setattr(GroupSet, "_join", recording_join)
+    for g in (gl23, sl23):
+        queued.clear()
+        lattice = group_module._lattice_by_cyclic_extension(
+            g, group_module.INTERVAL_CAP)
+
+        def class_of(members):
+            return frozenset(
+                frozenset(g.index_of(x.inverse() * g.elements[i] * x)
+                          for i in members)
+                for x in g.elements)
+
+        # G contains every cyclic subgroup, so it is queued but never joined
+        classes = {class_of(k) for k in lattice if len(k) < g.order}
+        assert all(k in lattice for c in classes for k in c)
+        assert queued <= lattice
+        assert {class_of(k) for k in queued} == classes
+        assert len(queued) == len(classes)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind,p,u,size", [("GL", 7, 1, 1704),
+                                         ("SL", 3, 2, 588)])
+def test_slow_lattice_sizes(kind, p, u, size):
+    g = _preset(kind, 2, p, u)
+    start = time.perf_counter()
+    subs = overgroup_interval(g, g.trivial_subgroup())
+    print(f"{kind}(2,{p ** u}): {len(subs)} subgroups in "
+          f"{time.perf_counter() - start:.1f} s")
+    assert len(subs) == size
 
 
 def test_interval_within_top(gl23):

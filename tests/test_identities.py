@@ -169,6 +169,29 @@ def test_ideal_filter_path_matches_direct_path(gl23, sl23):
             assert shared.mu_full is not None
 
 
+def test_quantities_invariant_under_conjugation(corpus):
+    # H -> H^g carries the stabilizer family of H onto that of H^g (W -> W g),
+    # so every quantity of the report must agree; g is a generator of G that
+    # does not normalise H, where one exists
+    for name, group, subs in corpus:
+        lattice = subgroup_lattice(subs)
+        for h in subs:
+            if h.order == group.order:
+                continue
+            for g in group.generators:
+                g_inv = g.inverse()
+                conjugate = group.subgroup(group.index_of(g_inv * m * g)
+                                           for m in h.matrices())
+                if conjugate != h:
+                    break
+            else:
+                continue
+            reports = [verify_identities(group, k, lattice=lattice,
+                                         with_decomposition=True).to_dict()
+                       for k in (h, conjugate)]
+            assert reports[0] == reports[1], (name, h.order)
+
+
 def test_sums_for_irreducible_subgroup(gl22):
     c3 = find_subgroup(gl22, 3)
     fam = stabilizer_family(gl22, c3)
