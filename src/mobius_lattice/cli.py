@@ -158,6 +158,20 @@ def _subgroup_descriptor(group: GroupSet, h: SubgroupRef) -> dict:
     return {"order": h.order, "generators": gens}
 
 
+def _element_ids(group: GroupSet, gen_lists) -> list:
+    """Ids of the matrices given as row lists; ValueError names a matrix
+    that is not an element of the group."""
+    ids = []
+    for rows in gen_lists:
+        m = Matrix.from_rows(group.field, rows)
+        try:
+            ids.append(group.index_of(m))
+        except KeyError:
+            raise ValueError(f"matrix {m.to_lists()} is not an element of "
+                             f"the group") from None
+    return ids
+
+
 def select_subgroups(group: GroupSet, cfg: RunConfig, subs: Sequence) -> list:
     """The subgroups H to verify, chosen by the configured scope from the
     complete subgroup list ``subs`` (or read from the subgroup file)."""
@@ -167,11 +181,8 @@ def select_subgroups(group: GroupSet, cfg: RunConfig, subs: Sequence) -> list:
         try:
             with open(cfg.subgroups_file) as fh:
                 gen_lists = json.load(fh)
-            wanted = []
-            for rows_list in gen_lists:
-                ids = [group.index_of(Matrix.from_rows(group.field, rows))
-                       for rows in rows_list]
-                wanted.append(group.subgroup_closure(ids))
+            wanted = [group.subgroup_closure(_element_ids(group, rows_list))
+                      for rows_list in gen_lists]
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise GroupSpecError(f"cannot read subgroup file: {exc}") from exc
         if any(h.order == group.order for h in wanted):
@@ -298,8 +309,7 @@ def _resolve_endpoint(group: GroupSet, spec: str) -> SubgroupRef:
     try:
         with open(spec) as fh:
             gen_lists = json.load(fh)
-        ids = [group.index_of(Matrix.from_rows(group.field, rows))
-               for rows in gen_lists]
+        ids = _element_ids(group, gen_lists)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise GroupSpecError(f"cannot resolve subgroup spec {spec!r}: {exc}")
     return group.subgroup_closure(ids)
@@ -326,7 +336,7 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
     try:
         _check_writable(out)
         for path in paths:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 for line in fh:
                     line = line.strip()
                     if not line:
@@ -348,6 +358,10 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
                     merged[key] = row
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: malformed report: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: malformed report: {path}: not UTF-8 text: {exc}",
+              file=sys.stderr)
         return 2
     except (MalformedReport, GroupSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -64,8 +64,8 @@ class PowersetTooLarge(MobiusLatticeError):
 
 
 class NotASubgroup(MobiusLatticeError):
-    """An element set is not closed under products, or requested interval
-    endpoints are not nested subgroups."""
+    """An element set is not closed under products or not generated by its
+    generators, or requested interval endpoints are not nested subgroups."""
 
 
 # posets

@@ -11,15 +11,27 @@ over GF(q) is packed into one integer code (its entries read as base-q
 digits), and an element is the tuple of its n row codes.  The right action
 of an element g on all q^n row codes, built once from ``apply_row``, turns
 any product h*g into n list lookups and one probe of the element index.  Up
-to ``TABLE_CAP`` elements, ``mul`` reads right-multiplication columns of the
-Cayley table, each built from that action the first time its right factor is
-used; above the cap every product is taken from the action directly.
+to ``TABLE_CAP`` elements, products are read off right-multiplication
+columns of the Cayley table, each built from that action the first time its
+right factor is used; above the cap they are taken from the action directly.
+``mul`` multiplies one pair; ``right_images`` multiplies a whole list of ids
+by one right factor, looking its column or action up once.  Both read the
+factor through one accessor, and both raise ``NotASubgroup`` on an element
+set that is not closed.
 
 Subgroups are grown by one routine, ``GroupSet._join``: <K, g> is built one
-right coset of K at a time (Dimino's algorithm), with the generators of K
-and g as the only right factors.  Closures, generating sets and overgroup
-intervals all go through it, and every product through ``mul``; nothing is
-memoised beyond the Cayley-table columns.
+right coset of K at a time (Dimino's algorithm), each new coset being one
+``right_images`` call, with the generators of K and g as the only right
+factors.  Closures, generating sets, stabilizers and overgroup intervals all
+go through it; nothing is memoised beyond the columns, the row actions,
+inverses and stabilizers.
+
+``stabilizer`` never scans G.  It walks the orbit of the subspace W under
+G's generators, keeping one transversal element per image of W, and joins
+the Schreier generators that the orbit yields (orbit-stabilizer; Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1).
+It fails closed: the order of the stabilizer times the length of the orbit
+must be |G|, which also catches generators that do not generate G.
 
 ``overgroup_interval`` has two strategies.  The whole lattice [1, G] is
 enumerated by cyclic extension (Neubüser, 1960): one subgroup per conjugacy
@@ -125,24 +137,42 @@ class GroupSet:
             raise NotASubgroup(
                 "element set is not closed under product") from None
 
-    def _product(self, i: int, j: int) -> int:
+    def _factor(self, j: int):
+        """What multiplies by j on the right, built on first use: column j of
+        the Cayley table up to ``TABLE_CAP``, the row action of j above."""
+        table = self._table
+        if table is not None:
+            column = table[j]
+            if column is None:
+                column = table[j] = self._column(j)
+            return column
         action = self._actions[j]
         if action is None:
             action = self._actions[j] = self._row_action(j)
+        return action
+
+    def mul(self, i: int, j: int) -> int:
+        factor = self._factor(j)
+        if self._table is not None:
+            return factor[i]
         try:
-            return self._idx[self._rows[i](action)]
+            return self._idx[self._rows[i](factor)]
         except KeyError:
             raise NotASubgroup(
                 "element set is not closed under product") from None
 
-    def mul(self, i: int, j: int) -> int:
-        table = self._table
-        if table is None:
-            return self._product(i, j)
-        column = table[j]
-        if column is None:
-            column = table[j] = self._column(j)
-        return column[i]
+    def right_images(self, ids: Iterable[int], j: int) -> list:
+        """``[mul(i, j) for i in ids]`` with one lookup of j's column or
+        action for the whole list."""
+        factor = self._factor(j)
+        if self._table is not None:
+            return list(map(factor.__getitem__, ids))
+        rows, idx = self._rows, self._idx
+        try:
+            return [idx[rows[i](factor)] for i in ids]
+        except KeyError:
+            raise NotASubgroup(
+                "element set is not closed under product") from None
 
     def inv(self, i: int) -> int:
         cached = self._inv.get(i)
@@ -161,10 +191,9 @@ class GroupSet:
         ids = frozenset(member_ids)
         if self.identity_index not in ids:
             raise ValueError("subgroup must contain the identity")
-        for i in ids:
-            for j in ids:
-                if self.mul(i, j) not in ids:
-                    raise ValueError("member set is not closed under product")
+        for j in ids:
+            if not ids.issuperset(self.right_images(ids, j)):
+                raise ValueError("member set is not closed under product")
         return SubgroupRef(self, ids)
 
     def subgroup_closure(self, seed_ids: Iterable[int]) -> "SubgroupRef":
@@ -178,14 +207,14 @@ class GroupSet:
         member.  Filling it as C*s, never as K times a new representative,
         keeps the generators the only right factors.
         """
-        mul = self.mul
+        mul, images = self.mul, self.right_images
         cosets = [list(members)]
         seen = set(members)
         factors = list(gens) + [g]
         for coset in cosets:
             for s in factors:
                 if mul(coset[0], s) not in seen:
-                    image = [mul(x, s) for x in coset]
+                    image = images(coset, s)
                     seen.update(image)
                     cosets.append(image)
         return frozenset(seen)
@@ -309,18 +338,37 @@ def is_irreducible(group: GroupSet) -> bool:
 
 
 def stabilizer(group: GroupSet, subspace: Subspace) -> SubgroupRef:
-    """{g in G : W g = W} for a subspace W of the ambient row space."""
+    """{g in G : W g = W} for a subspace W of the ambient row space, from
+    the Schreier generators of W's orbit under G's generators."""
     if subspace.field != group.field or subspace.ambient_dim != group.n:
         raise AmbientMismatch("subspace does not live in the group's space")
     cached = group._stab_cache.get(subspace)
     if cached is not None:
         return cached
-    # every element is invertible, so W*g inside W already means W*g = W:
-    # testing the images of the basis rows needs no row reduction
-    field, rows = group.field, subspace.rows
-    ids = frozenset(i for i, m in enumerate(group.elements)
-                    if all(subspace.contains_vector(apply_row(field, r, m))
-                           for r in rows))
+    # orbit-stabilizer: transversal[X] is an element u with W*u = X, and
+    # the Schreier generators u*s*u'^-1, u' = transversal[X*s], for every
+    # point X and generator s generate the stabilizer of W
+    mul, inv = group.mul, group.inv
+    gens = [(m, group.index_of(m)) for m in group.generators]
+    transversal = {subspace: group.identity_index}
+    orbit = [subspace]
+    schreier = []
+    for point in orbit:
+        u = transversal[point]
+        for m, s in gens:
+            image, us = point.apply(m), mul(u, s)
+            known = transversal.get(image)
+            if known is None:
+                transversal[image] = us
+                orbit.append(image)
+            else:
+                schreier.append(mul(us, inv(known)))
+    ids, _ = group._generate(schreier)
+    if len(ids) * len(orbit) != group.order:
+        raise NotASubgroup(
+            f"stabilizer of order {len(ids)} times an orbit of "
+            f"{len(orbit)} subspaces is not the group order {group.order}: "
+            f"the generators do not generate the element set")
     ref = SubgroupRef(group, ids)
     group._stab_cache[subspace] = ref
     return ref
@@ -371,7 +419,6 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
     loop without changing the result.  Each subgroup is queued with the
     generators it was found by, so joins never search for them.
     """
-    mul = group.mul
     candidates = sorted(top_ids)
     known = {low.member_ids}
     queue = [(low.member_ids, list(low.generator_ids()))]
@@ -382,7 +429,7 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
             if g in covered:
                 continue
             extended = group._join(current, gens, g)
-            covered.update(mul(k, g) for k in current)
+            covered.update(group.right_images(current, g))
             if extended not in known:
                 known.add(extended)
                 _check_cap(known, cap)
@@ -402,15 +449,15 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     Conjugating a chain by g gives a chain of the same kind, so the chain of
     H is followed through the representatives of its conjugates.
     """
-    mul, inv = group.mul, group.inv
-    # conj[t] = g^-1 t^-1 g: since a subgroup holds the inverse of each of
-    # its members, mapping its members through conj conjugates it by g, and
-    # the only right factor is g
+    images, inv = group.right_images, group.inv
+    # conj[t] = g^-1 t^-1 g = (t g)^-1 g: since a subgroup holds the inverse
+    # of each of its members, mapping its members through conj conjugates it
+    # by g, and the only right factor is g
     conjugations = []
     for m in group.generators:
         g = group.index_of(m)
-        conjugations.append([mul(inv(mul(t, g)), g)
-                             for t in range(group.order)])
+        conjugations.append(images(map(inv, images(range(group.order), g)),
+                                   g))
     trivial = frozenset((group.identity_index,))
     known = {trivial}
     queue = [(trivial, [])]

@@ -32,9 +32,14 @@ class FinitePoset:
         self.items = tuple(items)
         self.up = tuple(up)
         n = len(self.items)
-        self.down = tuple(
-            sum(1 << i for i in range(n) if (self.up[i] >> j) & 1)
-            for j in range(n))
+        # down[j] gets bit i for every set bit j of up[i]
+        down = [0] * n
+        for i, mask in enumerate(self.up):
+            if mask >> n:
+                raise InvalidOrderRelation("relation names an unknown item")
+            for j in _bits(mask):
+                down[j] |= 1 << i
+        self.down = tuple(down)
         self._index = {item: i for i, item in enumerate(self.items)}
         if len(self._index) != n:
             raise InvalidOrderRelation("duplicate items in poset")

@@ -359,6 +359,7 @@ def test_verify_reducible_ambient_group_exits_two(tmp_path):
 
 _GL22 = ["--preset", "GL", "--n", "2", "--q", "2"]
 _GL22_GENS = [[[1, 1], [0, 1]], [[0, 1], [1, 0]]]
+_SINGULAR = [[1, 0], [0, 0]]  # a 2x2 matrix outside every GL(2,q)
 
 
 def _gens_file(tmp_path, spec):
@@ -391,6 +392,8 @@ EXIT_CASES = {
         *_GL22, "--out", str(tmp / "missing" / "out.jsonl")], 2),
     "subgroup-file-whole-group": (lambda tmp: _subgroups_file(
         tmp, [_GL22_GENS]), 2),
+    "subgroup-file-matrix-outside-group": (lambda tmp: _subgroups_file(
+        tmp, [[_SINGULAR]]), 2),
 }
 
 
@@ -403,6 +406,31 @@ def test_verify_exit_codes(tmp_path, case):
     if code == 2:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_mobius_names_matrix_outside_group(tmp_path, flag):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([_SINGULAR]))
+    ends = {"--from": "trivial", "--to": "full", flag: str(path)}
+    proc = _run_module("mobius", *_GL22, "--from", ends["--from"],
+                       "--to", ends["--to"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "matrix [[1, 0], [0, 0]] is not an element of the group" in lines[0]
+
+
+def test_report_not_utf8_exits_two(tmp_path):
+    path = tmp_path / "binary.jsonl"
+    path.write_bytes(b"\xff\xfe\x00")
+    proc = _run_module("report", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: malformed report: "), lines
 
 
 def test_verify_exit_one_on_failed_identity(tmp_path, monkeypatch, capsys):

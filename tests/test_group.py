@@ -29,10 +29,21 @@ from mobius_lattice.group import (
     verify_action_subset_sums,
 )
 from mobius_lattice.identities import mobius_between
-from mobius_lattice.linalg import Matrix, Subspace, enumerate_subspaces
+from mobius_lattice.linalg import (
+    Matrix,
+    Subspace,
+    apply_row,
+    enumerate_subspaces,
+)
 
 F2 = FqField(2)
 F3 = FqField(3)
+
+
+@pytest.fixture(scope="module")
+def gl33():
+    # order 11232 > TABLE_CAP: every product on the row-action path
+    return closure(preset_generators("GL", 3, FqField(3)))
 
 
 def gl_order(n, q):
@@ -158,6 +169,32 @@ def test_non_closed_element_set_raises(monkeypatch, table_cap):
     assert group.mul(ti, group.identity_index) == ti
     with pytest.raises(NotASubgroup, match="not closed under product"):
         group.mul(ti, ti)
+    assert group.right_images([ti, group.identity_index],
+                              group.identity_index) == [ti, group.identity_index]
+    with pytest.raises(NotASubgroup, match="not closed under product"):
+        group.right_images([group.identity_index, ti], ti)
+
+
+@pytest.mark.parametrize("table_cap", [TABLE_CAP, 0])
+def test_right_images_match_mul_gl23(monkeypatch, table_cap):
+    # table_cap 0 takes every image from the row actions instead of columns
+    monkeypatch.setattr(group_module, "TABLE_CAP", table_cap)
+    group = _preset("GL", 2, 3)
+    assert (group._table is None) == (table_cap == 0)
+    ids = list(range(group.order))
+    random.Random("images-gl23").shuffle(ids)
+    for j in range(group.order):
+        assert group.right_images(ids, j) == [group.mul(i, j) for i in ids]
+        assert group.right_images(frozenset(ids[:7]), j) == \
+            [group.mul(i, j) for i in frozenset(ids[:7])]
+
+
+def test_right_images_match_mul_gl33(gl33):
+    rng = random.Random("images-gl33")
+    for _ in range(100):
+        ids = [rng.randrange(gl33.order) for _ in range(rng.randint(0, 60))]
+        j = rng.randrange(gl33.order)
+        assert gl33.right_images(ids, j) == [gl33.mul(i, j) for i in ids]
 
 
 def test_index_of_rejects_other_shape(gl22):
@@ -209,6 +246,54 @@ def test_stabilizer_matches_image_filter(gl23):
     for w in enumerate_subspaces(F3, 2):
         expected = {i for i, m in enumerate(gl23.elements) if w.apply(m) == w}
         assert stabilizer(gl23, w).member_ids == expected, w
+
+
+def _stabilizer_by_element_filter(group, w):
+    # oracle: a scan of every element of G, independent of the orbit walk.
+    # Every element is invertible, so W*g inside W already means W*g = W:
+    # only the images of the basis rows are tested, with no row reduction
+    return frozenset(i for i, m in enumerate(group.elements)
+                     if all(w.contains_vector(apply_row(group.field, r, m))
+                            for r in w.rows))
+
+
+def test_stabilizer_matches_element_filter_gl33(gl33):
+    proper = [w for k in (1, 2) for w in enumerate_subspaces(F3, 3, k)]
+    assert len(proper) == 26
+    for w in proper:
+        expected = _stabilizer_by_element_filter(gl33, w)
+        assert stabilizer(gl33, w).member_ids == expected, w
+
+
+def test_stabilizer_matches_element_filter_sl29():
+    group = _preset("SL", 2, 3, 2)
+    lines = enumerate_subspaces(group.field, 2, 1)
+    assert len(lines) == 10
+    for w in lines:
+        expected = _stabilizer_by_element_filter(group, w)
+        assert stabilizer(group, w).member_ids == expected, w
+
+
+def test_stabilizer_rejects_generators_of_a_proper_subgroup(gl23):
+    # the elements of GL(2,3), but generators that make only a C3
+    t = Matrix.from_rows(F3, [[1, 1], [0, 1]])
+    group = GroupSet(F3, 2, gl23.elements, [t])
+    for rows in ([[1, 0]], [[0, 1]]):  # orbits of size 3 and 1 under <t>
+        with pytest.raises(NotASubgroup, match="do not generate"):
+            stabilizer(group, Subspace.from_vectors(F3, 2, rows))
+
+
+def test_stabilizer_applies_generators_per_orbit_point(monkeypatch, gl33):
+    # a fresh GroupSet, so no stabilizer is cached
+    group = GroupSet(F3, 3, gl33.elements, gl33.generators)
+    calls = []
+    apply = Subspace.apply
+    monkeypatch.setattr(Subspace, "apply",
+                        lambda w, m: calls.append(w) or apply(w, m))
+    stab = stabilizer(group, Subspace.from_vectors(F3, 3, [[1, 0, 0]]))
+    orbit = group.order // stab.order
+    assert orbit == 13  # the lines of GF(3)^3
+    assert 0 < len(calls) <= orbit * len(group.generators)
 
 
 def test_stabilizer_contains_identity_and_closed(gl23):

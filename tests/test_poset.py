@@ -106,6 +106,22 @@ def test_recursion_vs_zeta_inversion_200_random_posets():
         assert mobius(p).table == mobius_by_zeta_inversion(p).table
 
 
+def test_down_sets_match_shift_tests_200_random_posets():
+    # oracle: down[j] has bit i exactly when up[i] has bit j
+    rng = random.Random(4321)
+    for _ in range(200):
+        p = random_poset(rng, 12)
+        n = p.size
+        assert p.down == tuple(
+            sum(1 << i for i in range(n) if (p.up[i] >> j) & 1)
+            for j in range(n))
+
+
+def test_relation_naming_unknown_item_rejected():
+    with pytest.raises(InvalidOrderRelation, match="unknown item"):
+        FinitePoset([0, 1], [0b111, 0b010])
+
+
 def test_order_ideal_examples():
     p = chain(4)
     assert order_ideal_generated(p, []) == []
