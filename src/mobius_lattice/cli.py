@@ -161,6 +161,8 @@ def _subgroup_descriptor(group: GroupSet, h: SubgroupRef) -> dict:
 def _element_ids(group: GroupSet, gen_lists) -> list:
     """Ids of the matrices given as row lists; ValueError names a matrix
     that is not an element of the group."""
+    if not isinstance(gen_lists, list):
+        raise TypeError("expected a JSON list of matrices")
     ids = []
     for rows in gen_lists:
         m = Matrix.from_rows(group.field, rows)

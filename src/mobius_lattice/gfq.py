@@ -88,6 +88,11 @@ def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
+def _is_integer(value) -> bool:
+    # bool is an int subclass, but a JSON true is not a field entry
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class FqField:
     """Arithmetic context for GF(q) with q = p**u.
 
@@ -190,14 +195,20 @@ class FqField:
         return FieldElement(self, index)
 
     def element(self, value) -> "FieldElement":
-        """Coerce an integer residue, coefficient sequence or element."""
+        """Coerce an integer residue, a list or tuple of u integer
+        coefficients, or an element; ValueError names any other value."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise MixedFields("element belongs to a different field")
             return FieldElement(self, value.index)
-        if isinstance(value, int):
+        if _is_integer(value):
             return FieldElement(self, self._index((value,) + (0,) * (self.u - 1)))
-        return FieldElement(self, self._index(tuple(value)))
+        if (isinstance(value, (list, tuple)) and len(value) == self.u
+                and all(map(_is_integer, value))):
+            return FieldElement(self, self._index(value))
+        raise ValueError(
+            f"{value!r} is not an element of {self!r}: expected an integer "
+            f"or a list of {self.u} integer{'s' if self.u > 1 else ''}")
 
     def elements(self) -> Iterator["FieldElement"]:
         for i in range(self.q):

@@ -22,9 +22,12 @@ set that is not closed.
 Subgroups are grown by one routine, ``GroupSet._join``: <K, g> is built one
 right coset of K at a time (Dimino's algorithm), each new coset being one
 ``right_images`` call, with the generators of K and g as the only right
-factors.  Closures, generating sets, stabilizers and overgroup intervals all
-go through it; nothing is memoised beyond the columns, the row actions,
-inverses and stabilizers.
+factors.  The join runs inside a subgroup T known to contain it (G unless
+the caller knows a smaller one) and stops once it holds more than |T|/p
+elements, p the smallest prime dividing [T:K]: by Lagrange's theorem it is
+then T.  Closures, generating sets, stabilizers and overgroup intervals all
+go through it; nothing is memoised beyond the full member set, the columns,
+the row actions, inverses and stabilizers.
 
 ``stabilizer`` never scans G.  It walks the orbit of the subspace W under
 G's generators, keeping one transversal element per image of W, and joins
@@ -38,8 +41,9 @@ enumerated by cyclic extension (Neubüser, 1960): one subgroup per conjugacy
 class is joined with each cyclic subgroup of prime-power order, and each new
 subgroup brings its whole class, found by conjugating its member set by G's
 generators.  Any other interval [H, M] is searched by joining each known
-subgroup with one element per right coset outside it; this search is also
-the test oracle of the first.
+subgroup K with one element per double coset K*g*K outside it, each join
+stopped by Lagrange's bound inside M; this search is also the test oracle
+of the first.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -77,7 +81,7 @@ class GroupSet:
 
     __slots__ = ("field", "n", "elements", "generators", "order", "_vectors",
                  "_codes", "_rows", "_idx", "identity_index", "_table",
-                 "_actions", "_inv", "_stab_cache", "_irreducible")
+                 "_actions", "_inv", "_stab_cache", "_irreducible", "_full")
 
     def __init__(self, field: FqField, n: int, elements: Sequence[Matrix],
                  generators: Sequence[Matrix]):
@@ -88,6 +92,7 @@ class GroupSet:
         self.elements = tuple(sorted(elements, key=Matrix._key))
         self.generators = tuple(generators)
         self.order = len(self.elements)
+        self._full = frozenset(range(self.order))
         # row vectors in code order, and the code of each row vector
         self._vectors = list(product(range(field.q), repeat=n))
         self._codes = {v: c for c, v in enumerate(self._vectors)}
@@ -199,25 +204,50 @@ class GroupSet:
     def subgroup_closure(self, seed_ids: Iterable[int]) -> "SubgroupRef":
         return SubgroupRef(self, self._generate(seed_ids)[0])
 
-    def _join(self, members: frozenset, gens: list, g: int) -> frozenset:
-        """<K, g> for K = ``members`` generated by ``gens`` (Dimino).
+    def _join(self, members: frozenset, gens: list, g: int,
+              top: Optional[frozenset] = None) -> frozenset:
+        """<K, g> for K = ``members`` generated by ``gens`` (Dimino), inside
+        a subgroup ``top`` known to contain it (default: the whole group).
 
-        The join is grown one right coset of K at a time: a coset C times a
-        generator s is the coset K*(c*s), new exactly when c*s is not yet a
-        member.  Filling it as C*s, never as K times a new representative,
-        keeps the generators the only right factors.
+        Once more than |top|/p elements are found, p the smallest prime
+        dividing [top:K], the join is ``top`` itself (Lagrange: a proper
+        subgroup of top containing K has index at least p in top).
+        """
+        top = self._full if top is None else top
+        bound = len(top) // _smallest_prime_factor(len(top) // len(members))
+        seen = set(members)
+        if self._grow_cosets([list(members)], seen, list(gens) + [g], bound):
+            return top
+        return frozenset(seen)
+
+    def _double_coset(self, members: frozenset, gens: list, g: int) -> set:
+        """The double coset K*g*K for K = ``members`` generated by ``gens``:
+        the coset K*g closed under right multiplication by K's generators."""
+        first = self.right_images(members, g)
+        seen = set(first)
+        self._grow_cosets([first], seen, gens, self.order)
+        return seen
+
+    def _grow_cosets(self, cosets: list, seen: set, factors: list,
+                     bound: int) -> bool:
+        """Close the right cosets of K in ``cosets``, whose union is
+        ``seen``, under right multiplication by ``factors``; True as soon
+        as ``seen`` holds more than ``bound`` elements.
+
+        A coset C times a factor s is the coset K*(c*s), new exactly when
+        c*s is not yet seen.  Filling it as C*s, never as K times a new
+        representative, keeps the factors the only right factors.
         """
         mul, images = self.mul, self.right_images
-        cosets = [list(members)]
-        seen = set(members)
-        factors = list(gens) + [g]
         for coset in cosets:
             for s in factors:
                 if mul(coset[0], s) not in seen:
                     image = images(coset, s)
                     seen.update(image)
+                    if len(seen) > bound:
+                        return True
                     cosets.append(image)
-        return frozenset(seen)
+        return False
 
     def _generate(self, ids: Iterable[int]) -> tuple:
         """(members, gens) of the subgroup generated by ``ids``, where gens
@@ -234,7 +264,7 @@ class GroupSet:
         return SubgroupRef(self, frozenset((self.identity_index,)))
 
     def full_subgroup(self) -> "SubgroupRef":
-        return SubgroupRef(self, frozenset(range(self.order)))
+        return SubgroupRef(self, self._full)
 
     def __repr__(self) -> str:
         return f"GroupSet(order={self.order}, n={self.n}, field=GF({self.field.q}))"
@@ -388,7 +418,7 @@ def overgroup_interval(group: GroupSet, low: SubgroupRef,
     """
     if low.parent is not group:
         raise AmbientMismatch("subgroup belongs to a different group")
-    top_ids = frozenset(range(group.order)) if top is None else top.member_ids
+    top_ids = group._full if top is None else top.member_ids
     if top is not None and top.parent is not group:
         raise AmbientMismatch("top subgroup belongs to a different group")
     if not low.member_ids <= top_ids:
@@ -415,9 +445,13 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
     Starting from {low}, join every known subgroup K with every element of
     top outside it; repeat until stable.  Any overgroup is generated by low
     plus finitely many elements, so this reaches them all.  Elements of the
-    same coset K*g generate the same extension, which prunes the candidate
-    loop without changing the result.  Each subgroup is queued with the
-    generators it was found by, so joins never search for them.
+    same double coset K*g*K generate the same extension, since
+    <K, k*g*k'> = <K, g> for k, k' in K, so after each join the whole double
+    coset is skipped; it is grown from K*g by K's generators, as a join
+    grows its cosets.  Each join runs inside top, so it stops as soon as
+    Lagrange's bound shows it is top.  Neither pruning changes the result.
+    Each subgroup is queued with the generators it was found by, so joins
+    never search for them.
     """
     candidates = sorted(top_ids)
     known = {low.member_ids}
@@ -428,8 +462,8 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
         for g in candidates:
             if g in covered:
                 continue
-            extended = group._join(current, gens, g)
-            covered.update(group.right_images(current, g))
+            extended = group._join(current, gens, g, top_ids)
+            covered.update(group._double_coset(current, gens, g))
             if extended not in known:
                 known.add(extended)
                 _check_cap(known, cap)
@@ -502,12 +536,17 @@ def _prime_power_cyclic_generators(group: GroupSet) -> list:
         for k in range(1, order):
             if gcd(k, order) == 1:
                 done[powers[k]] = 1
-        p = next(d for d in range(2, order + 1) if order % d == 0)
+        p = _smallest_prime_factor(order)
         while order % p == 0:
             order //= p
         if order == 1:
             found.append(x)
     return found
+
+
+def _smallest_prime_factor(n: int) -> int:
+    """The smallest prime dividing n, and 1 for n = 1."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
 
 
 def as_groupset(ref: SubgroupRef) -> GroupSet:
@@ -618,7 +657,7 @@ def verify_action_subset_sums(action: GroupAction, base: SubgroupRef,
         if not base.member_ids <= s:
             raise HypothesisViolated(
                 f"base subgroup is not inside the stabilizer of point {p}")
-    ambient = frozenset(range(group.order))
+    ambient = group._full
     target = base.member_ids
 
     def alt_sum(sets: Sequence[frozenset]) -> int:

@@ -368,6 +368,12 @@ def _gens_file(tmp_path, spec):
     return ["--gens", str(path)]
 
 
+def _gl22_spec(first):
+    # a generator file of GL(2,2) whose first generator is ``first``
+    return {"field": {"p": 2, "u": 1}, "n": 2,
+            "generators": [first, _GL22_GENS[1]]}
+
+
 def _subgroups_file(tmp_path, gen_lists):
     path = tmp_path / "subs.json"
     path.write_text(json.dumps(gen_lists))
@@ -394,6 +400,19 @@ EXIT_CASES = {
         tmp, [_GL22_GENS]), 2),
     "subgroup-file-matrix-outside-group": (lambda tmp: _subgroups_file(
         tmp, [[_SINGULAR]]), 2),
+    "subgroup-file-entry-string": (lambda tmp: _subgroups_file(
+        tmp, [[[[1, "a"], [0, 1]]]]), 2),
+    "subgroup-file-entry-float": (lambda tmp: _subgroups_file(
+        tmp, [[[[1, 1.5], [0, 1]]]]), 2),
+    "subgroup-file-entry-not-list": (lambda tmp: _subgroups_file(
+        tmp, ["x"]), 2),
+    "generator-entry-string": (lambda tmp: _gens_file(
+        tmp, _gl22_spec([[1, "a"], [0, 1]])), 2),
+    "generator-entry-float": (lambda tmp: _gens_file(
+        tmp, _gl22_spec([[1, 1.5], [0, 1]])), 2),
+    # [[true, 1], [0, 1]] would be the transvection if true were read as 1
+    "generator-entry-boolean": (lambda tmp: _gens_file(
+        tmp, _gl22_spec([[True, 1], [0, 1]])), 2),
 }
 
 
@@ -420,6 +439,29 @@ def test_mobius_names_matrix_outside_group(tmp_path, flag):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "matrix [[1, 0], [0, 0]] is not an element of the group" in lines[0]
+
+
+def test_bad_matrix_entry_names_value(tmp_path):
+    proc = _run_module("verify", *_gens_file(
+        tmp_path, _gl22_spec([[1, "a"], [0, 1]])))
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == (
+        "error: cannot read generator file: 'a' is not an element of "
+        "GF(2): expected an integer or a list of 1 integer")
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_mobius_rejects_generator_file_object(tmp_path, flag):
+    # a --gens file is a JSON object; an endpoint file is a list of matrices
+    args = _gens_file(tmp_path, {"field": {"p": 2, "u": 1}, "n": 2,
+                                 "generators": _GL22_GENS})
+    ends = {"--from": "trivial", "--to": "full", flag: args[1]}
+    proc = _run_module("mobius", *_GL22, "--from", ends["--from"],
+                       "--to", ends["--to"])
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "expected a JSON list of matrices" in lines[0]
 
 
 def test_report_not_utf8_exits_two(tmp_path):

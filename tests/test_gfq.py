@@ -71,6 +71,15 @@ def test_gf5_inverse():
     assert f5.element(2).inverse().rep == 3
 
 
+@pytest.mark.parametrize("value", ["a", 1.5, True, [1], [0, 1, 0],
+                                   [0, True], None])
+def test_element_rejects_non_integer_entries(value):
+    # GF(4) entries are integers or lists of 2 integer coefficients
+    with pytest.raises(ValueError, match="expected an integer or a list of "
+                                         "2 integers"):
+        FqField(2, 2).element(value)
+
+
 def test_mixed_fields_rejected():
     with pytest.raises(MixedFields):
         FqField(3).element(1) + FqField(5).element(1)

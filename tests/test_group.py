@@ -430,6 +430,63 @@ def test_cyclic_extension_queues_one_subgroup_per_class(monkeypatch, gl23,
         assert len(queued) == len(classes)
 
 
+def _assert_intervals_match_lattice_filter(g):
+    # oracle: {K : H <= K <= M} filtered out of the whole lattice, for every
+    # nested pair H <= M; returns the number of pairs
+    lattice = overgroup_interval(g, g.trivial_subgroup())
+    pairs = 0
+    for h in lattice:
+        for m in lattice:
+            if h <= m:
+                expected = [k for k in lattice if h <= k <= m]
+                assert overgroup_interval(g, h, top=m) == expected, (h, m)
+                pairs += 1
+    return pairs
+
+
+# (kind, n, p): nested pairs H <= M of the group's lattice
+_NESTED_PAIRS = {("GL", 2, 3): 365, ("SL", 2, 3): 57, ("GL", 3, 2): 1445,
+                 ("SL", 2, 5): 465}
+
+
+@pytest.mark.parametrize("kind,n,p", list(_NESTED_PAIRS))
+def test_interval_within_every_top_matches_lattice_filter(kind, n, p):
+    # the coset search stops a join at |M|/p elements and skips whole
+    # double cosets; neither may change which subgroups it finds
+    pairs = _assert_intervals_match_lattice_filter(_preset(kind, n, p))
+    assert pairs == _NESTED_PAIRS[kind, n, p]
+
+
+def test_interval_within_every_top_row_action_path(monkeypatch):
+    # TABLE_CAP 0: every product of the search comes from row actions
+    monkeypatch.setattr(group_module, "TABLE_CAP", 0)
+    g = _preset("GL", 3, 2)
+    assert g._table is None
+    assert _assert_intervals_match_lattice_filter(g) == 1445
+
+
+def test_interval_search_joins_few_subgroups(monkeypatch, gl33):
+    # [diagonal torus, Stab(<e1>)] in GL(3,3): 16 subgroups.  Joining with
+    # one element per right coset, and growing every join to the end, took
+    # 383 joins; the Lagrange stop and double-coset covering leave 92
+    torus = gl33.subgroup_closure(
+        gl33.index_of(Matrix.from_rows(F3, rows)) for rows in (
+            [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 2, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    stab = stabilizer(gl33, Subspace.from_vectors(F3, 3, [[1, 0, 0]]))
+    joins = []
+    join = GroupSet._join
+
+    def counting_join(self, *args):
+        joins.append(args)
+        return join(self, *args)
+
+    monkeypatch.setattr(GroupSet, "_join", counting_join)
+    assert len(overgroup_interval(gl33, torus, top=stab)) == 16
+    assert len(joins) < 120
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("kind,p,u,size", [("GL", 7, 1, 1704),
                                          ("SL", 3, 2, 588)])
