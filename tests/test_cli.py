@@ -295,6 +295,24 @@ def test_reports_match_golden_bytes(tmp_path):
     assert _sha256(merged) == GOLDEN_MERGED_CSV
 
 
+# sha256 of SL(2,q) reports over extension fields, written before the field
+# layer moved to index-level helpers: they cover the preset transvections
+# over a basis of GF(q) and the coefficient lists printed for u > 1
+GOLDEN_EXTENSION_JSON = {
+    "4": "dba40f8d1ac2e576b4b607a7aa4bac80d18d0fd5a131452532a5084d74cb8053",
+    "8": "4a1bfb0a879d0369e6271fea81da891d21e53ee05bc3846f3961511628f312c6",
+    "9": "8550396d07d8887758827e0eaf6522bc183170fc8e7392af57cedfe26948c830",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_EXTENSION_JSON))
+def test_extension_field_reports_match_golden_bytes(tmp_path, q):
+    out = tmp_path / f"SL2{q}.jsonl"
+    assert run_cli(["verify", "--preset", "SL", "--n", "2", "--q", q,
+                    "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_EXTENSION_JSON[q]
+
+
 @pytest.mark.parametrize("kind,n,q,mu,size", [
     ("SL", "2", "4", -60, 59),   # A5
     ("GL", "3", "2", 0, 179),    # PSL(2,7)
