@@ -2,7 +2,7 @@
 against alternating subset sums and reduced Euler characteristics on
 exhaustively enumerable instances."""
 
-from .gfq import FqField, FieldElement
+from .gfq import FqField
 from .linalg import (
     Matrix,
     Subspace,
@@ -12,16 +12,12 @@ from .linalg import (
     rref,
 )
 from .group import (
-    GroupAction,
     GroupSet,
     SubgroupRef,
-    action_from_subspaces,
-    as_groupset,
     closure,
     is_irreducible,
     overgroup_interval,
     stabilizer,
-    verify_action_subset_sums,
 )
 from .poset import (
     BoundedPoset,
@@ -32,7 +28,6 @@ from .poset import (
     mobius,
     mobius_by_zeta_inversion,
     mobius_row,
-    order_ideal_generated,
 )
 from .simplicial import (
     EulerReport,

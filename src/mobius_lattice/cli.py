@@ -29,7 +29,6 @@ from .gfq import FqField, primitive_element
 from .group import (
     INTERVAL_CAP,
     ORDER_CAP,
-    POWERSET_CAP,
     GroupSet,
     Matrix,
     SubgroupRef,
@@ -43,6 +42,7 @@ from .identities import (
     subgroup_lattice,
     verify_identities,
 )
+from .poset import POWERSET_CAP
 
 
 @dataclass
@@ -83,32 +83,36 @@ def preset_generators(kind: str, n: int, fq: FqField) -> list:
         raise GroupSpecError(f"unknown preset {kind!r}")
     if n < 1:
         raise GroupSpecError("dimension must be at least 1")
-    alpha = primitive_element(fq) if fq.q > 2 else fq.one
+    one = fq._one_index
+    alpha = primitive_element(fq) if fq.q > 2 else one
+
+    def matrix(rows):
+        return Matrix(fq, n, n, tuple(v for r in rows for v in r))
+
     gens = []
     if n == 1:
         if kind == "SL" or fq.q == 2:
             gens.append(Matrix.identity(fq, 1))
         else:
-            gens.append(Matrix.from_rows(fq, [[alpha]]))
+            gens.append(matrix([[alpha]]))
         return gens
-    one, zero = fq.one, fq.zero
     # transvections I + a*E12 for a basis of GF(q) over its prime field
-    basis_elt = fq.one
+    basis_elt = one
     for k in range(fq.u):
-        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        rows = [[one if i == j else 0 for j in range(n)] for i in range(n)]
         rows[0][1] = basis_elt
-        gens.append(Matrix.from_rows(fq, rows))
-        basis_elt = basis_elt * alpha
+        gens.append(matrix(rows))
+        basis_elt = fq._mul[basis_elt][alpha]
     # cycle permutation with the sign fixed so the determinant is 1
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n - 1):
         rows[i][i + 1] = one
-    rows[n - 1][0] = one if n % 2 == 1 else -one
-    gens.append(Matrix.from_rows(fq, rows))
+    rows[n - 1][0] = one if n % 2 == 1 else fq._neg[one]
+    gens.append(matrix(rows))
     if kind == "GL" and fq.q > 2:
-        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        rows = [[one if i == j else 0 for j in range(n)] for i in range(n)]
         rows[0][0] = alpha
-        gens.append(Matrix.from_rows(fq, rows))
+        gens.append(matrix(rows))
     return gens
 
 

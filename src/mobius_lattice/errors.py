@@ -19,10 +19,6 @@ class UnsupportedExtension(MobiusLatticeError):
     """u > 1 with no modulus supplied and none built in for this order."""
 
 
-class MixedFields(MobiusLatticeError):
-    """Operands belong to different fields."""
-
-
 class DivisionByZero(MobiusLatticeError, ZeroDivisionError):
     """Inverse or quotient of the zero element."""
 
@@ -53,10 +49,6 @@ class OrderCapExceeded(MobiusLatticeError):
 
 class IntervalTooLarge(MobiusLatticeError):
     """Subgroup interval enumeration exceeded the configured cap."""
-
-
-class HypothesisViolated(MobiusLatticeError):
-    """The base subgroup is not contained in every point stabilizer."""
 
 
 class PowersetTooLarge(MobiusLatticeError):

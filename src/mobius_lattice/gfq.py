@@ -3,16 +3,18 @@
 Every element of a field is identified by an index in 0..q-1; the index order
 is the lexicographic order of coefficient vectors (low degree first), so index
 0 is always the zero element.  All products and sums are table lookups, which
-keeps the linear-algebra layer free of polynomial bookkeeping.
+keeps the linear-algebra layer free of polynomial bookkeeping.  There is no
+element object: ``FqField.index`` reads an input value (an integer residue,
+or u coefficients for an extension) and ``FqField.rep`` writes an index back
+out in the same form.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DivisionByZero,
-    MixedFields,
     NonPrimeCharacteristic,
     ReducibleModulus,
     UnsupportedExtension,
@@ -181,38 +183,24 @@ class FqField:
 
     # -- element access -----------------------------------------------------
 
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self._one_index)
-
-    def from_index(self, index: int) -> "FieldElement":
-        if not 0 <= index < self.q:
-            raise ValueError(f"element index {index} out of range for q={self.q}")
-        return FieldElement(self, index)
-
-    def element(self, value) -> "FieldElement":
-        """Coerce an integer residue, a list or tuple of u integer
-        coefficients, or an element; ValueError names any other value."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise MixedFields("element belongs to a different field")
-            return FieldElement(self, value.index)
+    def index(self, value) -> int:
+        """Index of an integer residue or of a list or tuple of u integer
+        coefficients; ValueError names any other value."""
         if _is_integer(value):
-            return FieldElement(self, self._index((value,) + (0,) * (self.u - 1)))
+            return self._index((value,) + (0,) * (self.u - 1))
         if (isinstance(value, (list, tuple)) and len(value) == self.u
                 and all(map(_is_integer, value))):
-            return FieldElement(self, self._index(value))
+            return self._index(value)
         raise ValueError(
             f"{value!r} is not an element of {self!r}: expected an integer "
             f"or a list of {self.u} integer{'s' if self.u > 1 else ''}")
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for i in range(self.q):
-            yield FieldElement(self, i)
+    def rep(self, index: int):
+        """Canonical residue of an index: an int for prime fields, a
+        coefficient tuple else."""
+        if self.u == 1:
+            return index
+        return self._coeffs(index)
 
     def inv_index(self, index: int) -> int:
         if index == 0:
@@ -242,90 +230,15 @@ class FqField:
         return f"GF({self.q})"
 
 
-class FieldElement:
-    """A member of an FqField, canonical by construction."""
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field: FqField, index: int):
-        self.field = field
-        self.index = index
-
-    @property
-    def rep(self):
-        """Canonical residue: an int for prime fields, a coefficient tuple else."""
-        if self.field.u == 1:
-            return self.index
-        return self.field._coeffs(self.index)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise MixedFields("operands belong to different fields")
-            return other.index
-        return self.field.element(other).index
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field._add[self.index][self._coerce(other)])
-
-    def __sub__(self, other):
-        j = self._coerce(other)
-        return FieldElement(self.field, self.field._add[self.index][self.field._neg[j]])
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field._mul[self.index][self._coerce(other)])
-
-    def __truediv__(self, other):
-        j = self._coerce(other)
-        if j == 0:
-            raise DivisionByZero("division by the zero element")
-        return FieldElement(self.field, self.field._mul[self.index][self.field._inv[j]])
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field._neg[self.index])
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_index(self.index))
-
-    def __pow__(self, n: int) -> "FieldElement":
-        out = self.field.one
-        base = self
-        if n < 0:
-            base = base.inverse()
-            n = -n
-        for _ in range(n):
-            out = out * base
-        return out
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement)
-                and self.field == other.field and self.index == other.index)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.index))
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.q}):{self.rep}"
-
-
-def multiplicative_order(a: FieldElement) -> int:
-    if a.index == 0:
-        raise DivisionByZero("zero has no multiplicative order")
-    one = a.field._one_index
-    k, cur = 1, a.index
-    while cur != one:
-        cur = a.field._mul[cur][a.index]
-        k += 1
-    return k
-
-
-def primitive_element(field: FqField) -> FieldElement:
-    """Smallest element (in canonical index order) generating the unit group."""
+def primitive_element(field: FqField) -> int:
+    """Index of the smallest element (in canonical index order) generating
+    the unit group."""
+    one, mul = field._one_index, field._mul
     for i in range(1, field.q):
-        el = FieldElement(field, i)
-        if multiplicative_order(el) == field.q - 1:
-            return el
+        k, cur = 1, i
+        while cur != one:
+            cur = mul[cur][i]
+            k += 1
+        if k == field.q - 1:
+            return i
     raise RuntimeError("no primitive element found; field tables are broken")

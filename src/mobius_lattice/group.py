@@ -49,7 +49,6 @@ of the first.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt
 from operator import itemgetter
@@ -57,16 +56,13 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     AmbientMismatch,
-    HypothesisViolated,
     IntervalTooLarge,
     NotASubgroup,
     OrderCapExceeded,
-    PowersetTooLarge,
     SingularGenerator,
 )
 from .gfq import FqField
 from .linalg import Matrix, Subspace, apply_row, invariant_subspaces
-from .poset import POWERSET_CAP
 
 ORDER_CAP = 250_000
 INTERVAL_CAP = 100_000
@@ -547,136 +543,3 @@ def _prime_power_cyclic_generators(group: GroupSet) -> list:
 def _smallest_prime_factor(n: int) -> int:
     """The smallest prime dividing n, and 1 for n = 1."""
     return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
-
-
-def as_groupset(ref: SubgroupRef) -> GroupSet:
-    """Re-wrap a subgroup as a standalone GroupSet (fresh canonical indexing)."""
-    return GroupSet(ref.parent.field, ref.parent.n, ref.matrices(),
-                    ref.generator_matrices())
-
-
-class GroupAction:
-    """A right action of an explicit group on a finite indexed point set."""
-
-    __slots__ = ("group", "points", "table", "extended")
-
-    def __init__(self, group: GroupSet, points: Sequence, table: Sequence,
-                 extended: bool = False):
-        self.group = group
-        self.points = tuple(points)
-        self.table = tuple(tuple(r) for r in table)
-        self.extended = extended
-        self._spot_check()
-
-    def _spot_check(self):
-        ident = self.table[self.group.identity_index]
-        if any(ident[p] != p for p in range(len(self.points))):
-            raise ValueError("identity does not act trivially")
-        order = self.group.order
-        step = max(1, order // 8)
-        for g in range(0, order, step):
-            for h in range(0, order, step):
-                gh = self.group.mul(g, h)
-                for p in range(len(self.points)):
-                    if self.table[gh][p] != self.table[h][self.table[g][p]]:
-                        raise ValueError("action table violates composition")
-
-    def apply(self, point_index: int, element_index: int) -> int:
-        return self.table[element_index][point_index]
-
-    def stabilizer_of(self, point_index: int) -> SubgroupRef:
-        ids = frozenset(g for g in range(self.group.order)
-                        if self.table[g][point_index] == point_index)
-        return SubgroupRef(self.group, ids)
-
-    def orbit(self, point_index: int) -> list:
-        return sorted({self.table[g][point_index]
-                       for g in range(self.group.order)})
-
-
-def action_from_subspaces(group: GroupSet, points: Sequence[Subspace]) -> GroupAction:
-    """Action of the group on subspaces, via W -> canonical form of W*g.
-
-    If the given points are not closed under the action, the set is extended
-    to its orbit closure and the result is flagged.
-    """
-    for w in points:
-        if w.field != group.field or w.ambient_dim != group.n:
-            raise AmbientMismatch("point does not live in the group's space")
-    point_set = sorted(set(points), key=Subspace.sort_key)
-    extended = False
-    while True:
-        missing = []
-        seen = set(point_set)
-        for w in point_set:
-            for g in group.generators:
-                img = w.apply(g)
-                if img not in seen:
-                    seen.add(img)
-                    missing.append(img)
-        if not missing:
-            break
-        extended = True
-        point_set = sorted(seen, key=Subspace.sort_key)
-    index = {w: i for i, w in enumerate(point_set)}
-    table = [[index[w.apply(m)] for w in point_set] for m in group.elements]
-    return GroupAction(group, point_set, table, extended=extended)
-
-
-@dataclass(frozen=True)
-class SubsetSumReport:
-    """Both alternating sums of the subset-intersection identity."""
-
-    stabilizer_subsets_sum: int
-    point_subsets_sum: int
-    equal: bool
-    distinct_stabilizers: int
-
-
-def verify_action_subset_sums(action: GroupAction, base: SubgroupRef,
-                              point_subset: Sequence[int],
-                              max_powerset: int = POWERSET_CAP) -> SubsetSumReport:
-    """Check that two alternating sums agree for a subgroup below every
-    stabilizer of the chosen points.
-
-    One sum runs over subsets of the distinct point stabilizers, the other
-    over subsets of the points themselves; a subset counts when the
-    intersection of the involved stabilizers is strictly bigger than ``base``
-    (the empty intersection is the whole acting group).  Both sums are
-    computed by plain powerset enumeration.
-    """
-    group = action.group
-    if base.parent is not group:
-        raise AmbientMismatch("base subgroup belongs to a different group")
-    points = sorted(set(point_subset))
-    if len(points) > max_powerset:
-        raise PowersetTooLarge(
-            f"{len(points)} points exceed powerset cap {max_powerset}")
-    stabs = [action.stabilizer_of(p).member_ids for p in points]
-    for p, s in zip(points, stabs):
-        if not base.member_ids <= s:
-            raise HypothesisViolated(
-                f"base subgroup is not inside the stabilizer of point {p}")
-    ambient = group._full
-    target = base.member_ids
-
-    def alt_sum(sets: Sequence[frozenset]) -> int:
-        total = 0
-        for mask in range(1 << len(sets)):
-            inter = ambient
-            k = 0
-            m = mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                inter = inter & sets[i]
-                k += 1
-            if inter != target:
-                total += (-1) ** k
-        return total
-
-    distinct = sorted(set(stabs), key=sorted)
-    sum_stabs = alt_sum(distinct)
-    sum_points = alt_sum(stabs)
-    return SubsetSumReport(sum_stabs, sum_points, sum_stabs == sum_points,
-                           len(distinct))

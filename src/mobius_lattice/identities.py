@@ -32,7 +32,6 @@ from .errors import (
 )
 from .group import (
     INTERVAL_CAP,
-    POWERSET_CAP,
     GroupSet,
     SubgroupRef,
     is_irreducible,
@@ -40,7 +39,7 @@ from .group import (
     stabilizer,
 )
 from .linalg import invariant_subspaces
-from .poset import BoundedPoset, FinitePoset, _bits, mobius_row
+from .poset import POWERSET_CAP, BoundedPoset, FinitePoset, _bits, mobius_row
 from .simplicial import SimplicialComplex, complex_from_faces, euler
 
 

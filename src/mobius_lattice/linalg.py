@@ -19,7 +19,9 @@ SUBSPACE_CAP = 10 ** 6
 
 
 def _coerce_row(field: FqField, row) -> tuple:
-    return tuple(field.element(v).index for v in row)
+    if not isinstance(row, (list, tuple)):
+        raise ValueError(f"expected a list of entries for a row, got {row!r}")
+    return tuple(field.index(v) for v in row)
 
 
 class Matrix:
@@ -35,6 +37,8 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: FqField, rows: Sequence[Sequence]) -> "Matrix":
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"expected a list of rows for a matrix, got {rows!r}")
         rows = [_coerce_row(field, r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
@@ -98,7 +102,7 @@ class Matrix:
         for i in range(self.nrows):
             row = []
             for v in self.row(i):
-                rep = self.field.from_index(v).rep
+                rep = self.field.rep(v)
                 row.append(rep if u == 1 else list(rep))
             out.append(row)
         return out
@@ -286,7 +290,7 @@ class Subspace:
         """Compact deterministic label for dumps and reports."""
         if self.is_zero():
             return "0"
-        body = ";".join(",".join(str(self.field.from_index(v).rep) for v in row)
+        body = ";".join(",".join(str(self.field.rep(v)) for v in row)
                         for row in self.rows)
         return f"span[{body}]"
 

@@ -1,5 +1,5 @@
-"""Finite posets and lattices: Mobius functions, order ideals, adjoined
-bounds, coatoms and crosscut sums.
+"""Finite posets and lattices: Mobius functions, adjoined bounds, coatoms
+and crosscut sums.
 
 The order relation is stored as one bitmask per element (`up[i]` has bit j set
 iff items[i] <= items[j]), which makes interval queries cheap enough that the
@@ -8,7 +8,6 @@ Mobius recursion runs in O(n^2) bit scans per source element.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -186,14 +185,6 @@ def mobius_by_zeta_inversion(poset: FinitePoset) -> MobiusTable:
     return MobiusTable(poset, table)
 
 
-def order_ideal_generated(poset: FinitePoset, generators: Iterable[int]) -> list:
-    """Indices of every element below some generator (downward closure)."""
-    mask = 0
-    for g in generators:
-        mask |= poset.down[g]
-    return sorted(_bits(mask))
-
-
 class _Bound:
     """Fresh sentinel item for an adjoined extremum."""
 
@@ -337,45 +328,3 @@ def crosscut_sum(bp: BoundedPoset, subset: Iterable[int],
 
     walk(0, 1, None)
     return total
-
-
-# -- seeded generators for property suites -----------------------------------
-
-def random_poset(rng: random.Random, max_size: int = 10) -> FinitePoset:
-    """Random poset: a random DAG on 1..max_size nodes, transitively closed."""
-    n = rng.randint(1, max_size)
-    up = [1 << i for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.35:
-                up[i] |= 1 << j
-    # transitive closure over the index order (edges only go up in index)
-    for i in range(n - 1, -1, -1):
-        mask = up[i]
-        for j in _bits(mask & ~(1 << i)):
-            up[i] |= up[j]
-    return FinitePoset(list(range(n)), up)
-
-
-def random_lattice(rng: random.Random, max_size: int = 10) -> BoundedPoset:
-    """Random lattice: a meet-closed family of subsets of a small ground set
-    (plus the full set), ordered by inclusion."""
-    while True:
-        ground = rng.randint(2, 4)
-        full = (1 << ground) - 1
-        family = {full}
-        for _ in range(rng.randint(1, 6)):
-            family.add(rng.randint(0, full))
-        changed = True
-        while changed:
-            changed = False
-            for a in list(family):
-                for b in list(family):
-                    if (a & b) not in family:
-                        family.add(a & b)
-                        changed = True
-        if 2 <= len(family) <= max_size:
-            break
-    members = sorted(family)
-    poset = FinitePoset.from_leq(members, lambda a, b: a & b == a)
-    return adjoin_bounds(poset, reuse=True)

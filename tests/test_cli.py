@@ -398,7 +398,15 @@ def _subgroups_file(tmp_path, gen_lists):
     return [*_GL22, "--subgroups", "file", "--subgroups-file", str(path)]
 
 
-# (verify arguments built from tmp_path, expected exit code)
+def _matrices_file(tmp_path, gen_lists):
+    # an endpoint file of ``mobius``: a JSON list of matrices
+    path = tmp_path / "ends.json"
+    path.write_text(json.dumps(gen_lists))
+    return str(path)
+
+
+# (arguments built from tmp_path, expected exit code[, command]); the
+# command is verify unless a third entry names another
 EXIT_CASES = {
     "all-verified": (lambda tmp: _GL22, 0),
     "pairs-skipped": (lambda tmp: [*_GL22, "--max-powerset", "-1"], 3),
@@ -431,13 +439,21 @@ EXIT_CASES = {
     # [[true, 1], [0, 1]] would be the transvection if true were read as 1
     "generator-entry-boolean": (lambda tmp: _gens_file(
         tmp, _gl22_spec([[True, 1], [0, 1]])), 2),
+    # a matrix given as one flat row of integers, in each kind of file
+    "generator-flat-row": (lambda tmp: _gens_file(
+        tmp, {"field": {"p": 2, "u": 1}, "n": 2, "generators": [[1, 0]]}), 2),
+    "mobius-from-flat-row": (lambda tmp: [
+        *_GL22, "--from", _matrices_file(tmp, [[1, 0]]), "--to", "full"],
+        2, "mobius"),
+    "subgroup-file-flat-row": (lambda tmp: _subgroups_file(
+        tmp, [[[1, 0], [0, 1]]]), 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
 def test_verify_exit_codes(tmp_path, case):
-    build_args, code = EXIT_CASES[case]
-    proc = _run_module("verify", *build_args(tmp_path))
+    build_args, code, *command = EXIT_CASES[case]
+    proc = _run_module(*(command or ["verify"]), *build_args(tmp_path))
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if code == 2:
@@ -466,6 +482,19 @@ def test_bad_matrix_entry_names_value(tmp_path):
     assert proc.stderr.strip() == (
         "error: cannot read generator file: 'a' is not an element of "
         "GF(2): expected an integer or a list of 1 integer")
+
+
+@pytest.mark.parametrize("generators,message", [
+    ([[1, 0]], "expected a list of entries for a row, got 1"),
+    ([1], "expected a list of rows for a matrix, got 1"),
+], ids=["flat-row", "flat-matrix"])
+def test_flat_matrix_names_value(tmp_path, generators, message):
+    proc = _run_module("verify", *_gens_file(
+        tmp_path, {"field": {"p": 2, "u": 1}, "n": 2,
+                   "generators": generators}))
+    assert proc.returncode == 2
+    assert proc.stderr.strip() == (
+        f"error: cannot read generator file: {message}")
 
 
 @pytest.mark.parametrize("flag", ["--from", "--to"])

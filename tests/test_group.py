@@ -9,31 +9,32 @@ from mobius_lattice import group as group_module
 from mobius_lattice.cli import preset_generators
 from mobius_lattice.errors import (
     AmbientMismatch,
-    HypothesisViolated,
     IntervalTooLarge,
     NotASubgroup,
     OrderCapExceeded,
-    PowersetTooLarge,
     SingularGenerator,
 )
 from mobius_lattice.gfq import FqField
 from mobius_lattice.group import (
     TABLE_CAP,
     GroupSet,
-    action_from_subspaces,
-    as_groupset,
     closure,
     is_irreducible,
     overgroup_interval,
     stabilizer,
-    verify_action_subset_sums,
 )
 from mobius_lattice.identities import mobius_between
 from mobius_lattice.linalg import (
     Matrix,
     Subspace,
-    apply_row,
     enumerate_subspaces,
+)
+
+from helpers import (
+    line_stabilizers,
+    naive_subset_sums,
+    sorted_lines,
+    stabilizer_by_element_filter,
 )
 
 F2 = FqField(2)
@@ -248,20 +249,11 @@ def test_stabilizer_matches_image_filter(gl23):
         assert stabilizer(gl23, w).member_ids == expected, w
 
 
-def _stabilizer_by_element_filter(group, w):
-    # oracle: a scan of every element of G, independent of the orbit walk.
-    # Every element is invertible, so W*g inside W already means W*g = W:
-    # only the images of the basis rows are tested, with no row reduction
-    return frozenset(i for i, m in enumerate(group.elements)
-                     if all(w.contains_vector(apply_row(group.field, r, m))
-                            for r in w.rows))
-
-
 def test_stabilizer_matches_element_filter_gl33(gl33):
     proper = [w for k in (1, 2) for w in enumerate_subspaces(F3, 3, k)]
     assert len(proper) == 26
     for w in proper:
-        expected = _stabilizer_by_element_filter(gl33, w)
+        expected = stabilizer_by_element_filter(gl33, w)
         assert stabilizer(gl33, w).member_ids == expected, w
 
 
@@ -270,7 +262,7 @@ def test_stabilizer_matches_element_filter_sl29():
     lines = enumerate_subspaces(group.field, 2, 1)
     assert len(lines) == 10
     for w in lines:
-        expected = _stabilizer_by_element_filter(group, w)
+        expected = stabilizer_by_element_filter(group, w)
         assert stabilizer(group, w).member_ids == expected, w
 
 
@@ -520,104 +512,62 @@ def test_subgroup_validation(gl22):
     assert gl22.subgroup(gl22.subgroup_closure([order3]).member_ids).order == 3
 
 
-def test_as_groupset_round_trip(gl23):
-    h = gl23.subgroup_closure(
-        [gl23.index_of(Matrix.from_rows(F3, [[2, 0], [0, 1]]))])
-    standalone = as_groupset(h)
-    assert standalone.order == h.order
-    assert set(standalone.elements) == set(h.matrices())
+def _permutations(group, points):
+    return {tuple(points.index(w.apply(m)) for w in points)
+            for m in group.elements}
 
 
 def test_action_on_lines_is_full_symmetric(gl22):
-    lines = enumerate_subspaces(F2, 2, 1)
-    action = action_from_subspaces(gl22, lines)
-    perms = {tuple(row) for row in action.table}
-    assert len(perms) == 6  # faithful on 3 points: all of Sym(3)
-    assert not action.extended
+    # faithful on 3 points: all of Sym(3)
+    assert len(_permutations(gl22, sorted_lines(F2, 2))) == 6
 
 
 def test_action_of_trivial_group():
     g = closure([Matrix.identity(F2, 2)])
-    lines = enumerate_subspaces(F2, 2, 1)
-    action = action_from_subspaces(g, lines)
-    assert action.table == (tuple(range(3)),)
+    assert _permutations(g, sorted_lines(F2, 2)) == {(0, 1, 2)}
 
 
 def test_action_single_fixed_point(gl22):
-    action = action_from_subspaces(gl22, [Subspace.full(F2, 2)])
-    assert all(row == (0,) for row in action.table)
-
-
-def test_action_orbit_closure_flag(gl22):
-    one_line = [Subspace.from_vectors(F2, 2, [[1, 0]])]
-    action = action_from_subspaces(gl22, one_line)
-    assert action.extended
-    assert len(action.points) == 3
+    assert _permutations(gl22, [Subspace.full(F2, 2)]) == {(0,)}
 
 
 def test_subset_sums_empty_points(gl22):
-    lines = enumerate_subspaces(F2, 2, 1)
-    action = action_from_subspaces(gl22, lines)
-    report = verify_action_subset_sums(action, gl22.trivial_subgroup(), [])
-    assert report.stabilizer_subsets_sum == report.point_subsets_sum == 1
+    assert naive_subset_sums(gl22, gl22.trivial_subgroup(), []) == (1, 1)
 
 
 def test_subset_sums_three_lines(gl22):
-    lines = enumerate_subspaces(F2, 2, 1)
-    action = action_from_subspaces(gl22, lines)
-    report = verify_action_subset_sums(action, gl22.trivial_subgroup(),
-                                       range(3))
-    assert report.stabilizer_subsets_sum == -2
-    assert report.point_subsets_sum == -2
-    assert report.equal
+    assert naive_subset_sums(gl22, gl22.trivial_subgroup(),
+                             line_stabilizers(gl22)) == (-2, -2)
 
 
 def test_subset_sums_when_all_stabilizers_equal_base(gl22):
-    lines = enumerate_subspaces(F2, 2, 1)
-    action = action_from_subspaces(gl22, lines)
-    base = action.stabilizer_of(0)
-    report = verify_action_subset_sums(action, base, [0])
-    assert report.stabilizer_subsets_sum == report.point_subsets_sum == 1
-
-
-def test_subset_sums_hypothesis_check(gl22):
-    lines = enumerate_subspaces(F2, 2, 1)
-    action = action_from_subspaces(gl22, lines)
-    base = action.stabilizer_of(0)
-    with pytest.raises(HypothesisViolated):
-        verify_action_subset_sums(action, base, [0, 1])
-
-
-def test_subset_sums_powerset_cap(gl22):
-    lines = enumerate_subspaces(F2, 2, 1)
-    action = action_from_subspaces(gl22, lines)
-    with pytest.raises(PowersetTooLarge):
-        verify_action_subset_sums(action, gl22.trivial_subgroup(), range(3),
-                                  max_powerset=2)
+    stab = line_stabilizers(gl22)[0]
+    assert naive_subset_sums(gl22, gl22.subgroup(stab), [stab]) == (1, 1)
 
 
 def test_subset_sums_random_instances(gl22, gl23, sl23):
-    # seeded sweep over actions on all proper subspaces with random bases
+    # seeded sweep over the stabilizers of random sets of lines
     rng = random.Random(20240)
     groups = [gl22, gl23, sl23]
+    line_stabs = {id(g): line_stabilizers(g) for g in groups}
     checked = 0
     while checked < 100:
         group = rng.choice(groups)
-        points = enumerate_subspaces(group.field, group.n, 1)
-        action = action_from_subspaces(group, points)
-        k = rng.randint(0, len(points))
-        chosen = sorted(rng.sample(range(len(points)), k))
+        stabs = line_stabs[id(group)]
+        k = rng.randint(0, len(stabs))
+        chosen = sorted(rng.sample(range(len(stabs)), k))
         inter = frozenset(range(group.order))
         for p in chosen:
-            inter &= action.stabilizer_of(p).member_ids
+            inter &= stabs[p]
         members = sorted(inter)
         seed_count = rng.randint(0, min(2, len(members)))
         seeds = rng.sample(members, seed_count)
         base = group.subgroup_closure(seeds)
         if not base.member_ids <= inter:
             continue
-        report = verify_action_subset_sums(action, base, chosen)
-        assert report.equal
+        stab_sum, point_sum = naive_subset_sums(
+            group, base, [stabs[p] for p in chosen])
+        assert stab_sum == point_sum
         checked += 1
 
 

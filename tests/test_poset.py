@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from mobius_lattice.errors import (
     CoatomsNotCovered,
@@ -19,10 +17,9 @@ from mobius_lattice.poset import (
     mobius,
     mobius_by_zeta_inversion,
     mobius_row,
-    order_ideal_generated,
-    random_lattice,
-    random_poset,
 )
+
+from helpers import random_lattice, random_poset
 
 
 def chain(n):
@@ -120,28 +117,6 @@ def test_down_sets_match_shift_tests_200_random_posets():
 def test_relation_naming_unknown_item_rejected():
     with pytest.raises(InvalidOrderRelation, match="unknown item"):
         FinitePoset([0, 1], [0b111, 0b010])
-
-
-def test_order_ideal_examples():
-    p = chain(4)
-    assert order_ideal_generated(p, []) == []
-    assert order_ideal_generated(p, [3]) == [0, 1, 2, 3]
-    b2 = boolean_lattice(2)
-    two_coatoms = [b2.index_of(1), b2.index_of(2)]
-    assert order_ideal_generated(b2, two_coatoms) == [0, 1, 2]
-
-
-@given(st.integers(min_value=0, max_value=10 ** 6), st.data())
-def test_order_ideal_downward_closed(seed, data):
-    rng = random.Random(seed)
-    p = random_poset(rng, 8)
-    gens = data.draw(st.lists(st.integers(min_value=0, max_value=p.size - 1),
-                              max_size=4))
-    ideal = set(order_ideal_generated(p, gens))
-    for x in ideal:
-        for t in range(p.size):
-            if p.leq(t, x):
-                assert t in ideal
 
 
 def test_adjoin_bounds_to_empty_poset():

@@ -9,7 +9,6 @@ from mobius_lattice.poset import (
     FinitePoset,
     adjoin_bounds,
     mobius_row,
-    random_poset,
 )
 from mobius_lattice.simplicial import (
     complex_from_faces,
@@ -17,6 +16,8 @@ from mobius_lattice.simplicial import (
     face_alternating_sum,
     order_complex,
 )
+
+from helpers import random_poset
 
 
 def test_empty_face_only_complex():
