@@ -8,16 +8,26 @@ explicit sets make every lattice operation trivially correct.
 
 Products act on packed rows instead of multiplying matrices.  A row vector
 over GF(q) is packed into one integer code (its entries read as base-q
-digits), and an element is the tuple of its n row codes.  The right action
-of an element g on all q^n row codes, built once from ``apply_row``, turns
-any product h*g into n list lookups and one probe of the element index.  Up
-to ``TABLE_CAP`` elements, products are read off right-multiplication
-columns of the Cayley table, each built from that action the first time its
-right factor is used; above the cap they are taken from the action directly.
-``mul`` multiplies one pair; ``right_images`` multiplies a whole list of ids
-by one right factor, looking its column or action up once.  Both read the
-factor through one accessor, and both raise ``NotASubgroup`` on an element
-set that is not closed.
+digits), and an element is keyed by the tuple of its n row codes (the bare
+code for n = 1).  The right action of an element g on all q^n row codes,
+built once from ``apply_row``, turns any product h*g into n list lookups
+and one probe of the element index.  Up to ``TABLE_CAP`` elements, products
+are read off right-multiplication columns of the Cayley table, each built
+from that action the first time its right factor is used; above the cap
+they are taken from the action directly.  ``mul`` multiplies one pair;
+``right_images`` multiplies a whole list of ids by one right factor,
+looking its column or action up once.  Both read the factor through one
+accessor, and both raise ``NotASubgroup`` on an element set that is not
+closed.
+
+``closure`` runs on the same keys.  It is a breadth-first search over the
+Cayley graph of the generators (the orbit algorithm of Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1)
+whose every step is a pick out of a generator's row action; the sorted keys
+are then indexed once, the step a hand-built ``GroupSet`` shares.  Code
+order is the lexicographic order of row vectors, so the ids are those of
+the canonical matrix order.  No ``Matrix`` product is formed:
+``Matrix.__mul__`` is only the tests' oracle.
 
 Subgroups are grown by one routine, ``GroupSet._join``: <K, g> is built one
 right coset of K at a time (Dimino's algorithm), each new coset being one
@@ -25,9 +35,9 @@ right coset of K at a time (Dimino's algorithm), each new coset being one
 factors.  The join runs inside a subgroup T known to contain it (G unless
 the caller knows a smaller one) and stops once it holds more than |T|/p
 elements, p the smallest prime dividing [T:K]: by Lagrange's theorem it is
-then T.  Closures, generating sets, stabilizers and overgroup intervals all
-go through it; nothing is memoised beyond the full member set, the columns,
-the row actions, inverses and stabilizers.
+then T.  Subgroup closures, generating sets, stabilizers and overgroup
+intervals all go through it; nothing is memoised beyond the full member set,
+the columns, the row actions, inverses and stabilizers.
 
 ``stabilizer`` never scans G.  It walks the orbit of the subspace W under
 G's generators, keeping one transversal element per image of W, and joins
@@ -81,30 +91,44 @@ class GroupSet:
 
     def __init__(self, field: FqField, n: int, elements: Sequence[Matrix],
                  generators: Sequence[Matrix]):
+        _, codes = _row_space(field, n)
+        self._index(field, n, [_row_key(codes, n, m) for m in elements],
+                    generators)
+
+    @classmethod
+    def _from_row_keys(cls, field: FqField, n: int, keys: Iterable,
+                       generators: Sequence[Matrix]) -> "GroupSet":
+        """The group whose elements have the given row keys (``_row_key``)."""
+        self = cls.__new__(cls)
+        self._index(field, n, keys, generators)
+        return self
+
+    def _index(self, field: FqField, n: int, keys: Iterable,
+               generators: Sequence[Matrix]) -> None:
+        """Index the elements by their sorted row keys.  Codes follow the
+        lexicographic order of row vectors, so this is the order of
+        ``Matrix._key``: ids do not depend on how the keys were found."""
         self.field = field
         self.n = n
-        # same order as sorted(elements), without a Python-level __lt__ call
-        # per comparison
-        self.elements = tuple(sorted(elements, key=Matrix._key))
-        self.generators = tuple(generators)
-        self.order = len(self.elements)
-        self._full = frozenset(range(self.order))
-        # row vectors in code order, and the code of each row vector
-        self._vectors = list(product(range(field.q), repeat=n))
-        self._codes = {v: c for c, v in enumerate(self._vectors)}
-        # _rows[i](action) picks the rows of element i out of the row action
-        # of an element g: the packed rows of the product i*g
-        self._rows = [itemgetter(*self._row_codes(m)) for m in self.elements]
-        # an element's key is its product with the identity, whose row action
-        # is range(q^n); for n = 1 itemgetter gives a bare code, not a tuple
-        identity_action = range(len(self._vectors))
-        self._idx = {rows(identity_action): i
-                     for i, rows in enumerate(self._rows)}
-        if len(self._idx) != self.order:
+        self._vectors, self._codes = _row_space(field, n)
+        keys = sorted(keys)
+        self._idx = {key: i for i, key in enumerate(keys)}
+        if len(self._idx) != len(keys):
             raise ValueError("duplicate elements")
-        ident = Matrix.identity(field, n)
+        self.generators = tuple(generators)
+        self.order = len(keys)
+        self._full = frozenset(range(self.order))
+        vectors = self._vectors
+        if n == 1:
+            data = [vectors[key] for key in keys]
+        else:
+            data = [sum(map(vectors.__getitem__, key), ()) for key in keys]
+        self.elements = tuple(Matrix(field, n, n, d) for d in data)
+        # _rows[i](action) picks the rows of element i out of the row action
+        # of an element g: the key of the product i*g
+        self._rows = list(map(_row_picker(n), keys))
         try:
-            self.identity_index = self.index_of(ident)
+            self.identity_index = self.index_of(Matrix.identity(field, n))
         except KeyError:
             raise ValueError("identity missing from element set") from None
         if self.order <= TABLE_CAP:
@@ -117,17 +141,10 @@ class GroupSet:
         self._stab_cache = {}
         self._irreducible = None
 
-    def _row_codes(self, m: Matrix) -> list:
-        n, codes, data = self.n, self._codes, m.data
-        if m.nrows != n or m.ncols != n:
-            raise AmbientMismatch(f"{m.nrows}x{m.ncols} matrix in a group "
-                                  f"of {n}x{n} matrices")
-        return [codes[data[r * n:(r + 1) * n]] for r in range(n)]
-
     def _row_action(self, j: int) -> list:
         """Code of v*g_j for every row vector v, in code order."""
-        field, codes, m = self.field, self._codes, self.elements[j]
-        return [codes[apply_row(field, v, m)] for v in self._vectors]
+        return _matrix_row_action(self.field, self._vectors, self._codes,
+                                  self.elements[j])
 
     def _column(self, j: int) -> array:
         """Right-multiplication column j: entry i is the id of i*j."""
@@ -183,8 +200,7 @@ class GroupSet:
         return cached
 
     def index_of(self, m: Matrix) -> int:
-        identity_action = range(len(self._vectors))
-        return self._idx[itemgetter(*self._row_codes(m))(identity_action)]
+        return self._idx[_row_key(self._codes, self.n, m)]
 
     # -- subgroups ------------------------------------------------------------
 
@@ -324,9 +340,12 @@ class SubgroupRef:
 def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
     """The group generated by the given matrices, as an explicit GroupSet.
 
-    Breadth-first from the identity, multiplying by generators in the given
-    order; the final indexing sorts elements by canonical matrix order, so the
-    result is independent of generator order and discovery schedule.
+    Breadth-first from the identity over the Cayley graph of the generators,
+    on row keys: each generator's row action is built once, and the key of
+    x*g is the pick of x's row codes out of g's action, so no ``Matrix``
+    product is formed.  The final indexing sorts the keys, which is the
+    canonical matrix order, so the result is independent of generator order
+    and discovery schedule.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -337,21 +356,57 @@ def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
             raise AmbientMismatch("generators must be square over one field")
         if not g.is_invertible():
             raise SingularGenerator(f"generator {g.to_lists()} is singular")
-    ident = Matrix.identity(field, n)
-    seen = {ident.data: ident}
+    vectors, codes = _row_space(field, n)
+    actions = [_matrix_row_action(field, vectors, codes, g) for g in gens]
+    picker = _row_picker(n)
+    ident = _row_key(codes, n, Matrix.identity(field, n))
+    seen = {ident}
     frontier = [ident]
     while frontier:
         fresh = []
         for x in frontier:
-            for g in gens:
-                y = x * g
-                if y.data not in seen:
+            rows = picker(x)
+            for action in actions:
+                y = rows(action)
+                if y not in seen:
                     if len(seen) >= cap:
-                        raise OrderCapExceeded(f"closure exceeded cap {cap}")
-                    seen[y.data] = y
+                        raise OrderCapExceeded(
+                            f"closure exceeded cap {cap} elements: "
+                            f"{len(seen) + 1} found")
+                    seen.add(y)
                     fresh.append(y)
         frontier = fresh
-    return GroupSet(field, n, list(seen.values()), gens)
+    return GroupSet._from_row_keys(field, n, seen, gens)
+
+
+def _row_space(field: FqField, n: int) -> tuple:
+    """The row vectors of GF(q)^n in code order, and the code of each."""
+    vectors = list(product(range(field.q), repeat=n))
+    return vectors, {v: c for c, v in enumerate(vectors)}
+
+
+def _matrix_row_action(field: FqField, vectors: list, codes: dict,
+                       m: Matrix) -> list:
+    """Code of v*m for every row vector v, in code order."""
+    return [codes[apply_row(field, v, m)] for v in vectors]
+
+
+def _row_key(codes: dict, n: int, m: Matrix):
+    """The tuple of m's row codes; for n = 1 the bare code, as
+    ``itemgetter`` of one index returns it."""
+    if m.nrows != n or m.ncols != n:
+        raise AmbientMismatch(f"{m.nrows}x{m.ncols} matrix in a group "
+                              f"of {n}x{n} matrices")
+    data = m.data
+    if n == 1:
+        return codes[data]
+    return tuple(codes[data[r * n:(r + 1) * n]] for r in range(n))
+
+
+def _row_picker(n: int):
+    """key -> the function that picks the key of x*g out of g's row action,
+    for x the element with that key."""
+    return itemgetter if n == 1 else (lambda key: itemgetter(*key))
 
 
 def is_irreducible(group: GroupSet) -> bool:

@@ -232,8 +232,14 @@ class Subspace:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
 
-    def contains_vector(self, vec) -> bool:
-        v = list(_coerce_row(self.field, vec) if not isinstance(vec, tuple) else vec)
+    def contains_vector(self, vec: Sequence) -> bool:
+        """True iff the vector lies in this subspace.  Its entries are field
+        values, read as ``from_vectors`` reads them, whatever the container."""
+        return self._contains_indices(_coerce_row(self.field, vec))
+
+    def _contains_indices(self, vec: tuple) -> bool:
+        """``contains_vector`` for a vector of field indices."""
+        v = list(vec)
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length differs from ambient dimension")
         mul, add, neg = self.field._mul, self.field._add, self.field._neg
@@ -246,7 +252,7 @@ class Subspace:
 
     def __le__(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(other.contains_vector(r) for r in self.rows)
+        return all(other._contains_indices(r) for r in self.rows)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

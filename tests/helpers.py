@@ -3,8 +3,34 @@
 import itertools
 import random
 
-from mobius_lattice.linalg import Subspace, apply_row, enumerate_subspaces
+from mobius_lattice.linalg import (
+    Matrix,
+    Subspace,
+    apply_row,
+    enumerate_subspaces,
+)
 from mobius_lattice.poset import BoundedPoset, FinitePoset, _bits, adjoin_bounds
+
+
+def closure_by_matrix_products(gens):
+    """The elements of the group generated by ``gens``, sorted, by a
+    breadth-first search that multiplies matrices.
+
+    Independent of the row-code search in ``closure``: each product is a
+    ``Matrix.__mul__`` call, and elements are compared by their entries."""
+    ident = Matrix.identity(gens[0].field, gens[0].nrows)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return sorted(seen)
 
 
 def stabilizer_by_element_filter(group, w):
@@ -14,7 +40,7 @@ def stabilizer_by_element_filter(group, w):
     invertible, so W*g inside W already means W*g = W: only the images of the
     basis rows are tested, with no row reduction."""
     return frozenset(i for i, m in enumerate(group.elements)
-                     if all(w.contains_vector(apply_row(group.field, r, m))
+                     if all(w._contains_indices(apply_row(group.field, r, m))
                             for r in w.rows))
 
 

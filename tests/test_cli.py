@@ -447,6 +447,8 @@ EXIT_CASES = {
         2, "mobius"),
     "subgroup-file-flat-row": (lambda tmp: _subgroups_file(
         tmp, [[[1, 0], [0, 1]]]), 2),
+    # GL(2,2) has order 6
+    "order-cap": (lambda tmp: [*_GL22, "--max-order", "5"], 2),
 }
 
 

@@ -31,6 +31,7 @@ from mobius_lattice.linalg import (
 )
 
 from helpers import (
+    closure_by_matrix_products,
     line_stabilizers,
     naive_subset_sums,
     sorted_lines,
@@ -88,6 +89,25 @@ def _preset(kind, n, p, u=1):
     return closure(preset_generators(kind, n, FqField(p, u)))
 
 
+@pytest.mark.parametrize("kind,n,p,u", [
+    ("GL", 1, 7, 1), ("GL", 1, 2, 2), ("GL", 2, 3, 1), ("SL", 2, 2, 2),
+    ("SL", 2, 3, 2), ("GL", 3, 2, 1), ("GL", 3, 3, 1)])
+def test_closure_matches_matrix_product_oracle(kind, n, p, u):
+    # same elements in the same order: ids, and so every report byte, do not
+    # depend on closing on row codes.  n = 1 keys are bare codes
+    gens = preset_generators(kind, n, FqField(p, u))
+    assert list(closure(gens).elements) == closure_by_matrix_products(gens)
+
+
+def test_closure_multiplies_no_matrices(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("closure multiplied two matrices")
+
+    gens = preset_generators("GL", 2, F3)
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    assert closure(gens).order == gl_order(2, 3)
+
+
 def _assert_products_match(group, pairs):
     # oracle: the product of the two matrices, looked up by its entries
     for i, j in pairs:
@@ -115,11 +135,13 @@ def test_product_kernel_seeded_pairs(kind, n, p, u):
 
 
 def _assert_join_matches_closure(group, ids):
-    # oracle: the matrix-level closure of the same elements, mapped back by
-    # entries; the generators found by the join must regenerate the subgroup
+    # oracle: the closure of the same elements by matrix products, mapped
+    # back by entries, so the join is not checked against the row-action
+    # kernel it shares with ``closure``; the generators found by the join
+    # must regenerate the subgroup
     sub = group.subgroup_closure(ids)
-    oracle = closure([group.elements[i] for i in ids])
-    assert sub.member_ids == {group.index_of(m) for m in oracle.elements}, ids
+    oracle = closure_by_matrix_products([group.elements[i] for i in ids])
+    assert sub.member_ids == {group.index_of(m) for m in oracle}, ids
     assert group.subgroup_closure(sub.generator_ids()) == sub, ids
     return sub
 
@@ -209,9 +231,17 @@ def test_singular_generator_rejected():
 
 
 def test_order_cap():
-    with pytest.raises(OrderCapExceeded):
+    with pytest.raises(OrderCapExceeded,
+                       match=r"^closure exceeded cap 3 elements: 4 found$"):
         closure([Matrix.from_rows(F2, [[1, 1], [0, 1]]),
                  Matrix.from_rows(F2, [[0, 1], [1, 0]])], cap=3)
+
+
+def test_order_cap_boundary():
+    gens = preset_generators("GL", 2, F3)
+    assert closure(gens, cap=48).order == 48
+    with pytest.raises(OrderCapExceeded, match=r"cap 47 elements: 48 found"):
+        closure(gens, cap=47)
 
 
 def test_irreducibility(gl22):

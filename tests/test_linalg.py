@@ -206,3 +206,18 @@ def test_annihilator_dimension():
     w = Subspace.from_vectors(F3, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     assert w.annihilator().dim == 2
     assert w.annihilator().annihilator() == w
+
+
+def test_contains_vector_reads_values_in_any_container():
+    # over GF(4) the integer 2 is 2 mod 2 = 0, so (1, 2) is the vector
+    # (1, 0), outside the line spanned by (x, 1), whether given as a tuple
+    # or a list; (1, x + 1) = (x + 1) * (x, 1) is on it in either form
+    f4 = FqField(2, 2)
+    w = Subspace.from_vectors(f4, 2, [[[0, 1], 1]])
+    assert not w.contains_vector((1, 2))
+    assert not w.contains_vector([1, 2])
+    assert w.contains_vector((1, (1, 1)))
+    assert w.contains_vector([[1, 0], [1, 1]])
+    assert w.contains_vector([[0, 1], 1])
+    with pytest.raises(AmbientMismatch):
+        w.contains_vector((1, 0, 0))
