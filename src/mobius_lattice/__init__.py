@@ -22,11 +22,6 @@ from .group import (
 from .poset import (
     BoundedPoset,
     FinitePoset,
-    MobiusTable,
-    adjoin_bounds,
-    crosscut_sum,
-    mobius,
-    mobius_by_zeta_inversion,
     mobius_row,
 )
 from .simplicial import (
@@ -34,8 +29,6 @@ from .simplicial import (
     SimplicialComplex,
     complex_from_faces,
     euler,
-    face_alternating_sum,
-    order_complex,
 )
 from .identities import (
     AlternatingSums,
@@ -45,7 +38,6 @@ from .identities import (
     alternating_sums,
     build_complexes,
     build_ideal,
-    decomposition_residual,
     mobius_between,
     mu_ideal,
     stabilizer_family,

@@ -222,6 +222,8 @@ def _check_writable(out: Optional[str]) -> None:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # wall_time covers the whole run: load, lattice, selection and the loop
+    started = time.monotonic()
     try:
         _check_writable(cfg.out)
         group, descriptor = load_group(cfg)
@@ -238,7 +240,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     rows = []
     failures = 0
     skips = []
-    started = time.monotonic()
     for h in subgroups:
         desc = _subgroup_descriptor(group, h)
         t0 = time.monotonic()

@@ -19,10 +19,6 @@ class UnsupportedExtension(MobiusLatticeError):
     """u > 1 with no modulus supplied and none built in for this order."""
 
 
-class DivisionByZero(MobiusLatticeError, ZeroDivisionError):
-    """Inverse or quotient of the zero element."""
-
-
 # linear algebra
 
 class AmbientMismatch(MobiusLatticeError):
@@ -66,22 +62,10 @@ class InvalidOrderRelation(MobiusLatticeError):
     """Relation is not reflexive, antisymmetric and transitive."""
 
 
-class NotALattice(MobiusLatticeError):
-    """A pair of elements has no unique meet."""
-
-
-class CoatomsNotCovered(MobiusLatticeError):
-    """Crosscut set does not contain every coatom."""
-
-
-class TopInX(MobiusLatticeError):
-    """Crosscut set contains the top element."""
-
-
 # simplicial complexes
 
 class NotDownwardClosed(MobiusLatticeError):
-    """Strict-mode face family is not closed under taking subsets."""
+    """A face family is not closed under taking subsets."""
 
 
 # identity layer

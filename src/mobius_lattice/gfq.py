@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import (
-    DivisionByZero,
     NonPrimeCharacteristic,
     ReducibleModulus,
     UnsupportedExtension,
@@ -201,11 +200,6 @@ class FqField:
         if self.u == 1:
             return index
         return self._coeffs(index)
-
-    def inv_index(self, index: int) -> int:
-        if index == 0:
-            raise DivisionByZero("zero has no multiplicative inverse")
-        return self._inv[index]
 
     # -- config plumbing ----------------------------------------------------
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    IntervalTooLarge,
     NotASubgroup,
     PowersetTooLarge,
     ReducibleAmbientGroup,
@@ -144,8 +145,9 @@ def build_ideal(group: GroupSet, subgroup: SubgroupRef, family: StabilizerFamily
         mask = lattice.up[_position(lattice, subgroup)] & below
         members = [lattice.items[i] for i in _bits(mask)]
         if len(members) > max_interval:
-            raise PowersetTooLarge(
-                f"ideal has {len(members)} members, cap {max_interval}")
+            raise IntervalTooLarge(
+                f"ideal exceeded interval cap {max_interval} subgroups: "
+                f"{len(members)} found")
     top = group.full_subgroup()
     hat_poset = subgroup_lattice((members or [subgroup]) + [top])
     # the minimum must be H itself: every member contains H and H is a member
@@ -279,7 +281,8 @@ def build_complexes(group: GroupSet, subgroup: SubgroupRef,
     to more than H.  The second lives on the distinct stabilizers other than
     H itself, with faces the subsets intersecting to more than H.  Shrinking
     a face can only grow the intersection, so both families are complexes by
-    construction; strict validation would surface a bug, never repair one.
+    construction; ``complex_from_faces`` checks that and would surface a bug,
+    never repair one.
     """
     _check_pair(group, subgroup)
     target = subgroup.member_ids
@@ -293,12 +296,14 @@ def build_complexes(group: GroupSet, subgroup: SubgroupRef,
     stab_sets = [m.member_ids for m in stab_vertices]
     if max(len(space_vertices), len(stab_vertices)) > max_powerset:
         raise PowersetTooLarge(
-            f"complex vertex sets exceed powerset cap {max_powerset}")
+            f"complex vertex sets ({len(space_vertices)} subspaces, "
+            f"{len(stab_vertices)} stabilizers) exceed powerset cap "
+            f"{max_powerset}")
 
     def to_complex(vertices, sets):
         masks = _faces(sets, ambient, target)
         families = [[vertices[i] for i in _bits(mask)] for mask in masks]
-        return complex_from_faces(vertices, families, strict=True)
+        return complex_from_faces(vertices, families)
 
     stab_labels = [f"M{idx}(order={m.order})"
                    for idx, m in enumerate(stab_vertices)]
@@ -419,26 +424,3 @@ def _decomposition(group: GroupSet, subgroup: SubgroupRef,
     skip.update(_position(lattice, k) for k in ideal.members)
     outside = sum(value for k, value in row.items() if k not in skip)
     return row[top], row[top] - mu_hat + outside
-
-
-def decomposition_residual(group: GroupSet, subgroup: SubgroupRef,
-                           lattice: Optional[FinitePoset] = None,
-                           max_interval: int = INTERVAL_CAP) -> int:
-    """Residual of the split of mu(H, G) into the ideal value and the rest.
-
-    mu(H, G) should equal the ideal Mobius value minus the sum of mu(H, K)
-    over proper overgroups K strictly above H and outside the ideal; the
-    returned integer is zero exactly when that holds.  For subgroups with no
-    invariant subspace the ideal is empty and the split collapses to the
-    defining recursion of the Mobius function.
-    """
-    _check_pair(group, subgroup)
-    if lattice is None:
-        lattice = subgroup_lattice(overgroup_interval(group, subgroup,
-                                                      cap=max_interval))
-    family = stabilizer_family(group, subgroup)
-    ideal = build_ideal(group, subgroup, family, lattice=lattice,
-                        max_interval=max_interval)
-    mu_hat = mu_ideal(ideal)
-    _, residual = _decomposition(group, subgroup, ideal, mu_hat, lattice)
-    return residual

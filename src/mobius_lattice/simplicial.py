@@ -1,4 +1,4 @@
-"""Abstract simplicial complexes, Euler characteristics and order complexes.
+"""Abstract simplicial complexes and their Euler characteristics.
 
 Faces are stored as bitmasks over the vertex index.  Two degenerate complexes
 are kept distinct on purpose: the empty complex (no faces at all, reduced
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotDownwardClosed
-from .poset import FinitePoset, _bits
+from .poset import _bits
 
 
 class SimplicialComplex:
@@ -32,11 +32,6 @@ class SimplicialComplex:
     def face_count(self) -> int:
         return len(self.faces)
 
-    def face_sets(self) -> list:
-        """Faces as sorted tuples of vertex labels, smallest first."""
-        out = [tuple(self.vertices[i] for i in _bits(mask)) for mask in self.faces]
-        return sorted(out, key=lambda f: (len(f), [str(v) for v in f]))
-
     def face_lists(self) -> dict:
         """Deterministic dump: faces per dimension as lists of vertex labels."""
         by_dim: dict = {}
@@ -50,13 +45,13 @@ class SimplicialComplex:
                 f"{len(self.faces)} faces)")
 
 
-def complex_from_faces(vertices: Sequence, faces: Iterable[Iterable],
-                       strict: bool = False) -> SimplicialComplex:
+def complex_from_faces(vertices: Sequence,
+                       faces: Iterable[Iterable]) -> SimplicialComplex:
     """Build a complex from a family of faces given as vertex collections.
 
-    Non-strict mode takes the downward closure of the family.  Strict mode
-    instead rejects input that is not already closed -- used where the family
-    is a complex by construction and a gap would mean a bug upstream.
+    The family must already be closed under taking subsets and hold every
+    vertex as a singleton face: it is a complex by construction wherever it
+    is built, so a gap means a bug upstream and is rejected, never repaired.
     """
     vertices = tuple(vertices)
     index = {v: i for i, v in enumerate(vertices)}
@@ -66,27 +61,15 @@ def complex_from_faces(vertices: Sequence, faces: Iterable[Iterable],
         for v in face:
             mask |= 1 << index[v]
         masks.add(mask)
-    if strict:
-        for mask in masks:
-            for i in _bits(mask):
-                if mask & ~(1 << i) not in masks:
-                    raise NotDownwardClosed(
-                        f"face {mask:b} lacks a subset in strict mode")
-        for i in range(len(vertices)):
-            if (1 << i) not in masks:
-                raise NotDownwardClosed(
-                    f"vertex {vertices[i]!r} has no singleton face")
-        return SimplicialComplex(vertices, masks)
-    closed = set()
-    stack = list(masks)
-    while stack:
-        mask = stack.pop()
-        if mask in closed:
-            continue
-        closed.add(mask)
+    for mask in masks:
         for i in _bits(mask):
-            stack.append(mask & ~(1 << i))
-    return SimplicialComplex(vertices, closed)
+            if mask & ~(1 << i) not in masks:
+                raise NotDownwardClosed(f"face {mask:b} lacks a subset")
+    for i in range(len(vertices)):
+        if (1 << i) not in masks:
+            raise NotDownwardClosed(
+                f"vertex {vertices[i]!r} has no singleton face")
+    return SimplicialComplex(vertices, masks)
 
 
 @dataclass(frozen=True)
@@ -114,30 +97,3 @@ def euler(c: SimplicialComplex) -> EulerReport:
     chi = sum((-1) ** i * f for i, f in enumerate(face_counts))
     chi_reduced = 0 if c.is_empty() else chi - 1
     return EulerReport(face_counts, chi, chi_reduced)
-
-
-def face_alternating_sum(c: SimplicialComplex) -> int:
-    """Sum of (-1)^|F| over all faces, the empty face included."""
-    return sum((-1) ** bin(mask).count("1") for mask in c.faces)
-
-
-def order_complex(poset: FinitePoset) -> SimplicialComplex:
-    """Complex whose faces are the chains of the poset.
-
-    The empty chain is always a face, so the order complex of the empty poset
-    is the one-face complex {0} rather than the empty complex; that is the
-    convention under which mu of the bounded poset equals the reduced Euler
-    characteristic.
-    """
-    n = poset.size
-    faces = {0}
-
-    def grow(mask: int, last: int) -> None:
-        faces.add(mask)
-        above = poset.up[last] & ~(1 << last)
-        for j in _bits(above):
-            grow(mask | (1 << j), j)
-
-    for i in range(n):
-        grow(1 << i, i)
-    return SimplicialComplex(poset.items, faces)

@@ -1,15 +1,32 @@
-"""Naive oracles and seeded generators shared by the test modules."""
+"""Naive oracles and seeded generators shared by the test modules.
+
+The poset and complex oracles here are the classical results the package's
+own paths are checked against, and nothing in the package runs them: the
+full Mobius table by zeta inversion, adjoined bounds, coatoms, meets and
+crosscut sums (Rota, 1964), downward closure of a face family, order
+complexes (Hall's theorem) and alternating face sums.
+"""
 
 import itertools
 import random
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
+from mobius_lattice.errors import MobiusLatticeError, PowersetTooLarge
 from mobius_lattice.linalg import (
     Matrix,
     Subspace,
     apply_row,
     enumerate_subspaces,
 )
-from mobius_lattice.poset import BoundedPoset, FinitePoset, _bits, adjoin_bounds
+from mobius_lattice.poset import (
+    POWERSET_CAP,
+    BoundedPoset,
+    FinitePoset,
+    _bits,
+    mobius_row,
+)
+from mobius_lattice.simplicial import SimplicialComplex
 
 
 def closure_by_matrix_products(gens):
@@ -119,3 +136,268 @@ def random_lattice(rng: random.Random, max_size: int = 10) -> BoundedPoset:
     members = sorted(family)
     poset = FinitePoset.from_leq(members, lambda a, b: a & b == a)
     return adjoin_bounds(poset, reuse=True)
+
+
+class NotALattice(MobiusLatticeError):
+    """A pair of elements has no unique meet."""
+
+
+class CoatomsNotCovered(MobiusLatticeError):
+    """Crosscut set does not contain every coatom."""
+
+
+class TopInX(MobiusLatticeError):
+    """Crosscut set contains the top element."""
+
+
+def leq(poset: FinitePoset, i: int, j: int) -> bool:
+    return bool((poset.up[i] >> j) & 1)
+
+
+def lt(poset: FinitePoset, i: int, j: int) -> bool:
+    return i != j and leq(poset, i, j)
+
+
+def covers(poset: FinitePoset) -> list:
+    """Cover pairs (i, j) with i < j and nothing strictly between."""
+    out = []
+    for i in range(poset.size):
+        strict = poset.up[i] & ~(1 << i)
+        for j in _bits(strict):
+            if strict & poset.down[j] & ~(1 << j) == 0:
+                out.append((i, j))
+    return sorted(out)
+
+
+def dump(poset: FinitePoset) -> str:
+    """Deterministic plain-text dump: labelled elements plus cover pairs."""
+    lines = [f"{i}: {poset.items[i]!r}" for i in range(poset.size)]
+    lines += [f"cover: {i} < {j}" for i, j in covers(poset)]
+    return "\n".join(lines)
+
+
+class MobiusTable:
+    """Full Mobius function of a poset, mu(i, j) = 0 unless i <= j."""
+
+    __slots__ = ("poset", "table")
+
+    def __init__(self, poset: FinitePoset, table: dict):
+        self.poset = poset
+        self.table = table
+
+    def mu(self, i: int, j: int) -> int:
+        return self.table.get((i, j), 0)
+
+    def mu_items(self, x, y) -> int:
+        return self.mu(self.poset.index_of(x), self.poset.index_of(y))
+
+
+def mobius(poset: FinitePoset) -> MobiusTable:
+    """Every row of ``mobius_row`` collected into one table."""
+    table = {}
+    for i in range(poset.size):
+        for j, value in mobius_row(poset, i).items():
+            table[(i, j)] = value
+    return MobiusTable(poset, table)
+
+
+def mobius_by_zeta_inversion(poset: FinitePoset) -> MobiusTable:
+    """Independent computation: invert the zeta matrix over the rationals.
+
+    Serves as a cross-check oracle for :func:`mobius`; it shares no code with
+    the recursion.
+    """
+    n = poset.size
+    zeta = [[Fraction(1 if leq(poset, i, j) else 0) for j in range(n)]
+            for i in range(n)]
+    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if zeta[r][col] != 0)
+        zeta[col], zeta[pivot] = zeta[pivot], zeta[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = zeta[col][col]
+        zeta[col] = [v / scale for v in zeta[col]]
+        inv[col] = [v / scale for v in inv[col]]
+        for r in range(n):
+            if r != col and zeta[r][col] != 0:
+                f = zeta[r][col]
+                zeta[r] = [a - f * b for a, b in zip(zeta[r], zeta[col])]
+                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            if leq(poset, i, j):
+                value = inv[i][j]
+                if value.denominator != 1:
+                    raise RuntimeError("zeta inverse is not integral")
+                table[(i, j)] = int(value)
+    return MobiusTable(poset, table)
+
+
+class _Bound:
+    """Fresh sentinel item for an adjoined extremum."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: str):
+        self.tag = tag
+
+    def __repr__(self) -> str:
+        return self.tag
+
+
+def adjoin_bounds(poset: FinitePoset, reuse: bool = False) -> BoundedPoset:
+    """Adjoin a least and a greatest element.
+
+    By default both are fresh even when extrema exist.  With ``reuse`` an
+    existing unique minimum/maximum is kept and only missing bounds are added.
+    """
+    n = poset.size
+    full = (1 << n) - 1
+    have_bottom = have_top = None
+    if reuse:
+        for i in range(n):
+            if poset.up[i] == full:
+                have_bottom = i
+            if poset.down[i] == full:
+                have_top = i
+    items = list(poset.items)
+    up = list(poset.up)
+    if have_bottom is None:
+        items.append(_Bound("0^"))
+        bottom = len(items) - 1
+        up.append((1 << bottom) | full)
+    else:
+        bottom = have_bottom
+    if have_top is None:
+        items.append(_Bound("1^"))
+        top = len(items) - 1
+        up = [mask | (1 << top) for mask in up]
+        up.append(1 << top)
+    else:
+        top = have_top
+    return BoundedPoset(FinitePoset(items, up), bottom, top)
+
+
+def coatoms(bp: BoundedPoset) -> list:
+    """Elements covered by the top."""
+    base, top = bp.base, bp.top
+    out = []
+    for x in _bits(base.down[top] & ~(1 << top)):
+        between = base.up[x] & base.down[top] & ~(1 << x) & ~(1 << top)
+        if between == 0:
+            out.append(x)
+    return out
+
+
+def meets(bp: BoundedPoset) -> dict:
+    """The meet of every pair (i, j), i <= j; NotALattice if one has no
+    unique greatest common lower bound."""
+    base = bp.base
+    out = {}
+    for i in range(base.size):
+        for j in range(i, base.size):
+            lower = base.down[i] & base.down[j]
+            m = next((t for t in _bits(lower) if base.down[t] == lower), None)
+            if m is None:
+                raise NotALattice(f"elements {i} and {j} have no unique meet")
+            out[(i, j)] = m
+    return out
+
+
+def crosscut_sum(bp: BoundedPoset, subset: Iterable[int],
+                 max_size: int = POWERSET_CAP) -> int:
+    """Alternating sum over nonempty subsets of ``subset`` whose meet is the
+    bottom element.
+
+    ``subset`` must contain every coatom and not the top; the poset must be a
+    lattice.  The crosscut theorem says the result equals mu(bottom, top) --
+    asserted in tests, never assumed here.
+    """
+    members = sorted(set(subset))
+    if bp.bottom == bp.top:
+        raise NotALattice("crosscut needs distinct bottom and top")
+    meet = meets(bp)
+    if bp.top in members:
+        raise TopInX("crosscut subset must not contain the top")
+    missing = set(coatoms(bp)) - set(members)
+    if missing:
+        raise CoatomsNotCovered(f"coatoms {sorted(missing)} missing from subset")
+    if len(members) > max_size:
+        raise PowersetTooLarge(
+            f"{len(members)} elements exceed powerset cap {max_size}")
+    bottom = bp.bottom
+    total = 0
+
+    def walk(i: int, sign: int, acc: Optional[int]) -> None:
+        # acc is the running meet (None while the subset is empty); once it
+        # hits bottom every superset also meets to bottom, so the whole branch
+        # telescopes to a single term at the full prefix.
+        nonlocal total
+        if i == len(members):
+            if acc == bottom:
+                total += sign
+            return
+        nxt = (members[i] if acc is None
+               else meet[(min(acc, members[i]), max(acc, members[i]))])
+        if nxt == bottom:
+            remaining = len(members) - i - 1
+            if remaining == 0:
+                total += -sign
+        else:
+            walk(i + 1, -sign, nxt)
+        walk(i + 1, sign, acc)
+
+    walk(0, 1, None)
+    return total
+
+
+def closed_complex(vertices: Sequence,
+                   faces: Iterable[Iterable]) -> SimplicialComplex:
+    """The complex generated by a face family: its downward closure.
+
+    Unlike ``complex_from_faces``, which rejects a family with gaps, this
+    adds every subset of every face."""
+    vertices = tuple(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    stack = [sum(1 << index[v] for v in set(face)) for face in faces]
+    closed = set()
+    while stack:
+        mask = stack.pop()
+        if mask in closed:
+            continue
+        closed.add(mask)
+        for i in _bits(mask):
+            stack.append(mask & ~(1 << i))
+    return SimplicialComplex(vertices, closed)
+
+
+def face_sets(c: SimplicialComplex) -> list:
+    """Faces as sorted tuples of vertex labels, smallest first."""
+    out = [tuple(c.vertices[i] for i in _bits(mask)) for mask in c.faces]
+    return sorted(out, key=lambda f: (len(f), [str(v) for v in f]))
+
+
+def face_alternating_sum(c: SimplicialComplex) -> int:
+    """Sum of (-1)^|F| over all faces, the empty face included."""
+    return sum((-1) ** bin(mask).count("1") for mask in c.faces)
+
+
+def order_complex(poset: FinitePoset) -> SimplicialComplex:
+    """Complex whose faces are the chains of the poset.
+
+    The empty chain is always a face, so the order complex of the empty poset
+    is the one-face complex {0} rather than the empty complex; that is the
+    convention under which mu of the bounded poset equals the reduced Euler
+    characteristic.
+    """
+    faces = {0}
+
+    def grow(mask: int, last: int) -> None:
+        faces.add(mask)
+        for j in _bits(poset.up[last] & ~(1 << last)):
+            grow(mask | (1 << j), j)
+
+    for i in range(poset.size):
+        grow(1 << i, i)
+    return SimplicialComplex(poset.items, faces)

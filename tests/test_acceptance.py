@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The multi-minute instance
 
 import itertools
 import random
-import time
 
 import pytest
 
@@ -16,7 +15,6 @@ from mobius_lattice.group import closure
 from mobius_lattice.identities import (
     alternating_sums,
     build_ideal,
-    decomposition_residual,
     mobius_between,
     mu_ideal,
     stabilizer_family,
@@ -24,19 +22,18 @@ from mobius_lattice.identities import (
     verify_identities,
 )
 from mobius_lattice.linalg import Matrix
-from mobius_lattice.poset import (
-    FinitePoset,
-    adjoin_bounds,
-    crosscut_sum,
-    mobius,
-    mobius_by_zeta_inversion,
-    mobius_row,
-)
-from mobius_lattice.simplicial import euler, order_complex
+from mobius_lattice.poset import FinitePoset, mobius_row
+from mobius_lattice.simplicial import euler
 
 from helpers import (
+    adjoin_bounds,
+    coatoms,
+    crosscut_sum,
     line_stabilizers,
+    mobius,
+    mobius_by_zeta_inversion,
     naive_subset_sums,
+    order_complex,
     random_lattice,
     random_poset,
 )
@@ -48,26 +45,33 @@ def report(criterion, passed, detail):
     assert passed, f"{criterion}: {detail}"
 
 
-def test_criterion_1_identity_corpus(corpus):
-    """Five quantities agree, each from an independent path, exactly."""
-    started = time.monotonic()
-    pairs = 0
+@pytest.fixture(scope="module")
+def corpus_reports(corpus):
+    """(group name, H, report) for every proper corpus pair, decomposition
+    included; criteria 1 and 3 both read them, so the corpus is verified
+    once."""
+    out = []
     for name, group, subs in corpus:
         lattice = subgroup_lattice(subs)
         for h in subs:
             if h.order == group.order:
                 continue
-            rep = verify_identities(group, h, lattice=lattice)
-            values = rep.values()
-            assert len(set(values)) == 1, (
-                f"{name}, |H|={h.order}: five quantities differ: {values}")
-            pairs += 1
-    elapsed = time.monotonic() - started
+            out.append((name, h, verify_identities(
+                group, h, lattice=lattice, with_decomposition=True)))
+    return out
+
+
+def test_criterion_1_identity_corpus(corpus, corpus_reports):
+    """Five quantities agree, each from an independent path, exactly."""
+    for name, h, rep in corpus_reports:
+        values = rep.values()
+        assert len(set(values)) == 1, (
+            f"{name}, |H|={h.order}: five quantities differ: {values}")
     counts = {name: len(subs) for name, _, subs in corpus}
     assert counts["GL(3,2)"] == 179
     report("criterion-1", True,
-           f"five-way identity holds for all {pairs} proper subgroups "
-           f"across {sorted(counts)} in {elapsed:.1f}s")
+           f"five-way identity holds for all {len(corpus_reports)} proper "
+           f"subgroups across {sorted(counts)}")
 
 
 def test_criterion_2_vanishing_instance(gl23):
@@ -105,15 +109,11 @@ def test_criterion_2_slow_vanishing_instance():
            f"mu_ideal at (n,q,m)=(3,3,1) is {value}, expected 0")
 
 
-def test_criterion_3_decomposition_residuals(corpus):
+def test_criterion_3_decomposition_residuals(corpus_reports):
     """The ideal/complement split of mu(H, G) balances for every pair."""
-    for name, group, subs in corpus:
-        lattice = subgroup_lattice(subs)
-        for h in subs:
-            if h.order == group.order:
-                continue
-            residual = decomposition_residual(group, h, lattice=lattice)
-            assert residual == 0, f"{name}, |H|={h.order}: residual {residual}"
+    for name, h, rep in corpus_reports:
+        residual = rep.decomposition_residual
+        assert residual == 0, f"{name}, |H|={h.order}: residual {residual}"
     report("criterion-3", True, "residual 0 for every corpus pair")
 
 
@@ -167,12 +167,12 @@ def test_criterion_5_crosscut_suite():
     for _ in range(100):
         lat = random_lattice(rng, 10)
         expected = mobius_row(lat.base, lat.bottom)[lat.top]
-        coatoms = set(lat.coatoms())
-        assert crosscut_sum(lat, coatoms) == expected
+        coatom_set = set(coatoms(lat))
+        assert crosscut_sum(lat, coatom_set) == expected
         extras = [i for i in range(lat.size)
-                  if i not in coatoms and i != lat.top]
+                  if i not in coatom_set and i != lat.top]
         rng.shuffle(extras)
-        assert crosscut_sum(lat, coatoms | set(extras[:2])) == expected
+        assert crosscut_sum(lat, coatom_set | set(extras[:2])) == expected
     report("criterion-5", True,
            "crosscut equals mu on 100 random lattices, stable under "
            "enlarging the subset")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -209,6 +210,21 @@ def test_timing_flag_adds_fields(tmp_path):
     rows = read_jsonl(out)
     assert all("timing" in r for r in rows[:-1])
     assert "wall_time" in rows[-1]
+
+
+def test_timing_wall_time_covers_load(tmp_path, monkeypatch):
+    # the clock starts before the group is loaded, not at the verify loop
+    original = cli.load_group
+
+    def slow_load(cfg):
+        time.sleep(0.3)
+        return original(cfg)
+
+    monkeypatch.setattr(cli, "load_group", slow_load)
+    out = tmp_path / "timed.jsonl"
+    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "2",
+                    "--timing", "--out", str(out)]) == 0
+    assert read_jsonl(out)[-1]["wall_time"] >= 0.3
 
 
 def test_dump_faces_flag(tmp_path):

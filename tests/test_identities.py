@@ -3,17 +3,18 @@ import itertools
 import pytest
 
 from mobius_lattice.errors import (
+    IntervalTooLarge,
     PowersetTooLarge,
     ReducibleAmbientGroup,
     SubgroupNotContained,
 )
 from mobius_lattice.gfq import FqField
 from mobius_lattice.group import closure, overgroup_interval, stabilizer
+from mobius_lattice import identities
 from mobius_lattice.identities import (
     alternating_sums,
     build_complexes,
     build_ideal,
-    decomposition_residual,
     mobius_between,
     mu_ideal,
     stabilizer_family,
@@ -242,6 +243,58 @@ def test_sums_powerset_cap(gl22):
         alternating_sums(gl22, gl22.trivial_subgroup(), fam, max_powerset=2)
 
 
+def test_ideal_cap_names_interval_cap(gl23):
+    # each of the four intervals [1, M] holds 16 subgroups, their union 40
+    h = gl23.trivial_subgroup()
+    fam = stabilizer_family(gl23, h)
+    with pytest.raises(IntervalTooLarge,
+                       match=r"ideal exceeded interval cap 16 subgroups: "
+                             r"40 found"):
+        build_ideal(gl23, h, fam, max_interval=16)
+
+
+def test_complex_cap_names_vertex_counts(gl22):
+    fam = stabilizer_family(gl22, gl22.trivial_subgroup())
+    with pytest.raises(PowersetTooLarge,
+                       match=r"\(3 subspaces, 3 stabilizers\) exceed "
+                             r"powerset cap 2"):
+        build_complexes(gl22, gl22.trivial_subgroup(), fam, max_powerset=2)
+
+
+def test_meet_check_rejects_ideal_missing_a_member(gl23):
+    # H = 1: the diagonal torus is the meet of two Borels and no stabilizer;
+    # with it taken out of the lattice, the ideal read off the lattice is no
+    # longer closed under intersection
+    h = gl23.trivial_subgroup()
+    fam = stabilizer_family(gl23, h)
+    b1, b2 = fam.distinct_stabilizers[:2]
+    subs = overgroup_interval(gl23, h)
+    torus = next(s for s in subs
+                 if s.member_ids == b1.member_ids & b2.member_ids)
+    assert torus.order == 4 and torus not in fam.distinct_stabilizers
+    short = subgroup_lattice([s for s in subs if s != torus])
+    with pytest.raises(RuntimeError, match="not closed under intersection"):
+        build_ideal(gl23, h, fam, lattice=short)
+    # the full lattice gives a valid ideal holding the torus
+    ideal = build_ideal(gl23, h, fam, lattice=subgroup_lattice(subs))
+    assert torus in ideal.members
+
+
+def test_ideal_minimum_check_rejects_missing_subgroup(gl22, monkeypatch):
+    # the hat poset built without H must fail closed, not report a value
+    h = gl22.trivial_subgroup()
+    fam = stabilizer_family(gl22, h)
+    lattice = subgroup_lattice(overgroup_interval(gl22, h))
+    original = identities.subgroup_lattice
+
+    def without_h(subgroups):
+        return original([k for k in subgroups if k.member_ids != h.member_ids])
+
+    monkeypatch.setattr(identities, "subgroup_lattice", without_h)
+    with pytest.raises(RuntimeError, match="ideal lost its minimum"):
+        build_ideal(gl22, h, fam, lattice=lattice)
+
+
 def test_complexes_for_trivial_subgroup_gl22(gl22):
     fam = stabilizer_family(gl22, gl22.trivial_subgroup())
     cx1, cx2 = build_complexes(gl22, gl22.trivial_subgroup(), fam)
@@ -314,7 +367,9 @@ def test_klein_four_mobius_in_gl23(gl23):
 def test_residual_zero_for_gl22_trivial(gl22):
     # mu(1,G)=3, mu_ideal=2 and the lone non-ideal proper overgroup is the
     # irreducible C3 with mu(1,C3)=-1: 3 - 2 + (-1) = 0
-    assert decomposition_residual(gl22, gl22.trivial_subgroup()) == 0
+    rep = verify_identities(gl22, gl22.trivial_subgroup(),
+                            with_decomposition=True)
+    assert rep.decomposition_residual == 0
     subs = overgroup_interval(gl22, gl22.trivial_subgroup())
     fam = stabilizer_family(gl22, gl22.trivial_subgroup())
     ideal = build_ideal(gl22, gl22.trivial_subgroup(), fam)
@@ -326,7 +381,8 @@ def test_residual_zero_for_gl22_trivial(gl22):
 
 def test_residual_zero_for_irreducible(gl22):
     c3 = find_subgroup(gl22, 3)
-    assert decomposition_residual(gl22, c3) == 0
+    rep = verify_identities(gl22, c3, with_decomposition=True)
+    assert rep.decomposition_residual == 0
 
 
 def test_residuals_zero_on_small_sweeps(gl22, sl23):
@@ -336,4 +392,6 @@ def test_residuals_zero_on_small_sweeps(gl22, sl23):
         for h in subs:
             if h.order == group.order:
                 continue
-            assert decomposition_residual(group, h, lattice=lattice) == 0
+            rep = verify_identities(group, h, lattice=lattice,
+                                    with_decomposition=True)
+            assert rep.decomposition_residual == 0

@@ -5,23 +5,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mobius_lattice.errors import NotDownwardClosed
-from mobius_lattice.poset import (
-    FinitePoset,
-    adjoin_bounds,
-    mobius_row,
-)
-from mobius_lattice.simplicial import (
-    complex_from_faces,
-    euler,
-    face_alternating_sum,
-    order_complex,
-)
+from mobius_lattice.poset import FinitePoset, mobius_row
+from mobius_lattice.simplicial import complex_from_faces, euler
 
-from helpers import random_poset
+from helpers import (
+    adjoin_bounds,
+    closed_complex,
+    face_alternating_sum,
+    face_sets,
+    order_complex,
+    random_poset,
+)
 
 
 def test_empty_face_only_complex():
-    c = complex_from_faces([], [()])
+    c = closed_complex([], [()])
     assert c.faces == frozenset({0})
     report = euler(c)
     assert report.chi == 0
@@ -30,13 +28,13 @@ def test_empty_face_only_complex():
 
 
 def test_truly_empty_complex():
-    c = complex_from_faces([], [])
+    c = closed_complex([], [])
     assert c.is_empty()
     assert euler(c).chi_reduced == 0
 
 
 def test_full_triangle():
-    c = complex_from_faces("abc", [("a", "b", "c")])
+    c = closed_complex("abc", [("a", "b", "c")])
     assert len(c.faces) == 8
     report = euler(c)
     assert report.face_counts == (3, 3, 1)
@@ -47,17 +45,22 @@ def test_full_triangle():
 
 def test_strict_mode_rejects_gaps():
     with pytest.raises(NotDownwardClosed):
-        complex_from_faces("ab", [("a", "b")], strict=True)
+        complex_from_faces("ab", [("a", "b")])
+
+
+def test_complex_from_faces_rejects_vertex_without_singleton():
+    with pytest.raises(NotDownwardClosed, match="no singleton face"):
+        complex_from_faces("ab", [(), ("a",)])
 
 
 def test_strict_mode_accepts_closed_family():
     family = [(), ("a",), ("b",), ("a", "b")]
-    c = complex_from_faces("ab", family, strict=True)
+    c = complex_from_faces("ab", family)
     assert len(c.faces) == 4
 
 
 def test_three_isolated_vertices():
-    c = complex_from_faces("abc", [("a",), ("b",), ("c",)])
+    c = closed_complex("abc", [("a",), ("b",), ("c",)])
     report = euler(c)
     assert report.chi == 3
     assert report.chi_reduced == 2
@@ -65,7 +68,7 @@ def test_three_isolated_vertices():
 
 
 def test_triangle_boundary():
-    c = complex_from_faces("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    c = closed_complex("abc", [("a", "b"), ("b", "c"), ("a", "c")])
     report = euler(c)
     assert report.chi == 0
     assert report.chi_reduced == -1
@@ -77,7 +80,7 @@ def test_alternating_sum_plus_chi_is_one(nverts, data):
     nfaces = data.draw(st.integers(min_value=1, max_value=6))
     family = [data.draw(st.lists(st.sampled_from(vertices), max_size=nverts))
               for _ in range(nfaces)]
-    c = complex_from_faces(vertices, family)
+    c = closed_complex(vertices, family)
     assert face_alternating_sum(c) + euler(c).chi == 1
 
 
@@ -87,7 +90,7 @@ def test_downward_closure_holds_for_constructed_complexes():
         nverts = rng.randint(1, 6)
         family = [rng.sample(range(nverts), rng.randint(0, nverts))
                   for _ in range(rng.randint(1, 5))]
-        c = complex_from_faces(range(nverts), family)
+        c = closed_complex(range(nverts), family)
         for mask in c.faces:
             sub = mask
             while sub:
@@ -135,13 +138,13 @@ def test_bounded_mobius_matches_order_complex_on_random_posets():
 
 
 def test_face_lists_dump():
-    c = complex_from_faces("ab", [("a", "b")])
+    c = closed_complex("ab", [("a", "b")])
     dump = c.face_lists()
     assert dump == {-1: [[]], 0: [["a"], ["b"]], 1: [["a", "b"]]}
 
 
 def test_face_sets_sorted():
-    c = complex_from_faces("ba", [("b", "a")])
-    sets = c.face_sets()
+    c = closed_complex("ba", [("b", "a")])
+    sets = face_sets(c)
     assert sets[0] == ()
     assert len(sets) == 4
