@@ -20,7 +20,6 @@ from .group import (
     stabilizer,
 )
 from .poset import (
-    BoundedPoset,
     FinitePoset,
     mobius_row,
 )

@@ -357,12 +357,12 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
                         continue
                     key = (row.get("group"),
                            json.dumps(row.get("h_generators"), sort_keys=True))
-                    if key in merged:
-                        if merged[key] != row:
-                            raise MalformedReport(
-                                f"conflicting duplicate for {key[0]} pair")
-                        continue
-                    merged[key] = row
+                    # duplicates may differ in their timing only; the first
+                    # row is kept
+                    first = merged.setdefault(key, row)
+                    if dict(first, timing=None) != dict(row, timing=None):
+                        raise MalformedReport(
+                            f"conflicting duplicate for {key[0]} pair")
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: malformed report: {exc}", file=sys.stderr)
         return 2

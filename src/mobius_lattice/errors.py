@@ -19,6 +19,10 @@ class UnsupportedExtension(MobiusLatticeError):
     """u > 1 with no modulus supplied and none built in for this order."""
 
 
+class TableTooLarge(MobiusLatticeError):
+    """A field's tables or a row space would exceed the subspace cap."""
+
+
 # linear algebra
 
 class AmbientMismatch(MobiusLatticeError):

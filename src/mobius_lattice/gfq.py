@@ -16,8 +16,13 @@ from typing import Optional, Sequence
 from .errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
+    TableTooLarge,
     UnsupportedExtension,
 )
+
+# the most subspaces, field-table entries or row vectors built in one go;
+# larger inputs fail closed before anything is allocated
+SUBSPACE_CAP = 10 ** 6
 
 # Irreducible moduli (coefficients low degree first) for the extension orders
 # shipped with the package; other extensions need an explicit modulus.
@@ -106,11 +111,14 @@ class FqField:
                  "_inv", "_one_index")
 
     def __init__(self, p: int, u: int = 1, modulus: Optional[Sequence[int]] = None):
-        if not _is_prime(p):
-            raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if u < 1:
             raise UnsupportedExtension(f"extension degree must be >= 1, got {u}")
         q = p ** u
+        if q * q > SUBSPACE_CAP:
+            raise TableTooLarge(f"GF({q}) needs {q * q} table entries, over "
+                                f"subspace cap {SUBSPACE_CAP}")
+        if not _is_prime(p):
+            raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if modulus is None and u > 1:
             if q not in BUILTIN_MODULI:
                 raise UnsupportedExtension(

@@ -70,8 +70,9 @@ from .errors import (
     NotASubgroup,
     OrderCapExceeded,
     SingularGenerator,
+    TableTooLarge,
 )
-from .gfq import FqField
+from .gfq import SUBSPACE_CAP, FqField
 from .linalg import Matrix, Subspace, apply_row, invariant_subspaces
 
 ORDER_CAP = 250_000
@@ -381,6 +382,9 @@ def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
 
 def _row_space(field: FqField, n: int) -> tuple:
     """The row vectors of GF(q)^n in code order, and the code of each."""
+    if field.q ** n > SUBSPACE_CAP:
+        raise TableTooLarge(f"row space GF({field.q})^{n} has {field.q ** n} "
+                            f"vectors, over subspace cap {SUBSPACE_CAP}")
     vectors = list(product(range(field.q), repeat=n))
     return vectors, {v: c for c, v in enumerate(vectors)}
 

@@ -15,8 +15,9 @@ computed along independent code paths and compared:
   stabilizers.
 
 No quantity is derived from another: the Mobius value comes from the poset
-recursion on the explicitly built ideal, the sums from a pruned powerset walk
-and the Euler characteristics from explicit face counts.
+recursion on the ideal's elements of one subgroup lattice, with G adjoined as
+maximum, the sums from a pruned powerset walk and the Euler characteristics
+from explicit face counts.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .group import (
     stabilizer,
 )
 from .linalg import invariant_subspaces
-from .poset import POWERSET_CAP, BoundedPoset, FinitePoset, _bits, mobius_row
+from .poset import POWERSET_CAP, FinitePoset, _bits, mobius_row
 from .simplicial import SimplicialComplex, complex_from_faces, euler
 
 
@@ -85,20 +86,25 @@ def stabilizer_family(group: GroupSet, subgroup: SubgroupRef) -> StabilizerFamil
 
 
 class ReducibleIdeal:
-    """The order ideal generated by the stabilizer family, plus its closure.
+    """The order ideal generated by the stabilizer family, as a bitmask.
 
     ``members`` are the subgroups K with H <= K <= M for some stabilizer M,
-    a genuine order ideal of the overgroup interval; ``hat`` is the bounded
-    poset with G adjoined as maximum.  When H has no proper invariant
-    subspace the ideal is empty and ``hat`` degenerates to the two-element
-    chain {H, G}.
+    a genuine order ideal of the overgroup interval.  They are read off
+    ``lattice``: ``bottom`` is the index of H there and ``mask`` holds the
+    members' bits and H's own.  G, adjoined as maximum, has no bit there:
+    ``mu_ideal`` adds it by the recursion.  When H has no proper invariant
+    subspace the ideal is empty, the mask holds H alone and the ideal with G
+    adjoined is the chain {H, G}.
     """
 
-    __slots__ = ("members", "hat")
+    __slots__ = ("members", "lattice", "bottom", "mask")
 
-    def __init__(self, members: Sequence[SubgroupRef], hat: BoundedPoset):
+    def __init__(self, members: Sequence[SubgroupRef], lattice: FinitePoset,
+                 bottom: int, mask: int):
         self.members = tuple(members)
-        self.hat = hat
+        self.lattice = lattice
+        self.bottom = bottom
+        self.mask = mask
 
 
 def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
@@ -125,64 +131,50 @@ def build_ideal(group: GroupSet, subgroup: SubgroupRef, family: StabilizerFamily
 
     The members are read off ``lattice`` (a subgroup lattice holding H and
     every stabilizer, e.g. the whole lattice of the group) as the elements
-    above H and below some stabilizer.  Without one, the lattice is the
-    union of the intervals [H, M], enumerated directly.
+    above H and below some stabilizer.  Without one, the lattice is H and
+    the union of the intervals [H, M], enumerated directly.
     """
     _check_pair(group, subgroup)
     if subgroup.order == group.order:
         raise ValueError("the ideal is defined for proper subgroups only")
     stabs = family.distinct_stabilizers
-    members = []
-    if stabs:
-        if lattice is None:
-            lattice = subgroup_lattice({
-                k for m in stabs
-                for k in overgroup_interval(group, subgroup, top=m,
-                                            cap=max_interval)})
-        below = 0
-        for m in stabs:
-            below |= lattice.down[_position(lattice, m)]
-        mask = lattice.up[_position(lattice, subgroup)] & below
-        members = [lattice.items[i] for i in _bits(mask)]
-        if len(members) > max_interval:
-            raise IntervalTooLarge(
-                f"ideal exceeded interval cap {max_interval} subgroups: "
-                f"{len(members)} found")
-    top = group.full_subgroup()
-    hat_poset = subgroup_lattice((members or [subgroup]) + [top])
-    # the minimum must be H itself: every member contains H and H is a member
-    if hat_poset.items[0].member_ids != subgroup.member_ids:
-        raise RuntimeError("ideal lost its minimum; enumeration is broken")
-    hat = BoundedPoset(hat_poset, 0, hat_poset.size - 1)
-    _validate_meets(hat_poset, {k.member_ids for k in members}, subgroup, top)
-    return ReducibleIdeal(members, hat)
+    if lattice is None:
+        lattice = subgroup_lattice({subgroup}.union(*(
+            overgroup_interval(group, subgroup, top=m, cap=max_interval)
+            for m in stabs)))
+    bottom = _position(lattice, subgroup)
+    below = 1 << bottom
+    for m in stabs:
+        below |= lattice.down[_position(lattice, m)]
+    mask = lattice.up[bottom] & below
+    members = [lattice.items[i] for i in _bits(mask)] if stabs else []
+    if len(members) > max_interval:
+        raise IntervalTooLarge(
+            f"ideal exceeded interval cap {max_interval} subgroups: "
+            f"{len(members)} found")
+    _validate_meets(members)
+    return ReducibleIdeal(members, lattice, bottom, mask)
 
 
-def _validate_meets(hat_poset: FinitePoset, members_set: set,
-                    subgroup: SubgroupRef, top: SubgroupRef) -> None:
-    """Meets in the hat are subgroup intersections; check they are members.
+def _validate_meets(members: Sequence[SubgroupRef]) -> None:
+    """Meets in the ideal are subgroup intersections; check they are members.
 
     K1 ^ K2 contains H and sits below any stabilizer dominating K1, so the
     intersection belongs to the ideal whenever K1 does; a miss means the
     enumeration itself is broken.
     """
-    items = hat_poset.items
-    for i, a in enumerate(items):
-        if a is top:
-            continue
-        for b in items[i + 1:]:
-            if b is top:
-                continue
-            inter = a.member_ids & b.member_ids
-            if inter not in members_set and inter != subgroup.member_ids:
+    member_sets = {k.member_ids for k in members}
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if a.member_ids & b.member_ids not in member_sets:
                 raise RuntimeError(
                     "ideal is not closed under intersection; not a lattice")
 
 
 def mu_ideal(ideal: ReducibleIdeal) -> int:
-    """Mobius value from H to G inside the bounded ideal, by the recursion."""
-    row = mobius_row(ideal.hat.base, ideal.hat.bottom)
-    return row[ideal.hat.top]
+    """Mobius value from H to G adjoined above the ideal, by the recursion:
+    minus the sum of mu(H, K) over the ideal's elements K."""
+    return -sum(mobius_row(ideal.lattice, ideal.bottom, ideal.mask).values())
 
 
 @dataclass(frozen=True)
@@ -387,8 +379,7 @@ def verify_identities(group: GroupSet, subgroup: SubgroupRef,
     chi2 = euler(stab_cx).chi_reduced
     mu_full = residual = None
     if with_decomposition:
-        mu_full, residual = _decomposition(group, subgroup, ideal, mu_hat,
-                                           lattice)
+        mu_full, residual = _decomposition(group, ideal, mu_hat)
     return IdentityReport(mu_hat, sums.subspace_sum, sums.stabilizer_sum,
                           sums.stabilizer_complement_sum, chi1, chi2,
                           mu_full, residual, subspace_cx, stab_cx)
@@ -414,13 +405,11 @@ def mobius_between(group: GroupSet, low: SubgroupRef,
     return row[_position(lattice, high)]
 
 
-def _decomposition(group: GroupSet, subgroup: SubgroupRef,
-                   ideal: ReducibleIdeal, mu_hat: int, lattice: FinitePoset):
-    """mu(H, G) and the residual of its split, from one row of ``lattice``."""
-    h = _position(lattice, subgroup)
-    top = _position(lattice, group.full_subgroup())
-    row = mobius_row(lattice, h)
-    skip = {h, top}
-    skip.update(_position(lattice, k) for k in ideal.members)
-    outside = sum(value for k, value in row.items() if k not in skip)
+def _decomposition(group: GroupSet, ideal: ReducibleIdeal, mu_hat: int):
+    """mu(H, G) and the residual of its split, from one row of the lattice
+    the ideal was read off."""
+    top = _position(ideal.lattice, group.full_subgroup())
+    row = mobius_row(ideal.lattice, ideal.bottom)
+    outside = sum(value for k, value in row.items()
+                  if k != top and not ideal.mask >> k & 1)
     return row[top], row[top] - mu_hat + outside

@@ -13,9 +13,7 @@ from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .errors import AmbientMismatch, SingularElement, TooManySubspaces
-from .gfq import FqField
-
-SUBSPACE_CAP = 10 ** 6
+from .gfq import SUBSPACE_CAP, FqField
 
 
 def _coerce_row(field: FqField, row) -> tuple:

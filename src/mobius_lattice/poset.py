@@ -1,4 +1,4 @@
-"""Finite posets, Mobius rows and bounded posets.
+"""Finite posets and Mobius rows.
 
 The order relation is stored as one bitmask per element (`up[i]` has bit j set
 iff items[i] <= items[j]), which makes interval queries cheap enough that the
@@ -80,33 +80,17 @@ def _bits(mask: int):
         mask &= mask - 1
 
 
-def mobius_row(poset: FinitePoset, start: int) -> dict:
+def mobius_row(poset: FinitePoset, start: int, within: int = -1) -> dict:
     """Values mu(start, j) for every j >= start, by the defining recursion.
 
     Only the elements above ``start`` are visited, by the size of [start, j],
-    so each comes after everything strictly between ``start`` and it.
+    so each comes after everything strictly between ``start`` and it.  With
+    ``within`` (a bitmask holding ``start``) the recursion runs on the
+    subposet induced by its set bits instead.
     """
-    above, down = poset.up[start], poset.down
+    above, down = poset.up[start] & within, poset.down
     row = {}
     for j in sorted(_bits(above), key=lambda j: bin(down[j] & above).count("1")):
         row[j] = 1 if j == start else -sum(
             row[t] for t in _bits(above & down[j] & ~(1 << j)))
     return row
-
-
-class BoundedPoset:
-    """A poset together with indices of its bottom and top elements."""
-
-    __slots__ = ("base", "bottom", "top")
-
-    def __init__(self, base: FinitePoset, bottom: int, top: int):
-        full = (1 << base.size) - 1
-        if base.up[bottom] != full or base.down[top] != full:
-            raise InvalidOrderRelation("claimed bounds do not bound the poset")
-        self.base = base
-        self.bottom = bottom
-        self.top = top
-
-    @property
-    def size(self) -> int:
-        return self.base.size

@@ -2,9 +2,9 @@
 
 The poset and complex oracles here are the classical results the package's
 own paths are checked against, and nothing in the package runs them: the
-full Mobius table by zeta inversion, adjoined bounds, coatoms, meets and
-crosscut sums (Rota, 1964), downward closure of a face family, order
-complexes (Hall's theorem) and alternating face sums.
+full Mobius table by zeta inversion, bounded posets, adjoined bounds,
+coatoms, meets and crosscut sums (Rota, 1964), downward closure of a face
+family, order complexes (Hall's theorem) and alternating face sums.
 """
 
 import itertools
@@ -12,7 +12,11 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from mobius_lattice.errors import MobiusLatticeError, PowersetTooLarge
+from mobius_lattice.errors import (
+    InvalidOrderRelation,
+    MobiusLatticeError,
+    PowersetTooLarge,
+)
 from mobius_lattice.linalg import (
     Matrix,
     Subspace,
@@ -21,7 +25,6 @@ from mobius_lattice.linalg import (
 )
 from mobius_lattice.poset import (
     POWERSET_CAP,
-    BoundedPoset,
     FinitePoset,
     _bits,
     mobius_row,
@@ -112,6 +115,24 @@ def random_poset(rng: random.Random, max_size: int = 10) -> FinitePoset:
         for j in _bits(mask & ~(1 << i)):
             up[i] |= up[j]
     return FinitePoset(list(range(n)), up)
+
+
+class BoundedPoset:
+    """A poset together with indices of its bottom and top elements."""
+
+    __slots__ = ("base", "bottom", "top")
+
+    def __init__(self, base: FinitePoset, bottom: int, top: int):
+        full = (1 << base.size) - 1
+        if base.up[bottom] != full or base.down[top] != full:
+            raise InvalidOrderRelation("claimed bounds do not bound the poset")
+        self.base = base
+        self.bottom = bottom
+        self.top = top
+
+    @property
+    def size(self) -> int:
+        return self.base.size
 
 
 def random_lattice(rng: random.Random, max_size: int = 10) -> BoundedPoset:

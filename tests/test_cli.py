@@ -146,6 +146,28 @@ def test_report_conflicting_duplicate(tmp_path):
     assert run_cli(["report", str(a), str(b)]) == 2
 
 
+def test_report_merges_rows_differing_in_timing_only(tmp_path):
+    argv = ["verify", "--preset", "GL", "--n", "2", "--q", "2", "--timing"]
+    a = tmp_path / "a.jsonl"
+    b = tmp_path / "b.jsonl"
+    assert run_cli(argv + ["--out", str(a)]) == 0
+    assert run_cli(argv + ["--out", str(b)]) == 0
+    rows = read_jsonl(b)
+    for r in rows[:-1]:
+        r["timing"] += 1.0
+    b.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    merged = tmp_path / "m.jsonl"
+    assert run_cli(["report", str(a), str(b), "--out", str(merged)]) == 0
+    # the first report's rows are kept
+    key = lambda r: json.dumps(r["h_generators"], sort_keys=True)
+    assert sorted(read_jsonl(merged), key=key) == \
+        sorted(read_jsonl(a)[:-1], key=key)
+    # a difference in any other field still conflicts
+    rows[0]["mu_ideal"] += 1
+    b.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    assert run_cli(["report", str(a), str(b)]) == 2
+
+
 def test_skips_give_exit_three(tmp_path):
     out = tmp_path / "skip.jsonl"
     code = run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "2",
@@ -192,6 +214,25 @@ def test_extension_field_group(tmp_path):
 
 def test_bad_q_rejected():
     assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "6"]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "mobius"])
+@pytest.mark.parametrize("module, flags, message", [
+    pytest.param("group", ["--n", "7"],
+                 "row space GF(2)^7 has 128 vectors, over subspace cap 100",
+                 id="row-space"),
+    pytest.param("gfq", ["--q", "11"],
+                 "GF(11) needs 121 table entries, over subspace cap 100",
+                 id="field"),
+])
+def test_table_caps_fail_closed(command, module, flags, message, monkeypatch,
+                                capsys):
+    # the row space and the field tables are checked against the cap before
+    # they are built, so a large --n or --q stops at once with one error line
+    monkeypatch.setattr(f"mobius_lattice.{module}.SUBSPACE_CAP", 100)
+    assert run_cli([command, "--preset", "GL"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 def test_max_index_scope(tmp_path):

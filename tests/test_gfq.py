@@ -5,8 +5,10 @@ import pytest
 from mobius_lattice.errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
+    TableTooLarge,
     UnsupportedExtension,
 )
+from mobius_lattice import gfq
 from mobius_lattice.gfq import FqField, primitive_element
 
 ALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
@@ -54,6 +56,19 @@ def test_prime_field_modulus_must_have_degree_one():
         FqField(2, 1, [1, 1, 1])
     # x + 1 over GF(3): the quotient is GF(3) itself
     assert FqField(3, 1, [1, 1]) == FqField(3)
+
+
+def test_field_cap_checked_before_primality(monkeypatch):
+    # the cap on q^2 table entries comes first, so a huge characteristic
+    # fails at once instead of in a trial division up to its square root
+    def no_primality_test(p):
+        raise AssertionError("primality tested before the cap")
+
+    monkeypatch.setattr(gfq, "SUBSPACE_CAP", 100)
+    monkeypatch.setattr(gfq, "_is_prime", no_primality_test)
+    with pytest.raises(TableTooLarge, match=r"GF\(11\) needs 121 table "
+                                            r"entries, over subspace cap 100"):
+        FqField(11)
 
 
 def test_missing_modulus_for_unknown_extension():

@@ -10,7 +10,6 @@ from mobius_lattice.errors import (
 )
 from mobius_lattice.gfq import FqField
 from mobius_lattice.group import closure, overgroup_interval, stabilizer
-from mobius_lattice import identities
 from mobius_lattice.identities import (
     alternating_sums,
     build_complexes,
@@ -22,6 +21,7 @@ from mobius_lattice.identities import (
     verify_identities,
 )
 from mobius_lattice.linalg import Matrix, Subspace
+from mobius_lattice.poset import FinitePoset
 from mobius_lattice.simplicial import euler
 
 F2 = FqField(2)
@@ -112,7 +112,8 @@ def test_ideal_for_irreducible_subgroup_is_two_chain(gl22):
     fam = stabilizer_family(gl22, c3)
     ideal = build_ideal(gl22, c3, fam)
     assert ideal.members == ()
-    assert ideal.hat.size == 2
+    # the mask holds H alone: with G adjoined, the chain {H, G}
+    assert ideal.mask == 1 << ideal.bottom
     assert mu_ideal(ideal) == -1
 
 
@@ -120,7 +121,7 @@ def test_ideal_for_trivial_subgroup_gl22(gl22):
     fam = stabilizer_family(gl22, gl22.trivial_subgroup())
     ideal = build_ideal(gl22, gl22.trivial_subgroup(), fam)
     assert sorted(k.order for k in ideal.members) == [1, 2, 2, 2]
-    assert ideal.hat.size == 5
+    assert bin(ideal.mask).count("1") == 4
     # hand recursion: mu(1,1)=1, three mu(1,M)=-1, so mu(1,G) = -(1-3) = 2
     assert mu_ideal(ideal) == 2
 
@@ -163,6 +164,7 @@ def test_ideal_filter_path_matches_direct_path(gl23, sl23):
             filtered = build_ideal(group, h, fam, lattice=lattice)
             assert [k.member_ids for k in direct.members] == \
                    [k.member_ids for k in filtered.members]
+            assert mu_ideal(direct) == mu_ideal(filtered)
             shared = verify_identities(group, h, lattice=lattice,
                                        with_decomposition=True)
             alone = verify_identities(group, h, with_decomposition=True)
@@ -280,19 +282,31 @@ def test_meet_check_rejects_ideal_missing_a_member(gl23):
     assert torus in ideal.members
 
 
-def test_ideal_minimum_check_rejects_missing_subgroup(gl22, monkeypatch):
-    # the hat poset built without H must fail closed, not report a value
+def test_ideal_reads_supplied_lattice_without_building_a_poset(gl23,
+                                                              monkeypatch):
+    # given the run's lattice, the ideal is a mask over it and no second
+    # order is built
+    lattice = subgroup_lattice(overgroup_interval(gl23,
+                                                  gl23.trivial_subgroup()))
+
+    def no_poset(*args):
+        raise AssertionError("build_ideal built a poset")
+
+    monkeypatch.setattr(FinitePoset, "__init__", no_poset)
+    for h in lattice.items[:-1]:
+        ideal = build_ideal(gl23, h, stabilizer_family(gl23, h),
+                            lattice=lattice)
+        assert ideal.lattice is lattice
+
+
+def test_ideal_minimum_check_rejects_missing_subgroup(gl22):
+    # a supplied lattice without H must fail closed, not report a value
     h = gl22.trivial_subgroup()
     fam = stabilizer_family(gl22, h)
-    lattice = subgroup_lattice(overgroup_interval(gl22, h))
-    original = identities.subgroup_lattice
-
-    def without_h(subgroups):
-        return original([k for k in subgroups if k.member_ids != h.member_ids])
-
-    monkeypatch.setattr(identities, "subgroup_lattice", without_h)
-    with pytest.raises(RuntimeError, match="ideal lost its minimum"):
-        build_ideal(gl22, h, fam, lattice=lattice)
+    subs = overgroup_interval(gl22, h)
+    short = subgroup_lattice([k for k in subs if k != h])
+    with pytest.raises(SubgroupNotContained):
+        build_ideal(gl22, h, fam, lattice=short)
 
 
 def test_complexes_for_trivial_subgroup_gl22(gl22):

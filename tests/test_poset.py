@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mobius_lattice.errors import InvalidOrderRelation, PowersetTooLarge
-from mobius_lattice.poset import BoundedPoset, FinitePoset, mobius_row
+from mobius_lattice.poset import FinitePoset, mobius_row
 
 from helpers import (
+    BoundedPoset,
     CoatomsNotCovered,
     NotALattice,
     TopInX,
@@ -258,3 +261,19 @@ def test_mobius_row_matches_full_table():
             row = mobius_row(p, i)
             for j, value in row.items():
                 assert table.mu(i, j) == value
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+def test_mobius_row_under_mask_matches_induced_subposet(seed, data):
+    # the recursion under a mask holding the start is the recursion on the
+    # induced subposet; that subposet is rebuilt here from scratch and
+    # inverted by the zeta-matrix oracle
+    p = random_poset(random.Random(seed), 9)
+    start = data.draw(st.integers(min_value=0, max_value=p.size - 1))
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << p.size) - 1))
+    mask |= 1 << start
+    kept = [i for i in range(p.size) if mask >> i & 1]
+    sub = FinitePoset.from_leq(kept, lambda a, b: leq(p, a, b))
+    table = mobius_by_zeta_inversion(sub)
+    assert mobius_row(p, start, mask) == {
+        j: table.mu_items(start, j) for j in kept if leq(p, start, j)}
