@@ -24,7 +24,7 @@ def main() -> int:
         Matrix.from_rows(f3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))])
     t0 = time.monotonic()
     family = stabilizer_family(group, h)
-    ideal = build_ideal(group, h, family)
+    ideal = build_ideal(family)
     value = mu_ideal(ideal)
     print(f"ideal: {len(ideal.members)} members ({time.monotonic() - t0:.1f}s)")
     print(f"mu_ideal(H, GL(3,3)) = {value}")

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
@@ -25,7 +24,12 @@ from .errors import (
     PowersetTooLarge,
     ReducibleAmbientGroup,
 )
-from .gfq import FqField, primitive_element
+from .gfq import (
+    FqField,
+    _check_table_cap,
+    _smallest_prime_factor,
+    primitive_element,
+)
 from .group import (
     INTERVAL_CAP,
     ORDER_CAP,
@@ -43,27 +47,6 @@ from .identities import (
     verify_identities,
 )
 from .poset import POWERSET_CAP
-
-
-@dataclass
-class RunConfig:
-    """Everything a verification sweep needs, resolved from flags."""
-
-    preset: Optional[str] = None
-    n: int = 2
-    field_spec: dict = field(default_factory=lambda: {"p": 2, "u": 1})
-    gens_file: Optional[str] = None
-    subgroups: str = "all"
-    subgroups_file: Optional[str] = None
-    max_index: Optional[int] = None
-    max_order: int = ORDER_CAP
-    max_interval: int = INTERVAL_CAP
-    max_powerset: int = POWERSET_CAP
-    out: Optional[str] = None
-    fmt: str = "json"
-    seed: int = 0
-    timing: bool = False
-    dump_faces: bool = False
 
 
 def group_order_formula(kind: str, n: int, q: int) -> int:
@@ -124,16 +107,40 @@ def build_group(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
     return closure(gens, cap=cap)
 
 
-def load_group(cfg: RunConfig) -> tuple:
-    """Resolve the configured group; returns (GroupSet, descriptor dict)."""
-    fq = FqField.from_dict(cfg.field_spec)
-    if cfg.gens_file:
+def load_group(args: argparse.Namespace) -> tuple:
+    """Resolve the group the flags name; returns (GroupSet, descriptor dict).
+
+    The field is GF(--q), with --modulus if given; a --gens file's "field"
+    replaces it."""
+    q = args.q
+    if q < 2:
+        raise GroupSpecError(f"--q {q} is not a prime power")
+    # the table cap comes first: factoring a huge q would not end
+    _check_table_cap(q)
+    p = _smallest_prime_factor(q)
+    u = 0
+    while q % p == 0:
+        q //= p
+        u += 1
+    if q != 1:
+        raise GroupSpecError(f"--q {args.q} is not a prime power")
+    modulus = None
+    if args.modulus:
         try:
-            with open(cfg.gens_file) as fh:
+            modulus = [int(c) for c in args.modulus.split(",")]
+        except ValueError:
+            raise GroupSpecError(
+                f"--modulus {args.modulus!r} is not a comma-separated list "
+                f"of integers") from None
+    fq = FqField(p, u, modulus)
+    if args.gens_file:
+        try:
+            with open(args.gens_file) as fh:
                 spec = json.load(fh)
             if not isinstance(spec, dict):
                 raise TypeError("the file does not hold a JSON object")
-            fq = FqField.from_dict(spec.get("field", cfg.field_spec))
+            if "field" in spec:
+                fq = FqField.from_dict(spec["field"])
             n = spec["n"]
             gens = [Matrix.from_rows(fq, rows) for rows in spec["generators"]]
             if not gens:
@@ -142,18 +149,18 @@ def load_group(cfg: RunConfig) -> tuple:
                 raise ValueError(f"generators are not {n}x{n} matrices")
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise GroupSpecError(f"cannot read generator file: {exc}") from exc
-        group = build_group(gens, cap=cfg.max_order)
-        name = spec.get("name", os.path.basename(cfg.gens_file))
+        group = build_group(gens, cap=args.max_order)
+        name = spec.get("name", os.path.basename(args.gens_file))
         return group, {"name": name, "n": n, "field": fq.to_dict()}
-    kind = cfg.preset or "GL"
-    gens = preset_generators(kind, cfg.n, fq)
-    group = build_group(gens, cap=cfg.max_order)
-    expected = group_order_formula(kind, cfg.n, fq.q)
+    kind = args.preset or "GL"
+    gens = preset_generators(kind, args.n, fq)
+    group = build_group(gens, cap=args.max_order)
+    expected = group_order_formula(kind, args.n, fq.q)
     if group.order != expected:
         raise GroupSpecError(
-            f"preset {kind}({cfg.n},{fq.q}) closed to order {group.order}, "
+            f"preset {kind}({args.n},{fq.q}) closed to order {group.order}, "
             f"expected {expected}")
-    return group, {"name": f"{kind}({cfg.n},{fq.q})", "n": cfg.n,
+    return group, {"name": f"{kind}({args.n},{fq.q})", "n": args.n,
                    "field": fq.to_dict()}
 
 
@@ -178,14 +185,16 @@ def _element_ids(group: GroupSet, gen_lists) -> list:
     return ids
 
 
-def select_subgroups(group: GroupSet, cfg: RunConfig, subs: Sequence) -> list:
-    """The subgroups H to verify, chosen by the configured scope from the
-    complete subgroup list ``subs`` (or read from the subgroup file)."""
-    if cfg.subgroups == "file":
-        if not cfg.subgroups_file:
+def select_subgroups(group: GroupSet, args: argparse.Namespace,
+                     subs: Sequence) -> list:
+    """The subgroups H to verify, chosen by the --subgroups scope from the
+    complete subgroup list ``subs`` (or read from the subgroup file).  H is
+    reducible when it lies in a stabilizer in the trivial subgroup's family."""
+    if args.subgroups == "file":
+        if not args.subgroups_file:
             raise GroupSpecError("--subgroups file needs a path")
         try:
-            with open(cfg.subgroups_file) as fh:
+            with open(args.subgroups_file) as fh:
                 gen_lists = json.load(fh)
             wanted = [group.subgroup_closure(_element_ids(group, rows_list))
                       for rows_list in gen_lists]
@@ -196,15 +205,19 @@ def select_subgroups(group: GroupSet, cfg: RunConfig, subs: Sequence) -> list:
                 "subgroup file lists the whole group; identities are "
                 "verified for proper subgroups only")
         return sorted(set(wanted), key=SubgroupRef.sort_key)
+    stabs = []
+    if args.subgroups == "reducible":
+        stabs = [m.member_ids for m in stabilizer_family(
+            group, group.trivial_subgroup()).distinct_stabilizers]
     out = []
     for h in subs:
         if h.order == group.order:
             continue
-        if cfg.max_index is not None and group.order // h.order > cfg.max_index:
+        if args.max_index is not None and group.order // h.order > args.max_index:
             continue
-        if cfg.subgroups == "reducible":
-            if not stabilizer_family(group, h).pairs:
-                continue
+        if (args.subgroups == "reducible"
+                and not any(h.member_ids <= m for m in stabs)):
+            continue
         out.append(h)
     return out
 
@@ -221,19 +234,19 @@ def _check_writable(out: Optional[str]) -> None:
             raise GroupSpecError(f"cannot write report: {exc}") from exc
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     # wall_time covers the whole run: load, lattice, selection and the loop
     started = time.monotonic()
     try:
-        _check_writable(cfg.out)
-        group, descriptor = load_group(cfg)
+        _check_writable(args.out)
+        group, descriptor = load_group(args)
         if not is_irreducible(group):
             raise ReducibleAmbientGroup(
                 "ambient group fixes a proper non-trivial subspace")
         # the one subgroup lattice of the run, shared by every pair
         lattice = subgroup_lattice(overgroup_interval(
-            group, group.trivial_subgroup(), cap=cfg.max_interval))
-        subgroups = select_subgroups(group, cfg, lattice.items)
+            group, group.trivial_subgroup(), cap=args.max_interval))
+        subgroups = select_subgroups(group, args, lattice.items)
     except MobiusLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -246,8 +259,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         try:
             report = verify_identities(
                 group, h, lattice=lattice,
-                max_interval=cfg.max_interval,
-                max_powerset=cfg.max_powerset, with_decomposition=True)
+                max_interval=args.max_interval,
+                max_powerset=args.max_powerset, with_decomposition=True)
         except (PowersetTooLarge, IntervalTooLarge) as exc:
             skips.append({"h_order": desc["order"],
                           "h_generators": desc["generators"],
@@ -257,9 +270,9 @@ def cmd_verify(cfg: RunConfig) -> int:
                "field": descriptor["field"], "h_order": desc["order"],
                "h_generators": desc["generators"]}
         row.update(report.to_dict())
-        if cfg.timing:
+        if args.timing:
             row["timing"] = round(time.monotonic() - t0, 6)
-        if cfg.dump_faces:
+        if args.dump_faces:
             row["subspace_complex_faces"] = {
                 str(d): fl
                 for d, fl in report.subspace_complex.face_lists().items()}
@@ -273,10 +286,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         rows.append(row)
     summary = {"type": "summary", "group": descriptor["name"],
                "pairs": len(rows), "failures": failures, "skips": skips,
-               "seed": cfg.seed}
-    if cfg.timing:
+               "seed": args.seed}
+    if args.timing:
         summary["wall_time"] = round(time.monotonic() - started, 3)
-    _emit(rows, cfg.fmt, cfg.out, summary)
+    _emit(rows, args.fmt, args.out, summary)
     if failures:
         return 1
     return 3 if skips else 0
@@ -322,13 +335,13 @@ def _resolve_endpoint(group: GroupSet, spec: str) -> SubgroupRef:
     return group.subgroup_closure(ids)
 
 
-def cmd_mobius(cfg: RunConfig, low_spec: str, high_spec: str) -> int:
+def cmd_mobius(args: argparse.Namespace) -> int:
     try:
-        group, descriptor = load_group(cfg)
-        low = _resolve_endpoint(group, low_spec)
-        high = _resolve_endpoint(group, high_spec)
+        group, descriptor = load_group(args)
+        low = _resolve_endpoint(group, args.low)
+        high = _resolve_endpoint(group, args.high)
         lattice = subgroup_lattice(overgroup_interval(
-            group, low, top=high, cap=cfg.max_interval))
+            group, low, top=high, cap=args.max_interval))
         value = mobius_between(group, low, high, lattice=lattice)
     except MobiusLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -391,28 +404,6 @@ def _add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-powerset", type=int, default=POWERSET_CAP)
 
 
-def _field_spec_from_args(args) -> dict:
-    q = args.q
-    if q < 2:
-        raise GroupSpecError(f"--q {q} is not a prime power")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    u = 0
-    while q % p == 0:
-        q //= p
-        u += 1
-    if q != 1:
-        raise GroupSpecError(f"--q {args.q} is not a prime power")
-    spec = {"p": p, "u": u}
-    if args.modulus:
-        try:
-            spec["modulus"] = [int(c) for c in args.modulus.split(",")]
-        except ValueError:
-            raise GroupSpecError(
-                f"--modulus {args.modulus!r} is not a comma-separated list "
-                f"of integers") from None
-    return spec
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="mobius-lattice",
@@ -448,30 +439,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "report":
         return cmd_report(args.paths, args.fmt, args.out)
-    try:
-        field_spec = _field_spec_from_args(args)
-    except GroupSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cfg = RunConfig(
-        preset=args.preset, n=args.n, field_spec=field_spec,
-        gens_file=args.gens_file, max_order=args.max_order,
-        max_interval=args.max_interval, max_powerset=args.max_powerset)
     if args.command == "verify":
-        cfg.subgroups = args.subgroups
-        cfg.subgroups_file = args.subgroups_file
-        cfg.max_index = args.max_index
-        cfg.out = args.out
-        cfg.fmt = args.fmt
-        cfg.seed = args.seed
-        cfg.timing = args.timing
-        cfg.dump_faces = args.dump_faces
-        return cmd_verify(cfg)
-    if args.command == "mobius":
-        return cmd_mobius(cfg, args.low, args.high)
-    parser.error(f"unknown command {args.command}")
-    return 2
-
+        return cmd_verify(args)
+    return cmd_mobius(args)
 
 if __name__ == "__main__":
     sys.exit(main())

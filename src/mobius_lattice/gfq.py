@@ -11,6 +11,7 @@ out in the same form.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Optional, Sequence
 
 from .errors import (
@@ -36,15 +37,16 @@ BUILTIN_MODULI = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _smallest_prime_factor(n: int) -> int:
+    """The smallest prime dividing n, and 1 for n = 1."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
+def _check_table_cap(q: int) -> None:
+    """Fail closed when the q^2-entry tables of GF(q) exceed the cap."""
+    if q * q > SUBSPACE_CAP:
+        raise TableTooLarge(f"GF({q}) needs {q * q} table entries, over "
+                            f"subspace cap {SUBSPACE_CAP}")
 
 
 def _trim(coeffs: Sequence[int]) -> list:
@@ -114,10 +116,8 @@ class FqField:
         if u < 1:
             raise UnsupportedExtension(f"extension degree must be >= 1, got {u}")
         q = p ** u
-        if q * q > SUBSPACE_CAP:
-            raise TableTooLarge(f"GF({q}) needs {q * q} table entries, over "
-                                f"subspace cap {SUBSPACE_CAP}")
-        if not _is_prime(p):
+        _check_table_cap(q)
+        if p < 2 or _smallest_prime_factor(p) != p:
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if modulus is None and u > 1:
             if q not in BUILTIN_MODULI:

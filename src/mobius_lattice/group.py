@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -72,7 +72,7 @@ from .errors import (
     SingularGenerator,
     TableTooLarge,
 )
-from .gfq import SUBSPACE_CAP, FqField
+from .gfq import SUBSPACE_CAP, FqField, _smallest_prime_factor
 from .linalg import Matrix, Subspace, apply_row, invariant_subspaces
 
 ORDER_CAP = 250_000
@@ -597,8 +597,3 @@ def _prime_power_cyclic_generators(group: GroupSet) -> list:
         if order == 1:
             found.append(x)
     return found
-
-
-def _smallest_prime_factor(n: int) -> int:
-    """The smallest prime dividing n, and 1 for n = 1."""
-    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)

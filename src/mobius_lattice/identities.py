@@ -52,7 +52,9 @@ class StabilizerFamily:
     ``pairs`` runs over all proper non-trivial H-invariant subspaces W in
     canonical order; ``distinct_stabilizers`` deduplicates the stabilizers.
     Every stabilizer contains H, because H maps each of its invariant
-    subspaces to itself.
+    subspaces to itself.  ``build_ideal``, ``alternating_sums`` and
+    ``build_complexes`` take the family alone: it carries the pair (G, H),
+    with H = ``subgroup`` and G = ``subgroup.parent``.
     """
 
     subgroup: SubgroupRef
@@ -124,7 +126,7 @@ def _position(lattice: FinitePoset, subgroup: SubgroupRef) -> int:
             f"subgroup of order {subgroup.order} is not in the lattice") from None
 
 
-def build_ideal(group: GroupSet, subgroup: SubgroupRef, family: StabilizerFamily,
+def build_ideal(family: StabilizerFamily,
                 lattice: Optional[FinitePoset] = None,
                 max_interval: int = INTERVAL_CAP) -> ReducibleIdeal:
     """Assemble the ideal of subgroups dominated by a stabilizer.
@@ -134,6 +136,7 @@ def build_ideal(group: GroupSet, subgroup: SubgroupRef, family: StabilizerFamily
     above H and below some stabilizer.  Without one, the lattice is H and
     the union of the intervals [H, M], enumerated directly.
     """
+    group, subgroup = family.subgroup.parent, family.subgroup
     _check_pair(group, subgroup)
     if subgroup.order == group.order:
         raise ValueError("the ideal is defined for proper subgroups only")
@@ -226,9 +229,10 @@ def _pruned_sums(sets: Sequence[frozenset], ambient: frozenset,
     return not_target, equals_target
 
 
-def alternating_sums(group: GroupSet, subgroup: SubgroupRef,
-                     family: StabilizerFamily,
+def alternating_sums(family: StabilizerFamily,
                      max_powerset: int = POWERSET_CAP) -> AlternatingSums:
+    """The three sums of ``AlternatingSums`` for the family's pair (G, H)."""
+    group, subgroup = family.subgroup.parent, family.subgroup
     _check_pair(group, subgroup)
     n_stabs = len(family.distinct_stabilizers)
     n_spaces = len(family.pairs)
@@ -263,8 +267,7 @@ def _faces(sets: Sequence[frozenset], ambient: frozenset,
     return faces
 
 
-def build_complexes(group: GroupSet, subgroup: SubgroupRef,
-                    family: StabilizerFamily,
+def build_complexes(family: StabilizerFamily,
                     max_powerset: int = POWERSET_CAP):
     """The two complexes carried by a stabilizer family.
 
@@ -276,6 +279,7 @@ def build_complexes(group: GroupSet, subgroup: SubgroupRef,
     construction; ``complex_from_faces`` checks that and would surface a bug,
     never repair one.
     """
+    group, subgroup = family.subgroup.parent, family.subgroup
     _check_pair(group, subgroup)
     target = subgroup.member_ids
     ambient = group.full_subgroup().member_ids
@@ -369,12 +373,10 @@ def verify_identities(group: GroupSet, subgroup: SubgroupRef,
         lattice = subgroup_lattice(overgroup_interval(group, subgroup,
                                                       cap=max_interval))
     family = stabilizer_family(group, subgroup)
-    ideal = build_ideal(group, subgroup, family, lattice=lattice,
-                        max_interval=max_interval)
+    ideal = build_ideal(family, lattice=lattice, max_interval=max_interval)
     mu_hat = mu_ideal(ideal)
-    sums = alternating_sums(group, subgroup, family, max_powerset=max_powerset)
-    subspace_cx, stab_cx = build_complexes(group, subgroup, family,
-                                           max_powerset=max_powerset)
+    sums = alternating_sums(family, max_powerset=max_powerset)
+    subspace_cx, stab_cx = build_complexes(family, max_powerset=max_powerset)
     chi1 = euler(subspace_cx).chi_reduced
     chi2 = euler(stab_cx).chi_reduced
     mu_full = residual = None

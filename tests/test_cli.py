@@ -8,7 +8,10 @@ import time
 import pytest
 
 from mobius_lattice import cli, identities
-from mobius_lattice.cli import main
+from mobius_lattice.cli import main, preset_generators
+from mobius_lattice.gfq import FqField
+from mobius_lattice.group import closure
+from mobius_lattice.linalg import Matrix
 
 
 def run_cli(args):
@@ -59,6 +62,40 @@ def test_verify_reducible_scope_is_subset(tmp_path):
     n_all = read_jsonl(out_all)[-1]["pairs"]
     n_red = read_jsonl(out_red)[-1]["pairs"]
     assert 0 < n_red < n_all
+
+
+@pytest.mark.parametrize("kind,n,q", [("SL", 2, 3), ("GL", 3, 2)])
+def test_verify_reducible_scope_keeps_rows_with_invariant_subspaces(
+        tmp_path, monkeypatch, kind, n, q):
+    # the reducible rows are the rows of ``all`` whose H fixes a proper
+    # non-trivial subspace; the scope reads that off the trivial subgroup's
+    # family, so one family is built per kept row plus one
+    family = identities.stabilizer_family
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return family(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "stabilizer_family", counted)
+    monkeypatch.setattr(identities, "stabilizer_family", counted)
+    argv = ["verify", "--preset", kind, "--n", str(n), "--q", str(q)]
+    out_red = tmp_path / "red.jsonl"
+    assert run_cli(argv + ["--subgroups", "reducible",
+                           "--out", str(out_red)]) == 0
+    red_rows = read_jsonl(out_red)[:-1]
+    assert len(calls) == len(red_rows) + 1
+    out_all = tmp_path / "all.jsonl"
+    assert run_cli(argv + ["--out", str(out_all)]) == 0
+    group = closure(preset_generators(kind, n, FqField(q)))
+
+    def reducible(row):
+        h = group.subgroup_closure([
+            group.index_of(Matrix.from_rows(group.field, rows))
+            for rows in row["h_generators"]])
+        return bool(family(group, h).pairs)
+
+    assert red_rows == [r for r in read_jsonl(out_all)[:-1] if reducible(r)]
 
 
 def test_malformed_generator_file(tmp_path):
@@ -202,6 +239,20 @@ def test_subgroups_file_scope(tmp_path):
     assert sorted(r["h_order"] for r in rows[:-1]) == [2, 3]
 
 
+def test_generator_file_without_field_uses_q(tmp_path):
+    # GL(2,3) from a file that names no field: the field comes from --q
+    spec = {"n": 2, "generators": [[[1, 1], [0, 1]], [[0, 1], [2, 0]],
+                                   [[2, 0], [0, 1]]]}
+    path = tmp_path / "gl23.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out.jsonl"
+    assert run_cli(["verify", "--gens", str(path), "--q", "3",
+                    "--out", str(out)]) == 0
+    rows = read_jsonl(out)
+    assert rows[-1]["pairs"] == 54
+    assert all(r["field"] == {"p": 3, "u": 1} for r in rows[:-1])
+
+
 def test_extension_field_group(tmp_path):
     # GL(1,4): cyclic of order 3, scalar matrices over GF(4)
     out = tmp_path / "gl14.jsonl"
@@ -257,9 +308,9 @@ def test_timing_wall_time_covers_load(tmp_path, monkeypatch):
     # the clock starts before the group is loaded, not at the verify loop
     original = cli.load_group
 
-    def slow_load(cfg):
+    def slow_load(args):
         time.sleep(0.3)
-        return original(cfg)
+        return original(args)
 
     monkeypatch.setattr(cli, "load_group", slow_load)
     out = tmp_path / "timed.jsonl"
@@ -298,8 +349,9 @@ def test_dump_faces_reuses_complexes(tmp_path, monkeypatch):
 def _run_module(*args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    # a hung run fails its own test instead of the whole job
     return subprocess.run([sys.executable, "-m", "mobius_lattice.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def test_report_non_object_line_exits_two(tmp_path):
@@ -477,6 +529,10 @@ EXIT_CASES = {
         "--preset", "GL", "--n", "2", "--q", "4", "--modulus", "1,x"], 2),
     "modulus-prime-field": (lambda tmp: [*_GL22, "--modulus", "1,1,1"], 2),
     "q-zero": (lambda tmp: ["--preset", "GL", "--n", "2", "--q", "0"], 2),
+    # primes far over the field-table cap: the cap is checked before q is
+    # factored, so neither waits for a trial division
+    "q-large-prime": (lambda tmp: ["--q", "1000000007"], 2, "mobius"),
+    "q-mersenne-prime": (lambda tmp: ["--q", str(2 ** 61 - 1)], 2),
     "out-dir-missing": (lambda tmp: [
         *_GL22, "--out", str(tmp / "missing" / "out.jsonl")], 2),
     "subgroup-file-whole-group": (lambda tmp: _subgroups_file(

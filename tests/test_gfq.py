@@ -65,7 +65,7 @@ def test_field_cap_checked_before_primality(monkeypatch):
         raise AssertionError("primality tested before the cap")
 
     monkeypatch.setattr(gfq, "SUBSPACE_CAP", 100)
-    monkeypatch.setattr(gfq, "_is_prime", no_primality_test)
+    monkeypatch.setattr(gfq, "_smallest_prime_factor", no_primality_test)
     with pytest.raises(TableTooLarge, match=r"GF\(11\) needs 121 table "
                                             r"entries, over subspace cap 100"):
         FqField(11)

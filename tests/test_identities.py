@@ -110,7 +110,7 @@ def test_family_rejects_foreign_subgroup(gl22, gl23):
 def test_ideal_for_irreducible_subgroup_is_two_chain(gl22):
     c3 = find_subgroup(gl22, 3)
     fam = stabilizer_family(gl22, c3)
-    ideal = build_ideal(gl22, c3, fam)
+    ideal = build_ideal(fam)
     assert ideal.members == ()
     # the mask holds H alone: with G adjoined, the chain {H, G}
     assert ideal.mask == 1 << ideal.bottom
@@ -119,7 +119,7 @@ def test_ideal_for_irreducible_subgroup_is_two_chain(gl22):
 
 def test_ideal_for_trivial_subgroup_gl22(gl22):
     fam = stabilizer_family(gl22, gl22.trivial_subgroup())
-    ideal = build_ideal(gl22, gl22.trivial_subgroup(), fam)
+    ideal = build_ideal(fam)
     assert sorted(k.order for k in ideal.members) == [1, 2, 2, 2]
     assert bin(ideal.mask).count("1") == 4
     # hand recursion: mu(1,1)=1, three mu(1,M)=-1, so mu(1,G) = -(1-3) = 2
@@ -131,10 +131,10 @@ def test_ideal_for_maximal_stabilizer(gl22):
     h = stabilizer(gl22, line)
     fam = stabilizer_family(gl22, h)
     assert [s.member_ids for s in fam.distinct_stabilizers] == [h.member_ids]
-    ideal = build_ideal(gl22, h, fam)
+    ideal = build_ideal(fam)
     assert [k.order for k in ideal.members] == [2]
     assert mu_ideal(ideal) == -1
-    cx1, cx2 = build_complexes(gl22, h, fam)
+    cx1, cx2 = build_complexes(fam)
     assert cx1.vertices == () and cx1.faces == frozenset({0})
     assert cx2.vertices == () and cx2.faces == frozenset({0})
 
@@ -145,7 +145,7 @@ def test_reducible_subgroup_belongs_to_its_ideal(gl22, gl23):
             if h.order == group.order:
                 continue
             fam = stabilizer_family(group, h)
-            ideal = build_ideal(group, h, fam)
+            ideal = build_ideal(fam)
             if fam.pairs:
                 assert any(k.member_ids == h.member_ids for k in ideal.members)
             else:
@@ -160,8 +160,8 @@ def test_ideal_filter_path_matches_direct_path(gl23, sl23):
             if h.order == group.order:
                 continue
             fam = stabilizer_family(group, h)
-            direct = build_ideal(group, h, fam)
-            filtered = build_ideal(group, h, fam, lattice=lattice)
+            direct = build_ideal(fam)
+            filtered = build_ideal(fam, lattice=lattice)
             assert [k.member_ids for k in direct.members] == \
                    [k.member_ids for k in filtered.members]
             assert mu_ideal(direct) == mu_ideal(filtered)
@@ -198,14 +198,14 @@ def test_quantities_invariant_under_conjugation(corpus):
 def test_sums_for_irreducible_subgroup(gl22):
     c3 = find_subgroup(gl22, 3)
     fam = stabilizer_family(gl22, c3)
-    sums = alternating_sums(gl22, c3, fam)
+    sums = alternating_sums(fam)
     assert (sums.stabilizer_sum, sums.stabilizer_complement_sum,
             sums.subspace_sum) == (1, 0, 1)
 
 
 def test_sums_for_trivial_subgroup_gl22(gl22):
     fam = stabilizer_family(gl22, gl22.trivial_subgroup())
-    sums = alternating_sums(gl22, gl22.trivial_subgroup(), fam)
+    sums = alternating_sums(fam)
     assert sums.stabilizer_sum == -2
     assert sums.stabilizer_complement_sum == 2
     assert sums.subspace_sum == -2
@@ -220,7 +220,7 @@ def test_pruned_sums_match_naive_everywhere(gl22, gl23, sl23):
             fam = stabilizer_family(group, h)
             if len(fam.pairs) > 12:
                 continue
-            sums = alternating_sums(group, h, fam)
+            sums = alternating_sums(fam)
             above, equal, space_above = naive_sums(group, h, fam)
             assert sums.stabilizer_sum == above
             assert sums.stabilizer_complement_sum == equal
@@ -234,7 +234,7 @@ def test_powerset_cancellation_each_pair(gl23):
         if h.order == gl23.order:
             continue
         fam = stabilizer_family(gl23, h)
-        sums = alternating_sums(gl23, h, fam)
+        sums = alternating_sums(fam)
         expected = 1 if not fam.distinct_stabilizers else 0
         assert sums.stabilizer_sum + sums.stabilizer_complement_sum == expected
 
@@ -242,7 +242,7 @@ def test_powerset_cancellation_each_pair(gl23):
 def test_sums_powerset_cap(gl22):
     fam = stabilizer_family(gl22, gl22.trivial_subgroup())
     with pytest.raises(PowersetTooLarge):
-        alternating_sums(gl22, gl22.trivial_subgroup(), fam, max_powerset=2)
+        alternating_sums(fam, max_powerset=2)
 
 
 def test_ideal_cap_names_interval_cap(gl23):
@@ -252,7 +252,7 @@ def test_ideal_cap_names_interval_cap(gl23):
     with pytest.raises(IntervalTooLarge,
                        match=r"ideal exceeded interval cap 16 subgroups: "
                              r"40 found"):
-        build_ideal(gl23, h, fam, max_interval=16)
+        build_ideal(fam, max_interval=16)
 
 
 def test_complex_cap_names_vertex_counts(gl22):
@@ -260,7 +260,7 @@ def test_complex_cap_names_vertex_counts(gl22):
     with pytest.raises(PowersetTooLarge,
                        match=r"\(3 subspaces, 3 stabilizers\) exceed "
                              r"powerset cap 2"):
-        build_complexes(gl22, gl22.trivial_subgroup(), fam, max_powerset=2)
+        build_complexes(fam, max_powerset=2)
 
 
 def test_meet_check_rejects_ideal_missing_a_member(gl23):
@@ -276,9 +276,9 @@ def test_meet_check_rejects_ideal_missing_a_member(gl23):
     assert torus.order == 4 and torus not in fam.distinct_stabilizers
     short = subgroup_lattice([s for s in subs if s != torus])
     with pytest.raises(RuntimeError, match="not closed under intersection"):
-        build_ideal(gl23, h, fam, lattice=short)
+        build_ideal(fam, lattice=short)
     # the full lattice gives a valid ideal holding the torus
-    ideal = build_ideal(gl23, h, fam, lattice=subgroup_lattice(subs))
+    ideal = build_ideal(fam, lattice=subgroup_lattice(subs))
     assert torus in ideal.members
 
 
@@ -294,8 +294,7 @@ def test_ideal_reads_supplied_lattice_without_building_a_poset(gl23,
 
     monkeypatch.setattr(FinitePoset, "__init__", no_poset)
     for h in lattice.items[:-1]:
-        ideal = build_ideal(gl23, h, stabilizer_family(gl23, h),
-                            lattice=lattice)
+        ideal = build_ideal(stabilizer_family(gl23, h), lattice=lattice)
         assert ideal.lattice is lattice
 
 
@@ -306,12 +305,12 @@ def test_ideal_minimum_check_rejects_missing_subgroup(gl22):
     subs = overgroup_interval(gl22, h)
     short = subgroup_lattice([k for k in subs if k != h])
     with pytest.raises(SubgroupNotContained):
-        build_ideal(gl22, h, fam, lattice=short)
+        build_ideal(fam, lattice=short)
 
 
 def test_complexes_for_trivial_subgroup_gl22(gl22):
     fam = stabilizer_family(gl22, gl22.trivial_subgroup())
-    cx1, cx2 = build_complexes(gl22, gl22.trivial_subgroup(), fam)
+    cx1, cx2 = build_complexes(fam)
     for cx in (cx1, cx2):
         assert len(cx.vertices) == 3
         assert euler(cx).chi_reduced == 2
@@ -386,7 +385,7 @@ def test_residual_zero_for_gl22_trivial(gl22):
     assert rep.decomposition_residual == 0
     subs = overgroup_interval(gl22, gl22.trivial_subgroup())
     fam = stabilizer_family(gl22, gl22.trivial_subgroup())
-    ideal = build_ideal(gl22, gl22.trivial_subgroup(), fam)
+    ideal = build_ideal(fam)
     ideal_ids = {k.member_ids for k in ideal.members}
     outside = [s for s in subs
                if s.member_ids not in ideal_ids and 1 < s.order < gl22.order]
