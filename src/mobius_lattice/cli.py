@@ -107,11 +107,8 @@ def build_group(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
     return closure(gens, cap=cap)
 
 
-def load_group(args: argparse.Namespace) -> tuple:
-    """Resolve the group the flags name; returns (GroupSet, descriptor dict).
-
-    The field is GF(--q), with --modulus if given; a --gens file's "field"
-    replaces it."""
+def _flag_field(args: argparse.Namespace) -> FqField:
+    """GF(--q), with --modulus if given."""
     q = args.q
     if q < 2:
         raise GroupSpecError(f"--q {q} is not a prime power")
@@ -132,7 +129,14 @@ def load_group(args: argparse.Namespace) -> tuple:
             raise GroupSpecError(
                 f"--modulus {args.modulus!r} is not a comma-separated list "
                 f"of integers") from None
-    fq = FqField(p, u, modulus)
+    return FqField(p, u, modulus)
+
+
+def load_group(args: argparse.Namespace) -> tuple:
+    """Resolve the group the flags name; returns (GroupSet, descriptor dict).
+
+    The field is the --gens file's "field" when it names one, and GF(--q),
+    with --modulus if given, otherwise; only then are those flags read."""
     if args.gens_file:
         try:
             with open(args.gens_file) as fh:
@@ -141,6 +145,8 @@ def load_group(args: argparse.Namespace) -> tuple:
                 raise TypeError("the file does not hold a JSON object")
             if "field" in spec:
                 fq = FqField.from_dict(spec["field"])
+            else:
+                fq = _flag_field(args)
             n = spec["n"]
             gens = [Matrix.from_rows(fq, rows) for rows in spec["generators"]]
             if not gens:
@@ -152,6 +158,7 @@ def load_group(args: argparse.Namespace) -> tuple:
         group = build_group(gens, cap=args.max_order)
         name = spec.get("name", os.path.basename(args.gens_file))
         return group, {"name": name, "n": n, "field": fq.to_dict()}
+    fq = _flag_field(args)
     kind = args.preset or "GL"
     gens = preset_generators(kind, args.n, fq)
     group = build_group(gens, cap=args.max_order)

@@ -44,12 +44,17 @@ G's generators, keeping one transversal element per image of W, and joins
 the Schreier generators that the orbit yields (orbit-stabilizer; Holt, Eick
 and O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1).
 It fails closed: the order of the stabilizer times the length of the orbit
-must be |G|, which also catches generators that do not generate G.
+must be |G|, which also catches generators that do not generate G.  The
+same orbit walk gives normalizers, as the stabilizers of subgroups under
+conjugation.
 
 ``overgroup_interval`` has two strategies.  The whole lattice [1, G] is
-enumerated by cyclic extension (Neubüser, 1960): one subgroup per conjugacy
-class is joined with each cyclic subgroup of prime-power order, and each new
-subgroup brings its whole class, found by conjugating its member set by G's
+enumerated by cyclic extension (Neubüser, 1960) over one subgroup K per
+conjugacy class.  Each new K brings its whole class, the orbit of its member
+set under conjugation by G's generators, and that orbit's Schreier
+generators give N_G(K).  Since <K, C^n> = <K, C>^n for n in N_G(K), K is
+joined with one cyclic subgroup C of prime-power order per N_G(K)-orbit
+outside K, the orbits found by a union-find over conjugation by N_G(K)'s
 generators.  Any other interval [H, M] is searched by joining each known
 subgroup K with one element per double coset K*g*K outside it, each join
 stopped by Lagrange's bound inside M; this search is also the test oracle
@@ -61,7 +66,7 @@ from __future__ import annotations
 from array import array
 from itertools import product
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -430,33 +435,46 @@ def stabilizer(group: GroupSet, subspace: Subspace) -> SubgroupRef:
     cached = group._stab_cache.get(subspace)
     if cached is not None:
         return cached
-    # orbit-stabilizer: transversal[X] is an element u with W*u = X, and
-    # the Schreier generators u*s*u'^-1, u' = transversal[X*s], for every
-    # point X and generator s generate the stabilizer of W
+    moves = [(group.index_of(m), methodcaller("apply", m))
+             for m in group.generators]
+    _, ids, _ = _orbit_stabilizer(group, subspace, moves, "subspaces")
+    ref = SubgroupRef(group, ids)
+    group._stab_cache[subspace] = ref
+    return ref
+
+
+def _orbit_stabilizer(group: GroupSet, point, moves: list,
+                      noun: str) -> tuple:
+    """(orbit, stabilizer ids, stabilizer generators) of ``point`` under G.
+
+    ``moves`` pairs each generator s of G with the function that takes a
+    point X to X*s.  transversal[X] is an element u with point*u = X, and
+    the Schreier generators u*s*u'^-1, u' = transversal[X*s], for every
+    point X and generator s generate the stabilizer of ``point``.  Fails
+    closed: the stabilizer's order times the orbit's length must be |G|,
+    which also catches generators that do not generate G.
+    """
     mul, inv = group.mul, group.inv
-    gens = [(m, group.index_of(m)) for m in group.generators]
-    transversal = {subspace: group.identity_index}
-    orbit = [subspace]
+    transversal = {point: group.identity_index}
+    orbit = [point]
     schreier = []
-    for point in orbit:
-        u = transversal[point]
-        for m, s in gens:
-            image, us = point.apply(m), mul(u, s)
+    for x in orbit:
+        u = transversal[x]
+        for s, move in moves:
+            image, us = move(x), mul(u, s)
             known = transversal.get(image)
             if known is None:
                 transversal[image] = us
                 orbit.append(image)
             else:
                 schreier.append(mul(us, inv(known)))
-    ids, _ = group._generate(schreier)
+    ids, gens = group._generate(schreier)
     if len(ids) * len(orbit) != group.order:
         raise NotASubgroup(
             f"stabilizer of order {len(ids)} times an orbit of "
-            f"{len(orbit)} subspaces is not the group order {group.order}: "
+            f"{len(orbit)} {noun} is not the group order {group.order}: "
             f"the generators do not generate the element set")
-    ref = SubgroupRef(group, ids)
-    group._stab_cache[subspace] = ref
-    return ref
+    return orbit, ids, gens
 
 
 def overgroup_interval(group: GroupSet, low: SubgroupRef,
@@ -532,52 +550,81 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
 
     Every subgroup is generated by its cyclic subgroups of prime-power
     order, so every subgroup H ends a chain 1 < <C1> < <C1, C2> < ... < H
-    of joins with such cyclic subgroups C.  Only one subgroup per
-    conjugacy class is queued, and it is joined with every such C it does
-    not contain; a new join brings its whole class into ``known``.
-    Conjugating a chain by g gives a chain of the same kind, so the chain of
-    H is followed through the representatives of its conjugates.
+    of joins with such cyclic subgroups C.  Only one subgroup K per
+    conjugacy class is queued; a new join brings its whole class into
+    ``known``.  Conjugating a chain by g gives a chain of the same kind, so
+    the chain of H is followed through the representatives of its
+    conjugates.  For n in N_G(K), <K, C^n> = <K, C>^n lies in the class of
+    <K, C>, so K is joined with one C per N_G(K)-orbit outside K.  The orbit
+    of K under conjugation by G's generators is its class, and the orbit's
+    Schreier generators generate N_G(K).
     """
     images, inv = group.right_images, group.inv
     # conj[t] = g^-1 t^-1 g = (t g)^-1 g: since a subgroup holds the inverse
     # of each of its members, mapping its members through conj conjugates it
     # by g, and the only right factor is g
-    conjugations = []
+    moves = []
     for m in group.generators:
         g = group.index_of(m)
-        conjugations.append(images(map(inv, images(range(group.order), g)),
-                                   g))
+        conj = images(map(inv, images(range(group.order), g)), g)
+        moves.append((g, lambda sub, conj=conj: frozenset(
+            map(conj.__getitem__, sub))))
     trivial = frozenset((group.identity_index,))
     known = {trivial}
-    queue = [(trivial, [])]
-    cyclic = _prime_power_cyclic_generators(group)
+    # each representative K is queued with its generators and N_G(K)'s
+    queue = [(trivial, [], [g for g, _ in moves])]
+    cyclic, cyc_of = _prime_power_cyclic_generators(group)
     while queue:
-        current, gens = queue.pop()
-        for x in cyclic:
+        current, gens, normalizer = queue.pop()
+        for x in _orbit_representatives(group, normalizer, cyclic, cyc_of):
             if x in current:
                 continue
             extended = group._join(current, gens, x)
             if extended in known:
                 continue
-            known.add(extended)
-            conjugates = [extended]
-            for sub in conjugates:
-                for conj in conjugations:
-                    image = frozenset(map(conj.__getitem__, sub))
-                    if image not in known:
-                        known.add(image)
-                        conjugates.append(image)
+            conjugates, _, normalizer = _orbit_stabilizer(
+                group, extended, moves, "conjugate subgroups")
+            known.update(conjugates)
             _check_cap(known, cap)
-            queue.append((extended, gens + [x]))
+            queue.append((extended, gens + [x], normalizer))
     return known
 
 
-def _prime_power_cyclic_generators(group: GroupSet) -> list:
-    """One generator of each non-trivial cyclic subgroup of prime-power
-    order, in the order of their first generator's id."""
+def _orbit_representatives(group: GroupSet, gens: list, cyclic: list,
+                           cyc_of: array) -> list:
+    """The first generator, in ``cyclic``'s order, of each orbit of the
+    subgroup generated by ``gens`` acting by conjugation on the cyclic
+    subgroups that ``cyclic`` generates; ``cyc_of`` maps every generator of
+    each to its position in ``cyclic``.  The orbits are the classes of a
+    union-find whose roots are the least positions."""
+    images, inv = group.right_images, group.inv
+    root = list(range(len(cyclic)))
+
+    def find(c: int) -> int:
+        while root[c] != c:
+            root[c] = c = root[root[c]]
+        return c
+
+    for g in gens:
+        # (x g)^-1 g = g^-1 x^-1 g generates <x>^g
+        for c, y in enumerate(images(map(inv, images(cyclic, g)), g)):
+            d = cyc_of[y]
+            if d != c:
+                a, b = find(c), find(d)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    return [x for c, x in enumerate(cyclic) if root[c] == c]
+
+
+def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
+    """(cyclic, cyc_of): one generator of each non-trivial cyclic subgroup
+    of prime-power order, in the order of their first generator's id, and
+    the map from every generator of each to its position in ``cyclic``
+    (-1 for the other elements)."""
     mul, identity = group.mul, group.identity_index
     # done[y]: y generates a cyclic subgroup whose powers were already taken
     done = bytearray(group.order)
+    cyc_of = array("i", [-1]) * group.order
     found = []
     for x in range(group.order):
         if done[x] or x == identity:
@@ -588,12 +635,15 @@ def _prime_power_cyclic_generators(group: GroupSet) -> list:
             powers.append(y)
             y = mul(y, x)
         order = len(powers)
-        for k in range(1, order):
-            if gcd(k, order) == 1:
-                done[powers[k]] = 1
+        generators = [powers[k] for k in range(1, order)
+                      if gcd(k, order) == 1]
+        for y in generators:
+            done[y] = 1
         p = _smallest_prime_factor(order)
         while order % p == 0:
             order //= p
         if order == 1:
+            for y in generators:
+                cyc_of[y] = len(found)
             found.append(x)
-    return found
+    return found, cyc_of

@@ -4,7 +4,10 @@ The poset and complex oracles here are the classical results the package's
 own paths are checked against, and nothing in the package runs them: the
 full Mobius table by zeta inversion, bounded posets, adjoined bounds,
 coatoms, meets and crosscut sums (Rota, 1964), downward closure of a face
-family, order complexes (Hall's theorem) and alternating face sums.
+family, order complexes (Hall's theorem) and alternating face sums.  The
+group oracles beside them build groups by matrix products, stabilizers by
+element scans and the subgroup lattice by cyclic extension without the
+package's normalizer-orbit pruning.
 """
 
 import itertools
@@ -17,6 +20,7 @@ from mobius_lattice.errors import (
     MobiusLatticeError,
     PowersetTooLarge,
 )
+from mobius_lattice.group import _prime_power_cyclic_generators
 from mobius_lattice.linalg import (
     Matrix,
     Subspace,
@@ -62,6 +66,46 @@ def stabilizer_by_element_filter(group, w):
     return frozenset(i for i, m in enumerate(group.elements)
                      if all(w._contains_indices(apply_row(group.field, r, m))
                             for r in w.rows))
+
+
+def lattice_by_unpruned_cyclic_extension(group):
+    """Member sets of the whole subgroup lattice by cyclic extension over
+    conjugacy-class representatives, each joined with every cyclic subgroup
+    of prime-power order it does not contain.
+
+    The package joins a representative K with one such subgroup per
+    N_G(K)-orbit; this oracle checks that the pruning loses no subgroup.
+    Each new subgroup brings its class, closed under conjugation by G's
+    generators."""
+    images, inv = group.right_images, group.inv
+    # conj[t] = (t g)^-1 g = g^-1 t^-1 g conjugates a subgroup's member set
+    conjugations = []
+    for m in group.generators:
+        g = group.index_of(m)
+        conjugations.append(images(map(inv, images(range(group.order), g)),
+                                   g))
+    trivial = frozenset((group.identity_index,))
+    known = {trivial}
+    queue = [(trivial, [])]
+    cyclic, _ = _prime_power_cyclic_generators(group)
+    while queue:
+        current, gens = queue.pop()
+        for x in cyclic:
+            if x in current:
+                continue
+            extended = group._join(current, gens, x)
+            if extended in known:
+                continue
+            known.add(extended)
+            conjugates = [extended]
+            for sub in conjugates:
+                for conj in conjugations:
+                    image = frozenset(map(conj.__getitem__, sub))
+                    if image not in known:
+                        known.add(image)
+                        conjugates.append(image)
+            queue.append((extended, gens + [x]))
+    return known
 
 
 def sorted_lines(field, n):

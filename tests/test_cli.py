@@ -253,6 +253,20 @@ def test_generator_file_without_field_uses_q(tmp_path):
     assert all(r["field"] == {"p": 3, "u": 1} for r in rows[:-1])
 
 
+def test_generator_file_field_ignores_q(tmp_path):
+    # the file names GF(2), so --q 1021 (over the field-table cap) is not read
+    spec = {"field": {"p": 2, "u": 1}, "n": 2,
+            "generators": [[[1, 1], [0, 1]], [[0, 1], [1, 0]]]}
+    path = tmp_path / "g22.json"
+    path.write_text(json.dumps(spec))
+    with_q, without_q = tmp_path / "with_q.jsonl", tmp_path / "without.jsonl"
+    assert run_cli(["verify", "--gens", str(path), "--q", "1021",
+                    "--out", str(with_q)]) == 0
+    assert run_cli(["verify", "--gens", str(path),
+                    "--out", str(without_q)]) == 0
+    assert with_q.read_bytes() == without_q.read_bytes()
+
+
 def test_extension_field_group(tmp_path):
     # GL(1,4): cyclic of order 3, scalar matrices over GF(4)
     out = tmp_path / "gl14.jsonl"

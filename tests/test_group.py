@@ -1,6 +1,8 @@
+import collections
 import itertools
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -32,6 +34,7 @@ from mobius_lattice.linalg import (
 
 from helpers import (
     closure_by_matrix_products,
+    lattice_by_unpruned_cyclic_extension,
     line_stabilizers,
     naive_subset_sums,
     sorted_lines,
@@ -421,22 +424,76 @@ def test_cyclic_extension_matches_coset_search(name):
     assert by_classes == by_cosets
 
 
+def _record_extension_joins(monkeypatch):
+    """Record (K, x) for every join <K, x> the extension loop makes from a
+    queued representative K.  The joins ``_generate`` makes while building a
+    normalizer are not recorded."""
+    joins = []
+    join = GroupSet._join
+
+    def recording_join(self, members, gens, g, top=None):
+        if sys._getframe(1).f_code.co_name == "_lattice_by_cyclic_extension":
+            joins.append((members, g))
+        return join(self, members, gens, g, top)
+
+    monkeypatch.setattr(GroupSet, "_join", recording_join)
+    return joins
+
+
+def _record_normalizers(monkeypatch):
+    """Record {K: N_G(K) member ids} for every class representative K whose
+    class and normalizer the extension loop builds (all but K = 1)."""
+    normalizers = {}
+    orbit_stabilizer = group_module._orbit_stabilizer
+
+    def recording(group, point, moves, noun):
+        orbit, ids, gens = orbit_stabilizer(group, point, moves, noun)
+        normalizers[point] = ids
+        return orbit, ids, gens
+
+    monkeypatch.setattr(group_module, "_orbit_stabilizer", recording)
+    return normalizers
+
+
+def _conjugation_permutations(g):
+    """perms[x][i] = id of x^-1 * g_i * x, by matrix products."""
+    out = []
+    for x in g.elements:
+        x_inv = x.inverse()
+        out.append([g.index_of(x_inv * m * x) for m in g.elements])
+    return out
+
+
+def _cyclic_prime_power_subgroups(g):
+    """Member sets of the non-trivial cyclic subgroups of prime-power
+    order, from the powers of each element by matrix products."""
+    found = set()
+    for x in g.elements:
+        powers = [x]
+        while powers[-1] != g.elements[g.identity_index]:
+            powers.append(powers[-1] * x)
+        order = len(powers)
+        if order > 1:
+            # order is a prime power iff its least divisor p > 1 is its
+            # only prime divisor
+            p = next(d for d in range(2, order + 1) if order % d == 0)
+            while order % p == 0:
+                order //= p
+            if order == 1:
+                found.add(frozenset(map(g.index_of, powers)))
+    return found
+
+
 def test_cyclic_extension_queues_one_subgroup_per_class(monkeypatch, gl23,
                                                        sl23):
     # oracle: conjugacy classes of subgroups from matrix conjugation by
     # every element of G
-    queued = set()
-    join = GroupSet._join
-
-    def recording_join(self, members, gens, g):
-        queued.add(members)
-        return join(self, members, gens, g)
-
-    monkeypatch.setattr(GroupSet, "_join", recording_join)
+    joins = _record_extension_joins(monkeypatch)
     for g in (gl23, sl23):
-        queued.clear()
+        joins.clear()
         lattice = group_module._lattice_by_cyclic_extension(
             g, group_module.INTERVAL_CAP)
+        queued = {k for k, _ in joins}
 
         def class_of(members):
             return frozenset(
@@ -450,6 +507,68 @@ def test_cyclic_extension_queues_one_subgroup_per_class(monkeypatch, gl23,
         assert queued <= lattice
         assert {class_of(k) for k in queued} == classes
         assert len(queued) == len(classes)
+
+
+@pytest.mark.parametrize("name", ["GL(2,3)", "SL(2,3)", "GL(3,2)"])
+def test_cyclic_extension_normalizers_and_orbit_joins(monkeypatch, name):
+    # oracles by matrix conjugation: N_G(K) = {x : K^x = K}, and the
+    # N_G(K)-orbits on the prime-power cyclic subgroups outside K
+    build, _ = _LATTICE_GROUPS[name]
+    g = build()
+    joins = _record_extension_joins(monkeypatch)
+    normalizers = _record_normalizers(monkeypatch)
+    lattice = group_module._lattice_by_cyclic_extension(
+        g, group_module.INTERVAL_CAP)
+    trivial = frozenset((g.identity_index,))
+    full = frozenset(range(g.order))
+    joined_from = collections.Counter(k for k, _ in joins)
+    # every representative but 1 has its normalizer built; every one but G
+    # is joined from
+    reps = set(normalizers) | {trivial}
+    assert reps == set(joined_from) | {full}
+    assert reps <= lattice
+    perms = _conjugation_permutations(g)
+    cyclics = _cyclic_prime_power_subgroups(g)
+    for k in reps:
+        normalizer = frozenset(
+            x for x, perm in enumerate(perms)
+            if frozenset(map(perm.__getitem__, k)) == k)
+        if k != trivial:
+            assert normalizers[k] == normalizer, sorted(k)
+        orbits = {frozenset(frozenset(map(perms[x].__getitem__, c))
+                            for x in normalizer)
+                  for c in cyclics if not c <= k}
+        assert joined_from[k] == len(orbits), sorted(k)
+
+
+def test_cyclic_extension_normalizer_fails_closed(monkeypatch, gl23):
+    # a Schreier join that loses its generators: |N_G(K)| * |class| is then
+    # not |G| for the first new class, and the lattice is not returned
+    monkeypatch.setattr(
+        GroupSet, "_generate",
+        lambda self, ids: (frozenset((self.identity_index,)), []))
+    with pytest.raises(NotASubgroup, match="conjugate subgroups"):
+        group_module._lattice_by_cyclic_extension(
+            gl23, group_module.INTERVAL_CAP)
+
+
+def test_cyclic_extension_matches_unpruned_gl25():
+    g = _preset("GL", 2, 5)
+    lattice = group_module._lattice_by_cyclic_extension(
+        g, group_module.INTERVAL_CAP)
+    assert len(lattice) == 466
+    assert lattice == lattice_by_unpruned_cyclic_extension(g)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind,p,u", [("GL", 7, 1), ("GL", 2, 3),
+                                      ("SL", 3, 2)],
+                         ids=["GL(2,7)", "GL(2,8)", "SL(2,9)"])
+def test_slow_cyclic_extension_matches_unpruned(kind, p, u):
+    g = _preset(kind, 2, p, u)
+    lattice = group_module._lattice_by_cyclic_extension(
+        g, group_module.INTERVAL_CAP)
+    assert lattice == lattice_by_unpruned_cyclic_extension(g)
 
 
 def _assert_intervals_match_lattice_filter(g):
@@ -510,13 +629,15 @@ def test_interval_search_joins_few_subgroups(monkeypatch, gl33):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kind,p,u,size", [("GL", 7, 1, 1704),
-                                         ("SL", 3, 2, 588)])
-def test_slow_lattice_sizes(kind, p, u, size):
-    g = _preset(kind, 2, p, u)
+@pytest.mark.parametrize("kind,n,p,u,size", [("GL", 2, 7, 1, 1704),
+                                           ("SL", 2, 3, 2, 588),
+                                           ("SL", 3, 3, 1, 6374),
+                                           ("GL", 2, 3, 2, 4534)])
+def test_slow_lattice_sizes(kind, n, p, u, size):
+    g = _preset(kind, n, p, u)
     start = time.perf_counter()
     subs = overgroup_interval(g, g.trivial_subgroup())
-    print(f"{kind}(2,{p ** u}): {len(subs)} subgroups in "
+    print(f"{kind}({n},{p ** u}): {len(subs)} subgroups in "
           f"{time.perf_counter() - start:.1f} s")
     assert len(subs) == size
 
