@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .errors import (
     GroupSpecError,
     IntervalTooLarge,
+    InvalidCap,
     MalformedReport,
     MobiusLatticeError,
     PowersetTooLarge,
@@ -229,6 +230,18 @@ def select_subgroups(group: GroupSet, args: argparse.Namespace,
     return out
 
 
+def _check_caps(args: argparse.Namespace) -> None:
+    """Reject a cap no run can mean: --max-index below 1 (no proper
+    subgroup has index 0) or a negative size cap."""
+    max_index = getattr(args, "max_index", None)
+    if max_index is not None and max_index < 1:
+        raise InvalidCap(f"--max-index {max_index} is below 1")
+    for name in ("max_order", "max_interval", "max_powerset"):
+        value = getattr(args, name)
+        if value < 0:
+            raise InvalidCap(f"--{name.replace('_', '-')} {value} is negative")
+
+
 def _check_writable(out: Optional[str]) -> None:
     """Fail before any work when the report path cannot be written.
 
@@ -245,6 +258,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # wall_time covers the whole run: load, lattice, selection and the loop
     started = time.monotonic()
     try:
+        _check_caps(args)
         _check_writable(args.out)
         group, descriptor = load_group(args)
         if not is_irreducible(group):
@@ -344,6 +358,7 @@ def _resolve_endpoint(group: GroupSet, spec: str) -> SubgroupRef:
 
 def cmd_mobius(args: argparse.Namespace) -> int:
     try:
+        _check_caps(args)
         group, descriptor = load_group(args)
         low = _resolve_endpoint(group, args.low)
         high = _resolve_endpoint(group, args.high)

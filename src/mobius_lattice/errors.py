@@ -88,6 +88,11 @@ class MalformedReport(MobiusLatticeError):
     """Report file is invalid or contains conflicting duplicate rows."""
 
 
+class InvalidCap(MobiusLatticeError):
+    """A cap flag holds a value no run can mean: an index below 1 or a
+    negative size."""
+
+
 class GroupSpecError(MobiusLatticeError):
     """A run's group, field, subgroup file or report path cannot be
     resolved."""

@@ -291,13 +291,14 @@ class GroupSet:
 class SubgroupRef:
     """Handle to a subgroup of a GroupSet, canonical by its member id set."""
 
-    __slots__ = ("parent", "member_ids", "_sorted", "_gens")
+    __slots__ = ("parent", "member_ids", "_sorted", "_gens", "_bits")
 
     def __init__(self, parent: GroupSet, member_ids: frozenset):
         self.parent = parent
         self.member_ids = member_ids
         self._sorted = None
         self._gens = None
+        self._bits = None
 
     @property
     def order(self) -> int:
@@ -308,6 +309,16 @@ class SubgroupRef:
         if self._sorted is None:
             self._sorted = tuple(sorted(self.member_ids))
         return self._sorted
+
+    @property
+    def member_bits(self) -> int:
+        """The member ids as one int: bit x is set iff element x is a member."""
+        if self._bits is None:
+            buf = bytearray((self.parent.order + 7) >> 3)
+            for x in self.member_ids:
+                buf[x >> 3] |= 1 << (x & 7)
+            self._bits = int.from_bytes(buf, "little")
+        return self._bits
 
     def matrices(self) -> list:
         return [self.parent.elements[i] for i in self.ids]

@@ -112,10 +112,32 @@ class ReducibleIdeal:
 def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
     """The containment order on ``subgroups``, items sorted by ``sort_key``.
 
-    Orders grow with the index, so the index order is a linear extension.
+    Orders grow with the index, so the index order is a linear extension and
+    only a later item can contain an earlier one.  ``containing[x]`` holds
+    the bits of the items that contain element x; an item's bit is recorded
+    only for the elements some earlier item has, since no other element can
+    decide a containment.  ``up[i]`` is then the AND of ``containing[x]``
+    over the members x of item i, masked to the items after i.
     """
-    return FinitePoset.from_leq(sorted(subgroups, key=SubgroupRef.sort_key),
-                                lambda a, b: a.member_ids <= b.member_ids)
+    items = sorted(subgroups, key=SubgroupRef.sort_key)
+    containing: dict = {}
+    seen: set = set()
+    for j, k in enumerate(items):
+        bit = 1 << j
+        for x in seen.intersection(k.member_ids):
+            containing[x] = containing.get(x, 0) | bit
+        seen.update(k.member_ids)
+    full = (1 << len(items)) - 1
+    up = []
+    for i, k in enumerate(items):
+        later = full >> (i + 1) << (i + 1)
+        if later:
+            for x in k.member_ids:
+                later &= containing.get(x, 0)
+                if not later:
+                    break
+        up.append(later | 1 << i)
+    return FinitePoset(items, up)
 
 
 def _position(lattice: FinitePoset, subgroup: SubgroupRef) -> int:
@@ -155,23 +177,24 @@ def build_ideal(family: StabilizerFamily,
         raise IntervalTooLarge(
             f"ideal exceeded interval cap {max_interval} subgroups: "
             f"{len(members)} found")
-    _validate_meets(members)
+    _validate_meets(lattice, mask)
     return ReducibleIdeal(members, lattice, bottom, mask)
 
 
-def _validate_meets(members: Sequence[SubgroupRef]) -> None:
+def _validate_meets(lattice: FinitePoset, mask: int) -> None:
     """Meets in the ideal are subgroup intersections; check they are members.
 
     K1 ^ K2 contains H and sits below any stabilizer dominating K1, so the
     intersection belongs to the ideal whenever K1 does; a miss means the
-    enumeration itself is broken.
+    enumeration itself is broken.  Member sets are compared as element
+    bitmasks (``SubgroupRef.member_bits``), every pair of them.
     """
-    member_sets = {k.member_ids for k in members}
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if a.member_ids & b.member_ids not in member_sets:
-                raise RuntimeError(
-                    "ideal is not closed under intersection; not a lattice")
+    bits = [lattice.items[i].member_bits for i in _bits(mask)]
+    known = set(bits)
+    for i, a in enumerate(bits):
+        if not {a & b for b in bits[i + 1:]} <= known:
+            raise RuntimeError(
+                "ideal is not closed under intersection; not a lattice")
 
 
 def mu_ideal(ideal: ReducibleIdeal) -> int:

@@ -9,6 +9,7 @@ representative; equality and hashing go through it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -351,7 +352,7 @@ def invariant_subspaces(matrices: Sequence[Matrix], n: Optional[int] = None,
     Checking the given matrices suffices for a generating set: the action
     preserves dimension, so invariance under generators extends to the group
     they generate.  With the flag set, 0 and the full space are removed.
-    The result is in canonical order (``Subspace.sort_key``).
+    The result is a new list in canonical order (``Subspace.sort_key``).
     """
     matrices = list(matrices)
     if not matrices:
@@ -364,10 +365,16 @@ def invariant_subspaces(matrices: Sequence[Matrix], n: Optional[int] = None,
             raise AmbientMismatch("matrices must be square over one field")
         if not m.is_invertible():
             raise SingularElement("invariant subspaces need invertible matrices")
-    found = []
-    for w in enumerate_subspaces(field, n, cap=cap):
-        if proper_nontrivial and (w.is_zero() or w.is_full()):
-            continue
-        if all(w.apply(m) == w for m in matrices):
-            found.append(w)
-    return sorted(found, key=Subspace.sort_key)
+    # an invertible m keeps dim W, so W*m = W once every basis row's image
+    # lies in W; no image is row-reduced
+    return [w for w in _sorted_subspaces(field, n, cap)
+            if not (proper_nontrivial and (w.is_zero() or w.is_full()))
+            and all(w._contains_indices(apply_row(field, r, m))
+                    for m in matrices for r in w.rows)]
+
+
+@lru_cache(maxsize=4)
+def _sorted_subspaces(field: FqField, n: int, cap: int) -> tuple:
+    """Every subspace of GF(q)^n in canonical order, kept for later calls."""
+    return tuple(sorted(enumerate_subspaces(field, n, cap=cap),
+                        key=Subspace.sort_key))

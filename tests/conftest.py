@@ -53,6 +53,11 @@ def gl32():
 
 
 @pytest.fixture(scope="session")
+def gl25():
+    return _group("GL", 2, 5)
+
+
+@pytest.fixture(scope="session")
 def corpus(gl22, gl23, sl23, gl32):
     """The acceptance corpus with precomputed full subgroup lists."""
     out = []

@@ -6,8 +6,10 @@ full Mobius table by zeta inversion, bounded posets, adjoined bounds,
 coatoms, meets and crosscut sums (Rota, 1964), downward closure of a face
 family, order complexes (Hall's theorem) and alternating face sums.  The
 group oracles beside them build groups by matrix products, stabilizers by
-element scans and the subgroup lattice by cyclic extension without the
-package's normalizer-orbit pruning.
+element scans, the subgroup lattice by cyclic extension without the
+package's normalizer-orbit pruning and its containment order by comparing
+every pair of member sets; invariant subspaces are found by row-reducing
+every image.
 """
 
 import itertools
@@ -20,7 +22,7 @@ from mobius_lattice.errors import (
     MobiusLatticeError,
     PowersetTooLarge,
 )
-from mobius_lattice.group import _prime_power_cyclic_generators
+from mobius_lattice.group import SubgroupRef, _prime_power_cyclic_generators
 from mobius_lattice.linalg import (
     Matrix,
     Subspace,
@@ -106,6 +108,28 @@ def lattice_by_unpruned_cyclic_extension(group):
                         conjugates.append(image)
             queue.append((extended, gens + [x]))
     return known
+
+
+def containment_order(subgroups) -> FinitePoset:
+    """The containment order on ``subgroups``, sorted by ``sort_key``, from
+    a member-set comparison of every pair (``FinitePoset.from_leq``).
+
+    Independent of ``subgroup_lattice``, which reads the order off the
+    items that contain each element."""
+    return FinitePoset.from_leq(sorted(subgroups, key=SubgroupRef.sort_key),
+                                lambda a, b: a.member_ids <= b.member_ids)
+
+
+def invariant_subspaces_by_rref(matrices, n, proper_nontrivial=False):
+    """Subspaces W of GF(q)^n with W*m = W for every matrix, in canonical
+    order, by row-reducing each image W*m and comparing it with W.
+
+    Independent of ``invariant_subspaces``, which tests only that each basis
+    row's image lies in W and keeps the enumeration between calls."""
+    found = [w for w in enumerate_subspaces(matrices[0].field, n)
+             if not (proper_nontrivial and (w.is_zero() or w.is_full()))
+             and all(w.apply(m) == w for m in matrices)]
+    return sorted(found, key=Subspace.sort_key)
 
 
 def sorted_lines(field, n):

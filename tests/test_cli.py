@@ -532,7 +532,16 @@ def _matrices_file(tmp_path, gen_lists):
 # command is verify unless a third entry names another
 EXIT_CASES = {
     "all-verified": (lambda tmp: _GL22, 0),
-    "pairs-skipped": (lambda tmp: [*_GL22, "--max-powerset", "-1"], 3),
+    "pairs-skipped": (lambda tmp: [*_GL22, "--max-powerset", "1"], 3),
+    # caps no run can mean fail as usage errors, before any group is built
+    "max-index-zero": (lambda tmp: [*_GL22, "--max-index", "0"], 2),
+    "max-order-negative": (lambda tmp: [*_GL22, "--max-order", "-1"], 2),
+    "max-interval-negative": (lambda tmp: [
+        *_GL22, "--max-interval", "-1"], 2),
+    "max-powerset-negative": (lambda tmp: [
+        *_GL22, "--max-powerset", "-1"], 2),
+    "mobius-max-interval-negative": (lambda tmp: [
+        *_GL22, "--max-interval", "-1"], 2, "mobius"),
     "no-generators": (lambda tmp: _gens_file(
         tmp, {"field": {"p": 2, "u": 1}, "n": 2, "generators": []}), 2),
     "generator-file-not-object": (lambda tmp: _gens_file(tmp, [1, 2]), 2),
@@ -588,6 +597,27 @@ def test_verify_exit_codes(tmp_path, case):
     if code == 2:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("verify", "--max-index", "0", "--max-index 0 is below 1"),
+    ("verify", "--max-index", "-1", "--max-index -1 is below 1"),
+    ("verify", "--max-order", "-2", "--max-order -2 is negative"),
+    ("verify", "--max-interval", "-1", "--max-interval -1 is negative"),
+    ("verify", "--max-powerset", "-1", "--max-powerset -1 is negative"),
+    ("mobius", "--max-order", "-1", "--max-order -1 is negative"),
+    ("mobius", "--max-powerset", "-3", "--max-powerset -3 is negative"),
+])
+def test_meaningless_cap_names_flag_and_value(capsys, command, flag, value,
+                                              message):
+    assert run_cli([command, *_GL22, flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_zero_size_caps_are_kept(tmp_path):
+    # a size cap of 0 is meaningful: every pair with a stabilizer is skipped
+    assert run_cli(["verify", *_GL22, "--max-powerset", "0",
+                    "--out", str(tmp_path / "out.jsonl")]) == 3
 
 
 @pytest.mark.parametrize("flag", ["--from", "--to"])

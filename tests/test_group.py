@@ -552,6 +552,26 @@ def test_cyclic_extension_normalizer_fails_closed(monkeypatch, gl23):
             gl23, group_module.INTERVAL_CAP)
 
 
+def _bit_set(bits):
+    return {x for x in range(bits.bit_length()) if bits >> x & 1}
+
+
+def test_member_bits_hold_exactly_the_member_ids(gl23, gl25):
+    # GL(2,3) has 48 elements over 6 bytes, GL(2,5) 480 over 60; the whole
+    # group holds the top id, and the ids 7 and 8 lie across a byte boundary
+    for g in (gl23, gl25):
+        subs = overgroup_interval(g, g.trivial_subgroup())
+        for k in subs:
+            assert _bit_set(k.member_bits) == k.member_ids
+            assert k.member_bits is k.member_bits
+        full = g.full_subgroup()
+        assert full.member_bits == (1 << g.order) - 1
+        assert full.member_bits >> (g.order - 1) == 1
+        for seeds in ([7], [8], [7, 8], [g.order - 1]):
+            k = g.subgroup_closure(seeds)
+            assert _bit_set(k.member_bits) == k.member_ids
+
+
 def test_cyclic_extension_matches_unpruned_gl25():
     g = _preset("GL", 2, 5)
     lattice = group_module._lattice_by_cyclic_extension(

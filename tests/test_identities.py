@@ -8,6 +8,7 @@ from mobius_lattice.errors import (
     ReducibleAmbientGroup,
     SubgroupNotContained,
 )
+from mobius_lattice.cli import preset_generators
 from mobius_lattice.gfq import FqField
 from mobius_lattice.group import closure, overgroup_interval, stabilizer
 from mobius_lattice.identities import (
@@ -23,6 +24,8 @@ from mobius_lattice.identities import (
 from mobius_lattice.linalg import Matrix, Subspace
 from mobius_lattice.poset import FinitePoset
 from mobius_lattice.simplicial import euler
+
+from helpers import containment_order
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -282,6 +285,26 @@ def test_meet_check_rejects_ideal_missing_a_member(gl23):
     assert torus in ideal.members
 
 
+def test_meet_check_rejects_gl25_lattice_missing_a_meet(gl25):
+    # H = 1: take two incomparable ideal members whose intersection is
+    # neither H nor a stabilizer, and drop that intersection from the
+    # lattice; both stay in the ideal, which loses closure under meets
+    h = gl25.trivial_subgroup()
+    fam = stabilizer_family(gl25, h)
+    subs = overgroup_interval(gl25, h)
+    ideal = build_ideal(fam, lattice=subgroup_lattice(subs))
+    by_members = {k.member_ids: k for k in ideal.members}
+    stabs = set(fam.distinct_stabilizers)
+    meet = next(by_members[a.member_ids & b.member_ids]
+                for a, b in itertools.combinations(ideal.members, 2)
+                if not (a <= b or b <= a)
+                and by_members[a.member_ids & b.member_ids] not in stabs
+                and (a.member_ids & b.member_ids) != h.member_ids)
+    short = subgroup_lattice([s for s in subs if s != meet])
+    with pytest.raises(RuntimeError, match="not closed under intersection"):
+        build_ideal(fam, lattice=short)
+
+
 def test_ideal_reads_supplied_lattice_without_building_a_poset(gl23,
                                                               monkeypatch):
     # given the run's lattice, the ideal is a mask over it and no second
@@ -408,3 +431,71 @@ def test_residuals_zero_on_small_sweeps(gl22, sl23):
             rep = verify_identities(group, h, lattice=lattice,
                                     with_decomposition=True)
             assert rep.decomposition_residual == 0
+
+
+def _assert_order_matches_oracle(subgroups):
+    lattice = subgroup_lattice(subgroups)
+    oracle = containment_order(subgroups)
+    assert lattice.items == oracle.items
+    assert lattice.up == oracle.up
+    assert lattice.down == oracle.down
+
+
+def test_whole_lattice_order_matches_pairwise_order(corpus, gl25):
+    # the order read off element membership equals the order from comparing
+    # every pair of member sets, on each corpus group and GL(2,5)
+    for _, group, subs in corpus:
+        _assert_order_matches_oracle(subs)
+    _assert_order_matches_oracle(overgroup_interval(gl25,
+                                                    gl25.trivial_subgroup()))
+
+
+@pytest.fixture(scope="module")
+def gl33():
+    return closure(preset_generators("GL", 3, F3))
+
+
+_GL33_TORUS = [[[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+               [[1, 0, 0], [0, 2, 0], [0, 0, 1]],
+               [[1, 0, 0], [0, 1, 0], [0, 0, 2]]]
+_GL33_E12 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+_GL33_E23 = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("gens", [
+    _GL33_TORUS + [_GL33_E12, _GL33_E23],
+    [_GL33_E12, [[0, 1, 0], [2, 0, 0], [0, 0, 1]], _GL33_TORUS[0]],
+    _GL33_TORUS + [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]],
+    _GL33_TORUS,
+    [_GL33_E12, _GL33_E23],
+], ids=["upper-borel", "gl23-plus-1", "torus-swap", "diagonal-torus",
+        "upper-unitriangular"])
+def test_interval_lattice_order_matches_pairwise_order_gl33(gl33, gens):
+    # the lattice build_ideal builds without a whole lattice: H and the
+    # intervals [H, M] up to each stabilizer M
+    h = gl33.subgroup_closure([gl33.index_of(Matrix.from_rows(F3, rows))
+                               for rows in gens])
+    fam = stabilizer_family(gl33, h)
+    subs = {h}.union(*(overgroup_interval(gl33, h, top=m)
+                       for m in fam.distinct_stabilizers))
+    _assert_order_matches_oracle(subs)
+
+
+def test_two_item_interval_order_matches_pairwise_order():
+    # the upper Borel subgroup of GL(2,7) and the whole group
+    f7 = FqField(7)
+    g = closure(preset_generators("GL", 2, f7))
+    borel = g.subgroup_closure([g.index_of(Matrix.from_rows(f7, rows))
+                                for rows in ([[1, 1], [0, 1]], [[3, 0], [0, 1]],
+                                             [[1, 0], [0, 3]])])
+    subs = overgroup_interval(g, borel)
+    assert len(subs) == 2
+    _assert_order_matches_oracle(subs)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind,p,u", [("SL", 3, 2), ("GL", 7, 1)],
+                         ids=["SL(2,9)", "GL(2,7)"])
+def test_slow_whole_lattice_order_matches_pairwise_order(kind, p, u):
+    g = closure(preset_generators(kind, 2, FqField(p, u)))
+    _assert_order_matches_oracle(overgroup_interval(g, g.trivial_subgroup()))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,8 @@ from mobius_lattice.linalg import (
     invariant_subspaces,
     rref,
 )
+
+from helpers import invariant_subspaces_by_rref
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -184,6 +187,74 @@ def test_invariance_extends_to_full_group(gl23):
 def test_singular_matrix_rejected():
     with pytest.raises(SingularElement):
         invariant_subspaces([Matrix.from_rows(F2, [[1, 1], [1, 1]])], 2)
+
+
+def _random_generators(rng, field, n):
+    """One or two invertible matrices, each a random element, an upper
+    triangular one, a diagonal one or a scalar, so that the groups they
+    generate range from irreducible to fixing every subspace."""
+    q = field.q
+    out = []
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.choice(["any", "upper", "diagonal", "scalar"])
+        while True:
+            scalar = rng.randrange(1, q)
+            data = []
+            for i in range(n):
+                for j in range(n):
+                    if kind == "any" or (kind == "upper" and j > i):
+                        data.append(rng.randrange(q))
+                    elif i == j:
+                        data.append(scalar if kind == "scalar"
+                                    else rng.randrange(1, q))
+                    else:
+                        data.append(0)
+            m = Matrix(field, n, n, tuple(data))
+            if m.is_invertible():
+                out.append(m)
+                break
+    return out
+
+
+@pytest.mark.parametrize("p,u,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2),
+                                   (5, 1, 2), (2, 3, 2), (3, 2, 2),
+                                   (2, 1, 3), (3, 1, 3)],
+                         ids=["GF(2)^2", "GF(3)^2", "GF(4)^2", "GF(5)^2",
+                              "GF(8)^2", "GF(9)^2", "GF(2)^3", "GF(3)^3"])
+def test_invariant_subspaces_match_rref_oracle(p, u, n):
+    # basis-row images inside W against row-reducing W*m and comparing
+    field = FqField(p, u)
+    rng = random.Random(p * 100 + u * 10 + n)
+    sizes = set()
+    for _ in range(40):
+        gens = _random_generators(rng, field, n)
+        for proper in (False, True):
+            found = invariant_subspaces(gens, n, proper_nontrivial=proper)
+            assert found == invariant_subspaces_by_rref(gens, n, proper)
+        sizes.add(len(found))
+    # the samples reach both irreducible groups and reducible ones
+    assert 0 in sizes and len(sizes) > 1
+
+
+def test_invariant_subspaces_checks_run_with_a_warm_cache():
+    ident = Matrix.identity(F2, 2)
+    assert len(invariant_subspaces([ident], 2)) == 5
+    with pytest.raises(SingularElement):
+        invariant_subspaces([ident, Matrix.from_rows(F2, [[1, 1], [1, 1]])], 2)
+    with pytest.raises(AmbientMismatch):
+        invariant_subspaces([ident, Matrix.identity(F2, 3)], 2)
+    with pytest.raises(AmbientMismatch):
+        invariant_subspaces([ident, Matrix.identity(F3, 2)], 2)
+
+
+def test_invariant_subspaces_returns_a_fresh_list():
+    # the enumeration is kept between calls; a caller's list is its own
+    ident = [Matrix.identity(F3, 2)]
+    first = invariant_subspaces(ident, 2)
+    expected = list(first)
+    first.clear()
+    assert invariant_subspaces(ident, 2) == expected == sorted(
+        enumerate_subspaces(F3, 2), key=Subspace.sort_key)
 
 
 def test_ambient_mismatch():
