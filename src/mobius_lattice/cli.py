@@ -232,10 +232,13 @@ def select_subgroups(group: GroupSet, args: argparse.Namespace,
 
 def _check_caps(args: argparse.Namespace) -> None:
     """Reject a cap no run can mean: --max-index below 1 (no proper
-    subgroup has index 0) or a negative size cap."""
+    subgroup has index 0), --max-index with --subgroups file (the file names
+    the subgroups outright) or a negative size cap."""
     max_index = getattr(args, "max_index", None)
     if max_index is not None and max_index < 1:
         raise InvalidCap(f"--max-index {max_index} is below 1")
+    if max_index is not None and args.subgroups == "file":
+        raise InvalidCap("--max-index does not apply to --subgroups file")
     for name in ("max_order", "max_interval", "max_powerset"):
         value = getattr(args, name)
         if value < 0:

@@ -89,8 +89,9 @@ class MalformedReport(MobiusLatticeError):
 
 
 class InvalidCap(MobiusLatticeError):
-    """A cap flag holds a value no run can mean: an index below 1 or a
-    negative size."""
+    """A cap flag holds a value no run can mean (an index below 1 or a
+    negative size) or is given with a scope it cannot filter (an index cap
+    with a subgroup file)."""
 
 
 class GroupSpecError(MobiusLatticeError):

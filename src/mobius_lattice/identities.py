@@ -155,8 +155,8 @@ def build_ideal(family: StabilizerFamily,
 
     The members are read off ``lattice`` (a subgroup lattice holding H and
     every stabilizer, e.g. the whole lattice of the group) as the elements
-    above H and below some stabilizer.  Without one, the lattice is H and
-    the union of the intervals [H, M], enumerated directly.
+    above H whose up-set holds some stabilizer.  Without one, the lattice is
+    H and the union of the intervals [H, M], enumerated directly.
     """
     group, subgroup = family.subgroup.parent, family.subgroup
     _check_pair(group, subgroup)
@@ -168,10 +168,14 @@ def build_ideal(family: StabilizerFamily,
             overgroup_interval(group, subgroup, top=m, cap=max_interval)
             for m in stabs)))
     bottom = _position(lattice, subgroup)
-    below = 1 << bottom
+    tops = 0
     for m in stabs:
-        below |= lattice.down[_position(lattice, m)]
-    mask = lattice.up[bottom] & below
+        tops |= 1 << _position(lattice, m)
+    up = lattice.up
+    mask = 1 << bottom
+    for k in _bits(up[bottom]):
+        if up[k] & tops:
+            mask |= 1 << k
     members = [lattice.items[i] for i in _bits(mask)] if stabs else []
     if len(members) > max_interval:
         raise IntervalTooLarge(
@@ -252,17 +256,22 @@ def _pruned_sums(sets: Sequence[frozenset], ambient: frozenset,
     return not_target, equals_target
 
 
-def alternating_sums(family: StabilizerFamily,
-                     max_powerset: int = POWERSET_CAP) -> AlternatingSums:
-    """The three sums of ``AlternatingSums`` for the family's pair (G, H)."""
-    group, subgroup = family.subgroup.parent, family.subgroup
-    _check_pair(group, subgroup)
+def _check_powerset(family: StabilizerFamily, max_powerset: int) -> None:
+    """PowersetTooLarge when either side of the family is over the cap."""
     n_stabs = len(family.distinct_stabilizers)
     n_spaces = len(family.pairs)
     if max(n_stabs, n_spaces) > max_powerset:
         raise PowersetTooLarge(
             f"family sizes ({n_stabs} stabilizers, {n_spaces} subspaces) "
             f"exceed powerset cap {max_powerset}")
+
+
+def alternating_sums(family: StabilizerFamily,
+                     max_powerset: int = POWERSET_CAP) -> AlternatingSums:
+    """The three sums of ``AlternatingSums`` for the family's pair (G, H)."""
+    group, subgroup = family.subgroup.parent, family.subgroup
+    _check_pair(group, subgroup)
+    _check_powerset(family, max_powerset)
     ambient = group.full_subgroup().member_ids
     target = subgroup.member_ids
     stab_sets = [m.member_ids for m in family.distinct_stabilizers]
@@ -396,6 +405,9 @@ def verify_identities(group: GroupSet, subgroup: SubgroupRef,
         lattice = subgroup_lattice(overgroup_interval(group, subgroup,
                                                       cap=max_interval))
     family = stabilizer_family(group, subgroup)
+    # the cap is read before the ideal, which for H = 1 is nearly the whole
+    # lattice: a pair the sums would skip builds nothing
+    _check_powerset(family, max_powerset)
     ideal = build_ideal(family, lattice=lattice, max_interval=max_interval)
     mu_hat = mu_ideal(ideal)
     sums = alternating_sums(family, max_powerset=max_powerset)

@@ -1,8 +1,9 @@
 """Finite posets and Mobius rows.
 
-The order relation is stored as one bitmask per element (`up[i]` has bit j set
-iff items[i] <= items[j]), which makes interval queries cheap enough that the
-Mobius recursion runs in O(n^2) bit scans per source element.
+The order relation is stored once, as one bitmask per element: `up[i]` has
+bit j set iff items[i] <= items[j].  Nothing keeps its transpose.  The
+Mobius recursion pushes each settled value along `up` to the elements above,
+so a row costs one bit scan per element with a nonzero value.
 """
 
 from __future__ import annotations
@@ -17,40 +18,37 @@ POWERSET_CAP = 22
 class FinitePoset:
     """An explicit finite poset over an indexed item list."""
 
-    __slots__ = ("items", "up", "down", "_index")
+    __slots__ = ("items", "up", "_index")
 
     def __init__(self, items: Sequence, up: Sequence[int]):
+        """Check ``up``: one mask per item, then unknown items, so that a
+        relation naming one is always reported as such, then reflexivity,
+        transitivity and antisymmetry.  For a reflexive, transitive
+        relation i <= j <= i holds exactly when up[i] == up[j], so the last
+        check asks only that the masks are distinct."""
         self.items = tuple(items)
         self.up = tuple(up)
         n = len(self.items)
-        # down[j] gets bit i for every set bit j of up[i]
-        down = [0] * n
-        for i, mask in enumerate(self.up):
-            if mask >> n:
-                raise InvalidOrderRelation("relation names an unknown item")
-            for j in _bits(mask):
-                down[j] |= 1 << i
-        self.down = tuple(down)
         self._index = {item: i for i, item in enumerate(self.items)}
         if len(self._index) != n:
             raise InvalidOrderRelation("duplicate items in poset")
-        self._validate()
-
-    def _validate(self) -> None:
-        n = len(self.items)
-        for i in range(n):
-            if not (self.up[i] >> i) & 1:
+        if len(self.up) != n:
+            raise InvalidOrderRelation(
+                f"relation has {len(self.up)} masks for {n} items")
+        if any(mask >> n for mask in self.up):
+            raise InvalidOrderRelation("relation names an unknown item")
+        for i, mask in enumerate(self.up):
+            if not mask >> i & 1:
                 raise InvalidOrderRelation("relation is not reflexive")
-            if self.up[i] & self.down[i] != 1 << i:
-                raise InvalidOrderRelation("relation is not antisymmetric")
-        for i in range(n):
-            mask = self.up[i]
-            j_mask = mask
-            while j_mask:
-                j = (j_mask & -j_mask).bit_length() - 1
-                j_mask &= j_mask - 1
-                if self.up[j] & ~mask:
+        for mask in self.up:
+            outside, rest = ~mask, mask
+            while rest:
+                low = rest & -rest
+                if self.up[low.bit_length() - 1] & outside:
                     raise InvalidOrderRelation("relation is not transitive")
+                rest ^= low
+        if len(set(self.up)) != n:
+            raise InvalidOrderRelation("relation is not antisymmetric")
 
     @classmethod
     def from_leq(cls, items: Sequence, leq: Callable) -> "FinitePoset":
@@ -81,16 +79,24 @@ def _bits(mask: int):
 
 
 def mobius_row(poset: FinitePoset, start: int, within: int = -1) -> dict:
-    """Values mu(start, j) for every j >= start, by the defining recursion.
+    """Values mu(start, t) for every t >= start, by the defining recursion.
 
-    Only the elements above ``start`` are visited, by the size of [start, j],
-    so each comes after everything strictly between ``start`` and it.  With
-    ``within`` (a bitmask holding ``start``) the recursion runs on the
-    subposet induced by its set bits instead.
+    The elements above ``start`` are taken by descending |up[t] & above|, so
+    each comes after everything below it, and each settled nonzero
+    mu(start, t) is pushed to the elements above t; an element's value is
+    minus what it has collected by its turn.  With ``within`` (a bitmask
+    holding ``start``) the recursion runs on the subposet induced by its set
+    bits instead.
     """
-    above, down = poset.up[start] & within, poset.down
+    up = poset.up
+    above = up[start] & within
+    collected = [0] * len(up)
     row = {}
-    for j in sorted(_bits(above), key=lambda j: bin(down[j] & above).count("1")):
-        row[j] = 1 if j == start else -sum(
-            row[t] for t in _bits(above & down[j] & ~(1 << j)))
+    for t in sorted(_bits(above), reverse=True,
+                    key=lambda t: bin(up[t] & above).count("1")):
+        value = row[t] = 1 if t == start else -collected[t]
+        if value:
+            # t's own slot gains the value too, but is never read again
+            for u in _bits(up[t] & above):
+                collected[u] += value
     return row

@@ -2,14 +2,14 @@
 
 The poset and complex oracles here are the classical results the package's
 own paths are checked against, and nothing in the package runs them: the
-full Mobius table by zeta inversion, bounded posets, adjoined bounds,
-coatoms, meets and crosscut sums (Rota, 1964), downward closure of a face
-family, order complexes (Hall's theorem) and alternating face sums.  The
-group oracles beside them build groups by matrix products, stabilizers by
-element scans, the subgroup lattice by cyclic extension without the
-package's normalizer-orbit pruning and its containment order by comparing
-every pair of member sets; invariant subspaces are found by row-reducing
-every image.
+full Mobius table by zeta inversion, the down-sets of an order, bounded
+posets, adjoined bounds, coatoms, meets and crosscut sums (Rota, 1964),
+downward closure of a face family, order complexes (Hall's theorem) and
+alternating face sums.  The group oracles beside them build groups by
+matrix products, stabilizers by element scans, the subgroup lattice by
+cyclic extension without the package's normalizer-orbit pruning and its
+containment order by comparing every pair of member sets; invariant
+subspaces are found by row-reducing every image.
 """
 
 import itertools
@@ -185,6 +185,16 @@ def random_poset(rng: random.Random, max_size: int = 10) -> FinitePoset:
     return FinitePoset(list(range(n)), up)
 
 
+def down_sets(poset: FinitePoset) -> list:
+    """The transpose of ``poset.up``: bit i of the j-th mask is set iff
+    items[i] <= items[j].  The package keeps only the up-sets."""
+    down = [0] * poset.size
+    for i, mask in enumerate(poset.up):
+        for j in _bits(mask):
+            down[j] |= 1 << i
+    return down
+
+
 class BoundedPoset:
     """A poset together with indices of its bottom and top elements."""
 
@@ -192,7 +202,7 @@ class BoundedPoset:
 
     def __init__(self, base: FinitePoset, bottom: int, top: int):
         full = (1 << base.size) - 1
-        if base.up[bottom] != full or base.down[top] != full:
+        if base.up[bottom] != full or down_sets(base)[top] != full:
             raise InvalidOrderRelation("claimed bounds do not bound the poset")
         self.base = base
         self.bottom = bottom
@@ -249,11 +259,12 @@ def lt(poset: FinitePoset, i: int, j: int) -> bool:
 
 def covers(poset: FinitePoset) -> list:
     """Cover pairs (i, j) with i < j and nothing strictly between."""
+    down = down_sets(poset)
     out = []
     for i in range(poset.size):
         strict = poset.up[i] & ~(1 << i)
         for j in _bits(strict):
-            if strict & poset.down[j] & ~(1 << j) == 0:
+            if strict & down[j] & ~(1 << j) == 0:
                 out.append((i, j))
     return sorted(out)
 
@@ -345,10 +356,11 @@ def adjoin_bounds(poset: FinitePoset, reuse: bool = False) -> BoundedPoset:
     full = (1 << n) - 1
     have_bottom = have_top = None
     if reuse:
+        down = down_sets(poset)
         for i in range(n):
             if poset.up[i] == full:
                 have_bottom = i
-            if poset.down[i] == full:
+            if down[i] == full:
                 have_top = i
     items = list(poset.items)
     up = list(poset.up)
@@ -371,9 +383,10 @@ def adjoin_bounds(poset: FinitePoset, reuse: bool = False) -> BoundedPoset:
 def coatoms(bp: BoundedPoset) -> list:
     """Elements covered by the top."""
     base, top = bp.base, bp.top
+    below_top = down_sets(base)[top]
     out = []
-    for x in _bits(base.down[top] & ~(1 << top)):
-        between = base.up[x] & base.down[top] & ~(1 << x) & ~(1 << top)
+    for x in _bits(below_top & ~(1 << top)):
+        between = base.up[x] & below_top & ~(1 << x) & ~(1 << top)
         if between == 0:
             out.append(x)
     return out
@@ -383,11 +396,12 @@ def meets(bp: BoundedPoset) -> dict:
     """The meet of every pair (i, j), i <= j; NotALattice if one has no
     unique greatest common lower bound."""
     base = bp.base
+    down = down_sets(base)
     out = {}
     for i in range(base.size):
         for j in range(i, base.size):
-            lower = base.down[i] & base.down[j]
-            m = next((t for t in _bits(lower) if base.down[t] == lower), None)
+            lower = down[i] & down[j]
+            m = next((t for t in _bits(lower) if down[t] == lower), None)
             if m is None:
                 raise NotALattice(f"elements {i} and {j} have no unique meet")
             out[(i, j)] = m

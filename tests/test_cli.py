@@ -535,6 +535,11 @@ EXIT_CASES = {
     "pairs-skipped": (lambda tmp: [*_GL22, "--max-powerset", "1"], 3),
     # caps no run can mean fail as usage errors, before any group is built
     "max-index-zero": (lambda tmp: [*_GL22, "--max-index", "0"], 2),
+    # the file's subgroups are verified as named, so an index cap on them
+    # would be ignored; a reflection and a rotation, of index 3 and 2
+    "max-index-with-subgroup-file": (lambda tmp: [*_subgroups_file(
+        tmp, [[[[0, 1], [1, 0]]], [[[0, 1], [1, 1]]]]), "--max-index", "1"],
+        2),
     "max-order-negative": (lambda tmp: [*_GL22, "--max-order", "-1"], 2),
     "max-interval-negative": (lambda tmp: [
         *_GL22, "--max-interval", "-1"], 2),
