@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Compute the ideal Mobius value for the block subgroup GL(1,3) + I_2 inside
-GL(3,3); expected to vanish.  Takes about 5 s.
+GL(3,3); expected to vanish.  Takes about 2 s.
 
 Usage: python3 scripts/slow_instance.py
 """

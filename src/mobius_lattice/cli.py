@@ -173,7 +173,7 @@ def load_group(args: argparse.Namespace) -> tuple:
 
 
 def _subgroup_descriptor(group: GroupSet, h: SubgroupRef) -> dict:
-    gens = [group.elements[i].to_lists() for i in h.generator_ids()]
+    gens = [group.element(i).to_lists() for i in h.generator_ids()]
     return {"order": h.order, "generators": gens}
 
 

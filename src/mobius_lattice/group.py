@@ -30,14 +30,19 @@ the canonical matrix order.  No ``Matrix`` product is formed:
 ``Matrix.__mul__`` is only the tests' oracle.
 
 Subgroups are grown by one routine, ``GroupSet._join``: <K, g> is built one
-right coset of K at a time (Dimino's algorithm), each new coset being one
-``right_images`` call, with the generators of K and g as the only right
-factors.  The join runs inside a subgroup T known to contain it (G unless
-the caller knows a smaller one) and stops once it holds more than |T|/p
-elements, p the smallest prime dividing [T:K]: by Lagrange's theorem it is
-then T.  Subgroup closures, generating sets, stabilizers and overgroup
-intervals all go through it; nothing is memoised beyond the full member set,
-the columns, the row actions, inverses and stabilizers.
+right coset of K at a time (Dimino's algorithm), with the generators of K
+and g as the only right factors.  Each factor's column or row action is
+looked up once per join; whether a coset times a factor is new is one pick
+out of it, and a new coset is one pass over the old.  The join runs inside
+a subgroup T known to contain it (G unless the caller knows a smaller one)
+and stops once it holds more than |T|/p elements, p the smallest prime
+dividing [T:K]: by Lagrange's theorem it is then T.  Subgroup closures,
+generating sets, stabilizers and overgroup intervals all go through it;
+nothing is memoised beyond the full member set, the columns, the row
+actions, inverses, stabilizers and the tuple of element matrices, which
+``elements`` builds from the row keys the first time it is read (row
+actions, inverses and subgroup generators read one matrix at a time,
+through ``element``).
 
 ``stabilizer`` never scans G.  It walks the orbit of the subspace W under
 G's generators, keeping one transversal element per image of W, and joins
@@ -56,14 +61,19 @@ generators give N_G(K).  Since <K, C^n> = <K, C>^n for n in N_G(K), K is
 joined with one cyclic subgroup C of prime-power order per N_G(K)-orbit
 outside K, the orbits found by a union-find over conjugation by N_G(K)'s
 generators.  Any other interval [H, M] is searched by joining each known
-subgroup K with one element per double coset K*g*K outside it, each join
-stopped by Lagrange's bound inside M; this search is also the test oracle
-of the first.
+subgroup K with the elements g of M outside it, each join stopped by
+Lagrange's bound inside the smallest known overgroup of K holding g (<K, g>
+lies in it).  After a join, the search skips every element x with
+<K, x> = <K, g>: all of <K, g> when [<K, g> : K] is prime (each such x
+outside K generates it with K), else the double cosets K*g^k*K for every k
+prime to the order of g (<K, h*g^k*h'> = <K, g^k> = <K, g> for h, h' in
+K).  This search is also the test oracle of the first.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import insort
 from itertools import product
 from math import gcd
 from operator import itemgetter, methodcaller
@@ -91,9 +101,10 @@ TABLE_CAP = 5_000
 class GroupSet:
     """A finite matrix group as an explicit, canonically indexed element set."""
 
-    __slots__ = ("field", "n", "elements", "generators", "order", "_vectors",
-                 "_codes", "_rows", "_idx", "identity_index", "_table",
-                 "_actions", "_inv", "_stab_cache", "_irreducible", "_full")
+    __slots__ = ("field", "n", "_elements", "generators", "order",
+                 "_vectors", "_codes", "_keys", "_rows", "_idx",
+                 "identity_index", "_table", "_actions", "_inv",
+                 "_stab_cache", "_irreducible", "_full")
 
     def __init__(self, field: FqField, n: int, elements: Sequence[Matrix],
                  generators: Sequence[Matrix]):
@@ -117,19 +128,14 @@ class GroupSet:
         self.field = field
         self.n = n
         self._vectors, self._codes = _row_space(field, n)
-        keys = sorted(keys)
+        self._keys = keys = sorted(keys)
         self._idx = {key: i for i, key in enumerate(keys)}
         if len(self._idx) != len(keys):
             raise ValueError("duplicate elements")
         self.generators = tuple(generators)
         self.order = len(keys)
         self._full = frozenset(range(self.order))
-        vectors = self._vectors
-        if n == 1:
-            data = [vectors[key] for key in keys]
-        else:
-            data = [sum(map(vectors.__getitem__, key), ()) for key in keys]
-        self.elements = tuple(Matrix(field, n, n, d) for d in data)
+        self._elements = None
         # _rows[i](action) picks the rows of element i out of the row action
         # of an element g: the key of the product i*g
         self._rows = list(map(_row_picker(n), keys))
@@ -147,10 +153,27 @@ class GroupSet:
         self._stab_cache = {}
         self._irreducible = None
 
+    @property
+    def elements(self) -> tuple:
+        """Every element as a ``Matrix``, in id order, built on first use:
+        products, inverses and subgroups never read it."""
+        if self._elements is None:
+            self._elements = tuple(map(self.element, range(self.order)))
+        return self._elements
+
+    def element(self, i: int) -> Matrix:
+        """The matrix of element i, read off its row key."""
+        key, vectors = self._keys[i], self._vectors
+        if self.n == 1:
+            data = vectors[key]
+        else:
+            data = sum(map(vectors.__getitem__, key), ())
+        return Matrix(self.field, self.n, self.n, data)
+
     def _row_action(self, j: int) -> list:
         """Code of v*g_j for every row vector v, in code order."""
         return _matrix_row_action(self.field, self._vectors, self._codes,
-                                  self.elements[j])
+                                  self.element(j))
 
     def _column(self, j: int) -> array:
         """Right-multiplication column j: entry i is the id of i*j."""
@@ -201,7 +224,7 @@ class GroupSet:
     def inv(self, i: int) -> int:
         cached = self._inv.get(i)
         if cached is None:
-            cached = self.index_of(self.elements[i].inverse())
+            cached = self.index_of(self.element(i).inverse())
             self._inv[i] = cached
         return cached
 
@@ -254,17 +277,27 @@ class GroupSet:
 
         A coset C times a factor s is the coset K*(c*s), new exactly when
         c*s is not yet seen.  Filling it as C*s, never as K times a new
-        representative, keeps the factors the only right factors.
+        representative, keeps the factors the only right factors.  Each
+        factor's column or row action is looked up once per call, and c*s
+        is one pick out of it.
         """
-        mul, images = self.mul, self.right_images
-        for coset in cosets:
-            for s in factors:
-                if mul(coset[0], s) not in seen:
-                    image = images(coset, s)
-                    seen.update(image)
-                    if len(seen) > bound:
-                        return True
-                    cosets.append(image)
+        by_column = self._table is not None
+        rows, idx = self._rows, self._idx
+        factors = [self._factor(s) for s in factors]
+        try:
+            for coset in cosets:
+                c = coset[0]
+                for f in factors:
+                    if (f[c] if by_column else idx[rows[c](f)]) not in seen:
+                        image = (list(map(f.__getitem__, coset)) if by_column
+                                 else [idx[rows[i](f)] for i in coset])
+                        seen.update(image)
+                        if len(seen) > bound:
+                            return True
+                        cosets.append(image)
+        except KeyError:
+            raise NotASubgroup(
+                "element set is not closed under product") from None
         return False
 
     def _generate(self, ids: Iterable[int]) -> tuple:
@@ -321,7 +354,7 @@ class SubgroupRef:
         return self._bits
 
     def matrices(self) -> list:
-        return [self.parent.elements[i] for i in self.ids]
+        return list(map(self.parent.element, self.ids))
 
     def generator_ids(self) -> tuple:
         """A small deterministic generating set (greedy over the id order)."""
@@ -331,9 +364,8 @@ class SubgroupRef:
 
     def generator_matrices(self) -> list:
         gens = self.generator_ids()
-        if not gens:
-            return [self.parent.elements[self.parent.identity_index]]
-        return [self.parent.elements[i] for i in gens]
+        return list(map(self.parent.element,
+                        gens or (self.parent.identity_index,)))
 
     def __le__(self, other: "SubgroupRef") -> bool:
         if self.parent is not other.parent:
@@ -526,32 +558,53 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
                               top_ids: frozenset, cap: int) -> set:
     """Member sets of [low, top] by fixed-point closure.
 
-    Starting from {low}, join every known subgroup K with every element of
+    Starting from {low}, join every known subgroup K with every element g of
     top outside it; repeat until stable.  Any overgroup is generated by low
-    plus finitely many elements, so this reaches them all.  Elements of the
-    same double coset K*g*K generate the same extension, since
-    <K, k*g*k'> = <K, g> for k, k' in K, so after each join the whole double
-    coset is skipped; it is grown from K*g by K's generators, as a join
-    grows its cosets.  Each join runs inside top, so it stops as soon as
-    Lagrange's bound shows it is top.  Neither pruning changes the result.
-    Each subgroup is queued with the generators it was found by, so joins
-    never search for them.
+    plus finitely many elements, so this reaches them all.  Each subgroup is
+    queued with the generators it was found by, so joins never search for
+    them.  After a join, every element x with <K, x> = <K, g> is marked
+    covered and never joined, by three exact rules:
+
+    - when [<K, g> : K] is prime, all of <K, g> is covered: for x in <K, g>
+      outside K, <K, x> lies strictly above K, so it is <K, g>;
+    - otherwise the double coset K*g*K is covered, since
+      <K, h*g*h'> = <K, g> for h, h' in K; it is grown from K*g by K's
+      generators, as a join grows its cosets;
+    - and so is K*g^k*K for every k prime to the order of g, since g and
+      g^k generate the same cyclic subgroup, so <K, g^k> = <K, g>.
+
+    Each join runs inside the smallest known proper overgroup of K that
+    holds g, and inside top only when none does: <K, g> lies in every
+    subgroup holding K and g, so Lagrange's stop fires at that subgroup's
+    bound.  None of this changes the result.
     """
     candidates = sorted(top_ids)
     known = {low.member_ids}
     queue = [(low.member_ids, list(low.generator_ids()))]
     while queue:
         current, gens = queue.pop()
+        size = len(current)
+        # the known proper overgroups of K, smallest first
+        above = sorted((s for s in known if len(s) > size and current < s),
+                       key=len)
         covered = set(current)
         for g in candidates:
             if g in covered:
                 continue
-            extended = group._join(current, gens, g, top_ids)
-            covered.update(group._double_coset(current, gens, g))
+            inside = next((s for s in above if g in s), top_ids)
+            extended = group._join(current, gens, g, inside)
+            index = len(extended) // size
+            if _smallest_prime_factor(index) == index:
+                covered.update(extended)
+            else:
+                for x in _cyclic_generators(group, g)[0]:
+                    if x not in covered:
+                        covered.update(group._double_coset(current, gens, x))
             if extended not in known:
                 known.add(extended)
                 _check_cap(known, cap)
                 queue.append((extended, gens + [g]))
+                insort(above, extended, key=len)
     return known
 
 
@@ -632,7 +685,7 @@ def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
     of prime-power order, in the order of their first generator's id, and
     the map from every generator of each to its position in ``cyclic``
     (-1 for the other elements)."""
-    mul, identity = group.mul, group.identity_index
+    identity = group.identity_index
     # done[y]: y generates a cyclic subgroup whose powers were already taken
     done = bytearray(group.order)
     cyc_of = array("i", [-1]) * group.order
@@ -640,14 +693,7 @@ def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
     for x in range(group.order):
         if done[x] or x == identity:
             continue
-        powers = [identity]
-        y = x
-        while y != identity:
-            powers.append(y)
-            y = mul(y, x)
-        order = len(powers)
-        generators = [powers[k] for k in range(1, order)
-                      if gcd(k, order) == 1]
+        generators, order = _cyclic_generators(group, x)
         for y in generators:
             done[y] = 1
         p = _smallest_prime_factor(order)
@@ -658,3 +704,16 @@ def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
                 cyc_of[y] = len(found)
             found.append(x)
     return found, cyc_of
+
+
+def _cyclic_generators(group: GroupSet, x: int) -> tuple:
+    """(generators, order): the powers x^k for k prime to the order of x,
+    in increasing k, and that order."""
+    mul, identity = group.mul, group.identity_index
+    powers = [identity]
+    y = x
+    while y != identity:
+        powers.append(y)
+        y = mul(y, x)
+    order = len(powers)
+    return [powers[k] for k in range(1, order) if gcd(k, order) == 1], order

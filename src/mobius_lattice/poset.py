@@ -93,7 +93,7 @@ def mobius_row(poset: FinitePoset, start: int, within: int = -1) -> dict:
     collected = [0] * len(up)
     row = {}
     for t in sorted(_bits(above), reverse=True,
-                    key=lambda t: bin(up[t] & above).count("1")):
+                    key=lambda t: (up[t] & above).bit_count()):
         value = row[t] = 1 if t == start else -collected[t]
         if value:
             # t's own slot gains the value too, but is never read again

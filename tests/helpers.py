@@ -7,9 +7,10 @@ posets, adjoined bounds, coatoms, meets and crosscut sums (Rota, 1964),
 downward closure of a face family, order complexes (Hall's theorem) and
 alternating face sums.  The group oracles beside them build groups by
 matrix products, stabilizers by element scans, the subgroup lattice by
-cyclic extension without the package's normalizer-orbit pruning and its
-containment order by comparing every pair of member sets; invariant
-subspaces are found by row-reducing every image.
+cyclic extension without the package's normalizer-orbit pruning, overgroup
+intervals by a coset search that skips only double cosets, and the
+lattice's containment order by comparing every pair of member sets;
+invariant subspaces are found by row-reducing every image.
 """
 
 import itertools
@@ -107,6 +108,31 @@ def lattice_by_unpruned_cyclic_extension(group):
                         known.add(image)
                         conjugates.append(image)
             queue.append((extended, gens + [x]))
+    return known
+
+
+def interval_by_unpruned_coset_search(group, low, top_ids):
+    """Member sets of [low, top] by joining every known subgroup K with one
+    element g of top per double coset K*g*K outside K, each join run inside
+    top.
+
+    The package also covers all of <K, g> when [<K, g> : K] is prime and
+    the double cosets of the other generators of <g>, and runs each join
+    inside the smallest known overgroup holding g; this oracle checks that
+    those rules lose no subgroup."""
+    known = {low.member_ids}
+    queue = [(low.member_ids, list(low.generator_ids()))]
+    while queue:
+        current, gens = queue.pop()
+        covered = set(current)
+        for g in sorted(top_ids):
+            if g in covered:
+                continue
+            extended = group._join(current, gens, g, top_ids)
+            covered.update(group._double_coset(current, gens, g))
+            if extended not in known:
+                known.add(extended)
+                queue.append((extended, gens + [g]))
     return known
 
 

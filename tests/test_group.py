@@ -25,7 +25,11 @@ from mobius_lattice.group import (
     overgroup_interval,
     stabilizer,
 )
-from mobius_lattice.identities import mobius_between
+from mobius_lattice.identities import (
+    mobius_between,
+    stabilizer_family,
+    verify_identities,
+)
 from mobius_lattice.linalg import (
     Matrix,
     Subspace,
@@ -34,6 +38,7 @@ from mobius_lattice.linalg import (
 
 from helpers import (
     closure_by_matrix_products,
+    interval_by_unpruned_coset_search,
     lattice_by_unpruned_cyclic_extension,
     line_stabilizers,
     naive_subset_sums,
@@ -100,6 +105,25 @@ def test_closure_matches_matrix_product_oracle(kind, n, p, u):
     # depend on closing on row codes.  n = 1 keys are bare codes
     gens = preset_generators(kind, n, FqField(p, u))
     assert list(closure(gens).elements) == closure_by_matrix_products(gens)
+
+
+def test_closure_builds_elements_on_demand():
+    # products, inverses, stabilizers, subgroup generators and intervals
+    # read at most one matrix at a time: a whole identity run leaves the
+    # tuple of all element matrices unbuilt
+    gens = preset_generators("GL", 3, F3)
+    group = closure(gens)
+    torus = group.subgroup_closure(
+        group.index_of(Matrix.from_rows(F3, rows)) for rows in (
+            [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 2, 0], [0, 0, 1]]))
+    report = verify_identities(group, torus)
+    assert report.all_equal
+    assert group._elements is None
+    assert list(group.elements) == closure_by_matrix_products(gens)
+    assert group.elements is group.elements
+    assert [group.element(i) for i in range(group.order)] == \
+        list(group.elements)
 
 
 def test_closure_multiplies_no_matrices(monkeypatch):
@@ -199,6 +223,13 @@ def test_non_closed_element_set_raises(monkeypatch, table_cap):
                               group.identity_index) == [ti, group.identity_index]
     with pytest.raises(NotASubgroup, match="not closed under product"):
         group.right_images([group.identity_index, ti], ti)
+    # four elements, t^2 left out: [top : 1] = 4, so Lagrange's stop would
+    # fire only past two elements, and growing <t> reaches t*t first
+    u = Matrix.from_rows(F3, [[2, 0], [0, 2]])
+    group = GroupSet(F3, 2, [Matrix.identity(F3, 2), t, u, t * u], [t, u])
+    with pytest.raises(NotASubgroup, match="not closed under product"):
+        group._join(frozenset((group.identity_index,)), [],
+                    group.index_of(t))
 
 
 @pytest.mark.parametrize("table_cap", [TABLE_CAP, 0])
@@ -629,7 +660,9 @@ def test_interval_within_every_top_row_action_path(monkeypatch):
 def test_interval_search_joins_few_subgroups(monkeypatch, gl33):
     # [diagonal torus, Stab(<e1>)] in GL(3,3): 16 subgroups.  Joining with
     # one element per right coset, and growing every join to the end, took
-    # 383 joins; the Lagrange stop and double-coset covering leave 92
+    # 383 joins, and the Lagrange stop with double-coset covering 92.
+    # Covering all of <K, g> at prime index and the double cosets of g's
+    # other generators leave 72, three of them for the torus's generators
     torus = gl33.subgroup_closure(
         gl33.index_of(Matrix.from_rows(F3, rows)) for rows in (
             [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -645,7 +678,66 @@ def test_interval_search_joins_few_subgroups(monkeypatch, gl33):
 
     monkeypatch.setattr(GroupSet, "_join", counting_join)
     assert len(overgroup_interval(gl33, torus, top=stab)) == 16
-    assert len(joins) < 120
+    assert len(joins) == 72
+
+
+# the five subgroups H of GL(3,3) of the ideal-gl33 benchmark workload, by
+# their generators; their distinct stabilizers M give 14 intervals [H, M]
+_T = [[[2, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 2, 0], [0, 0, 1]],
+      [[1, 0, 0], [0, 1, 0], [0, 0, 2]]]
+_E12 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+_E23 = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+_GL33_SUBGROUPS = [
+    _T + [_E12, _E23],
+    [_E12, [[0, 1, 0], [2, 0, 0], [0, 0, 1]], _T[0]],
+    _T + [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]],
+    _T,
+    [_E12, _E23],
+]
+
+
+def _assert_search_matches_unpruned(group, low, top_ids):
+    found = group_module._interval_by_coset_search(
+        group, low, top_ids, group_module.INTERVAL_CAP)
+    assert found == interval_by_unpruned_coset_search(group, low, top_ids)
+    return len(found)
+
+
+def test_interval_search_matches_unpruned_gl33(gl33):
+    pairs = 0
+    for gens in _GL33_SUBGROUPS:
+        h = gl33.subgroup_closure(
+            gl33.index_of(Matrix.from_rows(F3, rows)) for rows in gens)
+        for m in stabilizer_family(gl33, h).distinct_stabilizers:
+            _assert_search_matches_unpruned(gl33, h, m.member_ids)
+            pairs += 1
+    assert pairs == 14
+
+
+@pytest.mark.parametrize("table_cap", [TABLE_CAP, 0])
+def test_interval_search_matches_unpruned_gl27(monkeypatch, table_cap):
+    # [reflection, GL(2,7)]: top is G but low is not 1, so the coset search
+    # runs; table_cap 0 takes every product from row actions
+    monkeypatch.setattr(group_module, "TABLE_CAP", table_cap)
+    f7 = FqField(7)
+    g = closure(preset_generators("GL", 2, f7))
+    assert (g._table is None) == (table_cap == 0)
+    h = g.subgroup_closure([g.index_of(Matrix.from_rows(f7, [[6, 0],
+                                                             [0, 1]]))])
+    assert _assert_search_matches_unpruned(g, h, g._full) == 76
+
+
+@pytest.mark.slow
+def test_slow_interval_search_matches_unpruned_reflection_gl33(gl33):
+    # the ten intervals [H, M] of scripts/slow_instance.py, H = GL(1,3) + I_2:
+    # M is the stabilizer of <e1>, of <e2, e3>, of one of the four lines
+    # inside <e2, e3> or of one of the four planes through <e1>
+    h = gl33.subgroup_closure([gl33.index_of(Matrix.from_rows(
+        F3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))])
+    stabs = stabilizer_family(gl33, h).distinct_stabilizers
+    assert len(stabs) == 10
+    for m in stabs:
+        _assert_search_matches_unpruned(gl33, h, m.member_ids)
 
 
 @pytest.mark.slow
