@@ -38,11 +38,16 @@ a subgroup T known to contain it (G unless the caller knows a smaller one)
 and stops once it holds more than |T|/p elements, p the smallest prime
 dividing [T:K]: by Lagrange's theorem it is then T.  Subgroup closures,
 generating sets, stabilizers and overgroup intervals all go through it;
-nothing is memoised beyond the full member set, the columns, the row
+nothing is memoised beyond the full subgroup, the columns, the row
 actions, inverses, stabilizers and the tuple of element matrices, which
 ``elements`` builds from the row keys the first time it is read (row
-actions, inverses and subgroup generators read one matrix at a time,
-through ``element``).
+actions and subgroup generators read one matrix at a time, through
+``element``).  Inverses share one memo, a list indexed by id.  ``inv``
+fills one entry at a time by inverting a ``Matrix``; the power walk of
+``_prime_power_cyclic_generators``, which takes every element's powers
+1, x, ..., x^(m-1) anyway, fills all of it at once, since x^k and x^(m-k)
+are each other's inverses.  After that walk the lattice reads inverses
+straight out of the list.
 
 ``stabilizer`` never scans G.  It walks the orbit of the subspace W under
 G's generators, keeping one transversal element per image of W, and joins
@@ -104,7 +109,7 @@ class GroupSet:
     __slots__ = ("field", "n", "_elements", "generators", "order",
                  "_vectors", "_codes", "_keys", "_rows", "_idx",
                  "identity_index", "_table", "_actions", "_inv",
-                 "_stab_cache", "_irreducible", "_full")
+                 "_stab_cache", "_irreducible", "_full", "_full_ref")
 
     def __init__(self, field: FqField, n: int, elements: Sequence[Matrix],
                  generators: Sequence[Matrix]):
@@ -136,6 +141,7 @@ class GroupSet:
         self.order = len(keys)
         self._full = frozenset(range(self.order))
         self._elements = None
+        self._full_ref = None
         # _rows[i](action) picks the rows of element i out of the row action
         # of an element g: the key of the product i*g
         self._rows = list(map(_row_picker(n), keys))
@@ -149,7 +155,8 @@ class GroupSet:
         else:
             self._table = None
             self._actions = [None] * self.order
-        self._inv = {}
+        # _inv[i] is the id of the inverse of i, None until it is known
+        self._inv = [None] * self.order
         self._stab_cache = {}
         self._irreducible = None
 
@@ -222,7 +229,7 @@ class GroupSet:
                 "element set is not closed under product") from None
 
     def inv(self, i: int) -> int:
-        cached = self._inv.get(i)
+        cached = self._inv[i]
         if cached is None:
             cached = self.index_of(self.element(i).inverse())
             self._inv[i] = cached
@@ -315,7 +322,11 @@ class GroupSet:
         return SubgroupRef(self, frozenset((self.identity_index,)))
 
     def full_subgroup(self) -> "SubgroupRef":
-        return SubgroupRef(self, self._full)
+        """The whole group as a subgroup: one ref per group, so its member
+        bits are built once and lookups of it compare by identity."""
+        if self._full_ref is None:
+            self._full_ref = SubgroupRef(self, self._full)
+        return self._full_ref
 
     def __repr__(self) -> str:
         return f"GroupSet(order={self.order}, n={self.n}, field=GF({self.field.q}))"
@@ -373,8 +384,15 @@ class SubgroupRef:
         return self.member_ids <= other.member_ids
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SubgroupRef) and self.parent is other.parent
-                and self.member_ids == other.member_ids)
+        """Same parent and same members.  A shared member set decides at
+        once; other member sets are compared as ``member_bits``, which the
+        sweep builds for the lattice's members and stabilizers anyway."""
+        if self is other:
+            return True
+        if not isinstance(other, SubgroupRef) or self.parent is not other.parent:
+            return False
+        return (self.member_ids is other.member_ids
+                or self.member_bits == other.member_bits)
 
     def __hash__(self) -> int:
         return hash((id(self.parent), self.member_ids))
@@ -623,24 +641,27 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     of K under conjugation by G's generators is its class, and the orbit's
     Schreier generators generate N_G(K).
     """
-    images, inv = group.right_images, group.inv
+    images = group.right_images
+    # the power walk also fills the inverse memo, read below as a list
+    cyclic, cyc_of, inverse = _prime_power_cyclic_generators(group)
     # conj[t] = g^-1 t^-1 g = (t g)^-1 g: since a subgroup holds the inverse
     # of each of its members, mapping its members through conj conjugates it
     # by g, and the only right factor is g
     moves = []
     for m in group.generators:
         g = group.index_of(m)
-        conj = images(map(inv, images(range(group.order), g)), g)
+        conj = images(map(inverse.__getitem__, images(range(group.order), g)),
+                      g)
         moves.append((g, lambda sub, conj=conj: frozenset(
             map(conj.__getitem__, sub))))
     trivial = frozenset((group.identity_index,))
     known = {trivial}
     # each representative K is queued with its generators and N_G(K)'s
     queue = [(trivial, [], [g for g, _ in moves])]
-    cyclic, cyc_of = _prime_power_cyclic_generators(group)
     while queue:
         current, gens, normalizer = queue.pop()
-        for x in _orbit_representatives(group, normalizer, cyclic, cyc_of):
+        for x in _orbit_representatives(group, normalizer, cyclic, cyc_of,
+                                        inverse):
             if x in current:
                 continue
             extended = group._join(current, gens, x)
@@ -655,13 +676,14 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
 
 
 def _orbit_representatives(group: GroupSet, gens: list, cyclic: list,
-                           cyc_of: array) -> list:
+                           cyc_of: array, inverse: list) -> list:
     """The first generator, in ``cyclic``'s order, of each orbit of the
     subgroup generated by ``gens`` acting by conjugation on the cyclic
     subgroups that ``cyclic`` generates; ``cyc_of`` maps every generator of
-    each to its position in ``cyclic``.  The orbits are the classes of a
-    union-find whose roots are the least positions."""
-    images, inv = group.right_images, group.inv
+    each to its position in ``cyclic``, and ``inverse`` every element to its
+    inverse.  The orbits are the classes of a union-find whose roots are the
+    least positions."""
+    images, inv = group.right_images, inverse.__getitem__
     root = list(range(len(cyclic)))
 
     def find(c: int) -> int:
@@ -681,11 +703,16 @@ def _orbit_representatives(group: GroupSet, gens: list, cyclic: list,
 
 
 def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
-    """(cyclic, cyc_of): one generator of each non-trivial cyclic subgroup
-    of prime-power order, in the order of their first generator's id, and
-    the map from every generator of each to its position in ``cyclic``
-    (-1 for the other elements)."""
+    """(cyclic, cyc_of, inverse): one generator of each non-trivial cyclic
+    subgroup of prime-power order, in the order of their first generator's
+    id; the map from every generator of each to its position in ``cyclic``
+    (-1 for the other elements); and the group's inverse memo, complete.
+
+    Every element is a power of some x walked here, and x^k * x^(m-k) = 1
+    for m the order of x, so the walk records every inverse."""
     identity = group.identity_index
+    inverse = group._inv
+    inverse[identity] = identity
     # done[y]: y generates a cyclic subgroup whose powers were already taken
     done = bytearray(group.order)
     cyc_of = array("i", [-1]) * group.order
@@ -693,7 +720,10 @@ def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
     for x in range(group.order):
         if done[x] or x == identity:
             continue
-        generators, order = _cyclic_generators(group, x)
+        generators, powers = _cyclic_generators(group, x)
+        order = len(powers)
+        for k in range(1, order):
+            inverse[powers[k]] = powers[order - k]
         for y in generators:
             done[y] = 1
         p = _smallest_prime_factor(order)
@@ -703,12 +733,12 @@ def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
             for y in generators:
                 cyc_of[y] = len(found)
             found.append(x)
-    return found, cyc_of
+    return found, cyc_of, inverse
 
 
 def _cyclic_generators(group: GroupSet, x: int) -> tuple:
-    """(generators, order): the powers x^k for k prime to the order of x,
-    in increasing k, and that order."""
+    """(generators, powers): the powers x^k for k prime to the order m of
+    x, in increasing k, and all of [1, x, x^2, ..., x^(m-1)]."""
     mul, identity = group.mul, group.identity_index
     powers = [identity]
     y = x
@@ -716,4 +746,4 @@ def _cyclic_generators(group: GroupSet, x: int) -> tuple:
         powers.append(y)
         y = mul(y, x)
     order = len(powers)
-    return [powers[k] for k in range(1, order) if gcd(k, order) == 1], order
+    return [powers[k] for k in range(1, order) if gcd(k, order) == 1], powers

@@ -224,10 +224,11 @@ class AlternatingSums:
     subspace_sum: int
 
 
-def _pruned_sums(sets: Sequence[frozenset], ambient: frozenset,
-                 target: frozenset):
+def _pruned_sums(sets: Sequence[int], ambient: int, target: int):
     """Alternating sums over subsets with intersection != target and == target.
 
+    The sets are element bitmasks (``SubgroupRef.member_bits``), so an
+    intersection is one AND of two ints and a comparison one int compare.
     Depth-first walk keeping the running intersection.  Intersections only
     shrink and already contain the target, so once the running value hits the
     target the whole branch lies in the complement family; the signs of that
@@ -237,7 +238,7 @@ def _pruned_sums(sets: Sequence[frozenset], ambient: frozenset,
     not_target = 0
     equals_target = 0
 
-    def walk(i: int, sign: int, inter: frozenset) -> None:
+    def walk(i: int, sign: int, inter: int) -> None:
         nonlocal not_target, equals_target
         if i == len(sets):
             not_target += sign
@@ -272,21 +273,21 @@ def alternating_sums(family: StabilizerFamily,
     group, subgroup = family.subgroup.parent, family.subgroup
     _check_pair(group, subgroup)
     _check_powerset(family, max_powerset)
-    ambient = group.full_subgroup().member_ids
-    target = subgroup.member_ids
-    stab_sets = [m.member_ids for m in family.distinct_stabilizers]
-    space_sets = [stab.member_ids for _, stab in family.pairs]
+    ambient = group.full_subgroup().member_bits
+    target = subgroup.member_bits
+    stab_sets = [m.member_bits for m in family.distinct_stabilizers]
+    space_sets = [stab.member_bits for _, stab in family.pairs]
     stab_sum, stab_complement = _pruned_sums(stab_sets, ambient, target)
     space_sum, _ = _pruned_sums(space_sets, ambient, target)
     return AlternatingSums(stab_sum, stab_complement, space_sum)
 
 
-def _faces(sets: Sequence[frozenset], ambient: frozenset,
-           target: frozenset) -> set:
-    """All subsets (as masks) whose intersection differs from the target."""
+def _faces(sets: Sequence[int], ambient: int, target: int) -> set:
+    """All subsets (as masks) whose intersection differs from the target;
+    the sets are element bitmasks, as in ``_pruned_sums``."""
     faces = set()
 
-    def walk(i: int, mask: int, inter: frozenset) -> None:
+    def walk(i: int, mask: int, inter: int) -> None:
         if i == len(sets):
             faces.add(mask)
             return
@@ -313,15 +314,15 @@ def build_complexes(family: StabilizerFamily,
     """
     group, subgroup = family.subgroup.parent, family.subgroup
     _check_pair(group, subgroup)
-    target = subgroup.member_ids
-    ambient = group.full_subgroup().member_ids
-    space_pairs = [(w, stab) for w, stab in family.pairs
-                   if stab.member_ids != target]
+    target = subgroup.member_bits
+    ambient = group.full_subgroup().member_bits
+    space_pairs = [(w, stab.member_bits) for w, stab in family.pairs
+                   if stab.member_bits != target]
     space_vertices = [w for w, _ in space_pairs]
-    space_sets = [stab.member_ids for _, stab in space_pairs]
+    space_sets = [bits for _, bits in space_pairs]
     stab_vertices = [m for m in family.distinct_stabilizers
-                     if m.member_ids != target]
-    stab_sets = [m.member_ids for m in stab_vertices]
+                     if m.member_bits != target]
+    stab_sets = [m.member_bits for m in stab_vertices]
     if max(len(space_vertices), len(stab_vertices)) > max_powerset:
         raise PowersetTooLarge(
             f"complex vertex sets ({len(space_vertices)} subspaces, "

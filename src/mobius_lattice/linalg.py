@@ -353,6 +353,10 @@ def invariant_subspaces(matrices: Sequence[Matrix], n: Optional[int] = None,
     preserves dimension, so invariance under generators extends to the group
     they generate.  With the flag set, 0 and the full space are removed.
     The result is a new list in canonical order (``Subspace.sort_key``).
+
+    Each candidate W is tested by looking up the image of each of its basis
+    rows among W's member vectors, a bitmask over vector codes kept with
+    the subspace list by ``_sorted_subspaces``; no image is row-reduced.
     """
     matrices = list(matrices)
     if not matrices:
@@ -366,15 +370,31 @@ def invariant_subspaces(matrices: Sequence[Matrix], n: Optional[int] = None,
         if not m.is_invertible():
             raise SingularElement("invariant subspaces need invertible matrices")
     # an invertible m keeps dim W, so W*m = W once every basis row's image
-    # lies in W; no image is row-reduced
-    return [w for w in _sorted_subspaces(field, n, cap)
+    # is one of W's member vectors
+    subspaces, members, codes = _sorted_subspaces(field, n, cap)
+    return [w for w, inside in zip(subspaces, members)
             if not (proper_nontrivial and (w.is_zero() or w.is_full()))
-            and all(w._contains_indices(apply_row(field, r, m))
+            and all(inside >> codes[apply_row(field, r, m)] & 1
                     for m in matrices for r in w.rows)]
 
 
 @lru_cache(maxsize=4)
 def _sorted_subspaces(field: FqField, n: int, cap: int) -> tuple:
-    """Every subspace of GF(q)^n in canonical order, kept for later calls."""
-    return tuple(sorted(enumerate_subspaces(field, n, cap=cap),
-                        key=Subspace.sort_key))
+    """(subspaces, members, codes), kept for later calls: every subspace of
+    GF(q)^n in canonical order; the member vectors of each, as a bitmask
+    whose bit c is set iff the vector of code c lies in it; and the code of
+    every vector, its position in the lexicographic order of vectors."""
+    subspaces = tuple(sorted(enumerate_subspaces(field, n, cap=cap),
+                             key=Subspace.sort_key))
+    codes = {v: c for c, v in
+             enumerate(product(range(field.q), repeat=n))}
+    mul, add = field._mul, field._add
+    members = []
+    for w in subspaces:
+        span = [(0,) * n]
+        for row in w.rows:
+            multiples = [tuple(mul[c][x] for x in row) for c in range(field.q)]
+            span = [tuple(add[x][y] for x, y in zip(v, u))
+                    for v in span for u in multiples]
+        members.append(sum(1 << codes[v] for v in span))
+    return subspaces, tuple(members), codes

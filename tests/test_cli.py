@@ -436,6 +436,17 @@ def test_extension_field_reports_match_golden_bytes(tmp_path, q):
     assert _sha256(out) == GOLDEN_EXTENSION_JSON[q]
 
 
+@pytest.mark.slow
+def test_slow_sl33_sweep_matches_golden_bytes(tmp_path):
+    # the paper's n = 3 setting, every proper subgroup of SL(3,3): 6,372
+    # rows, and H = 1 skipped at the powerset cap, hence exit 3
+    out = tmp_path / "SL33.jsonl"
+    assert run_cli(["verify", "--preset", "SL", "--n", "3", "--q", "3",
+                    "--subgroups", "all", "--out", str(out)]) == 3
+    assert _sha256(out) == (
+        "5c8d77c35c1c5a05b5096cdf38183f222db9ceb9c91b127d58acc7920ea854a6")
+
+
 @pytest.mark.parametrize("kind,n,q,mu,size", [
     ("SL", "2", "4", -60, 59),   # A5
     ("GL", "3", "2", 0, 179),    # PSL(2,7)

@@ -98,6 +98,21 @@ def _preset(kind, n, p, u=1):
 
 
 @pytest.mark.parametrize("kind,n,p,u", [
+    ("GL", 2, 5, 1), ("GL", 3, 2, 1), ("SL", 2, 3, 2), ("GL", 2, 2, 2)])
+def test_power_walk_records_every_inverse(kind, n, p, u):
+    # the walk over prime-power cyclic subgroups fills the group's inverse
+    # memo from x^k * x^(m-k) = 1; checked against Matrix.inverse for every
+    # element, and inv reads the same memo
+    group = _preset(kind, n, p, u)
+    _, _, inverse = group_module._prime_power_cyclic_generators(group)
+    assert inverse is group._inv
+    oracle = [group.index_of(group.element(i).inverse())
+              for i in range(group.order)]
+    assert list(inverse) == oracle
+    assert [group.inv(i) for i in range(group.order)] == oracle
+
+
+@pytest.mark.parametrize("kind,n,p,u", [
     ("GL", 1, 7, 1), ("GL", 1, 2, 2), ("GL", 2, 3, 1), ("SL", 2, 2, 2),
     ("SL", 2, 3, 2), ("GL", 3, 2, 1), ("GL", 3, 3, 1)])
 def test_closure_matches_matrix_product_oracle(kind, n, p, u):
@@ -601,6 +616,22 @@ def test_member_bits_hold_exactly_the_member_ids(gl23, gl25):
         for seeds in ([7], [8], [7, 8], [g.order - 1]):
             k = g.subgroup_closure(seeds)
             assert _bit_set(k.member_bits) == k.member_ids
+
+
+def test_subgroup_equality_by_members(gl23):
+    # one full ref per group; equal refs with distinct member sets compare
+    # by their bits, so a fresh handle still finds a lattice item
+    assert gl23.full_subgroup() is gl23.full_subgroup()
+    subs = overgroup_interval(gl23, gl23.trivial_subgroup())
+    lattice = {k: i for i, k in enumerate(subs)}
+    for i, k in enumerate(subs):
+        fresh = gl23.subgroup(set(k.member_ids))
+        assert fresh.member_ids is not k.member_ids
+        assert fresh == k and k == fresh and lattice[fresh] == i
+        assert all(fresh != other for other in subs[:i] + subs[i + 1:])
+    assert gl23.full_subgroup() == subs[-1]
+    assert gl23.trivial_subgroup() != gl23.full_subgroup()
+    assert gl23.trivial_subgroup() != gl23.trivial_subgroup().member_ids
 
 
 def test_cyclic_extension_matches_unpruned_gl25():
