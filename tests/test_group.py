@@ -108,7 +108,7 @@ def test_power_walk_records_every_inverse(kind, n, p, u):
     assert inverse is group._inv
     oracle = [group.index_of(group.element(i).inverse())
               for i in range(group.order)]
-    assert list(inverse) == oracle
+    assert inverse == oracle
     assert [group.inv(i) for i in range(group.order)] == oracle
 
 
