@@ -385,11 +385,13 @@ class SubgroupRef:
 
     def __eq__(self, other) -> bool:
         """Same parent and same members.  A shared member set decides at
-        once; other member sets are compared as ``member_bits``, which the
-        sweep builds for the lattice's members and stabilizers anyway."""
+        once, and so does a different order; member sets of one order are
+        compared as ``member_bits``, which the sweep builds for the
+        lattice's members and stabilizers anyway."""
         if self is other:
             return True
-        if not isinstance(other, SubgroupRef) or self.parent is not other.parent:
+        if (not isinstance(other, SubgroupRef) or self.parent is not other.parent
+                or len(self.member_ids) != len(other.member_ids)):
             return False
         return (self.member_ids is other.member_ids
                 or self.member_bits == other.member_bits)
@@ -642,16 +644,16 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     Schreier generators generate N_G(K).
     """
     images = group.right_images
-    # the power walk also fills the inverse memo, read below as a list
-    cyclic, cyc_of, inverse = _prime_power_cyclic_generators(group)
+    # the power walk also completes the inverse memo, read below as a list
+    cyclic, cyc_of = _prime_power_cyclic_generators(group)
+    inv = group._inv.__getitem__
     # conj[t] = g^-1 t^-1 g = (t g)^-1 g: since a subgroup holds the inverse
     # of each of its members, mapping its members through conj conjugates it
     # by g, and the only right factor is g
     moves = []
     for m in group.generators:
         g = group.index_of(m)
-        conj = images(map(inverse.__getitem__, images(range(group.order), g)),
-                      g)
+        conj = images(map(inv, images(range(group.order), g)), g)
         moves.append((g, lambda sub, conj=conj: frozenset(
             map(conj.__getitem__, sub))))
     trivial = frozenset((group.identity_index,))
@@ -660,8 +662,7 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     queue = [(trivial, [], [g for g, _ in moves])]
     while queue:
         current, gens, normalizer = queue.pop()
-        for x in _orbit_representatives(group, normalizer, cyclic, cyc_of,
-                                        inverse):
+        for x in _orbit_representatives(group, normalizer, cyclic, cyc_of):
             if x in current:
                 continue
             extended = group._join(current, gens, x)
@@ -676,14 +677,14 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
 
 
 def _orbit_representatives(group: GroupSet, gens: list, cyclic: list,
-                           cyc_of: array, inverse: list) -> list:
+                           cyc_of: array) -> list:
     """The first generator, in ``cyclic``'s order, of each orbit of the
     subgroup generated by ``gens`` acting by conjugation on the cyclic
     subgroups that ``cyclic`` generates; ``cyc_of`` maps every generator of
-    each to its position in ``cyclic``, and ``inverse`` every element to its
-    inverse.  The orbits are the classes of a union-find whose roots are the
-    least positions."""
-    images, inv = group.right_images, inverse.__getitem__
+    each to its position in ``cyclic``.  The orbits are the classes of a
+    union-find whose roots are the least positions.  Inverses are read from
+    the group's memo, which ``_prime_power_cyclic_generators`` filled."""
+    images, inv = group.right_images, group._inv.__getitem__
     root = list(range(len(cyclic)))
 
     def find(c: int) -> int:
@@ -703,13 +704,14 @@ def _orbit_representatives(group: GroupSet, gens: list, cyclic: list,
 
 
 def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
-    """(cyclic, cyc_of, inverse): one generator of each non-trivial cyclic
-    subgroup of prime-power order, in the order of their first generator's
-    id; the map from every generator of each to its position in ``cyclic``
-    (-1 for the other elements); and the group's inverse memo, complete.
+    """(cyclic, cyc_of): one generator of each non-trivial cyclic subgroup
+    of prime-power order, in the order of their first generator's id, and
+    the map from every generator of each to its position in ``cyclic``
+    (-1 for the other elements).
 
     Every element is a power of some x walked here, and x^k * x^(m-k) = 1
-    for m the order of x, so the walk records every inverse."""
+    for m the order of x, so the walk also completes the group's inverse
+    memo ``_inv``."""
     identity = group.identity_index
     inverse = group._inv
     inverse[identity] = identity
@@ -733,7 +735,7 @@ def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
             for y in generators:
                 cyc_of[y] = len(found)
             found.append(x)
-    return found, cyc_of, inverse
+    return found, cyc_of
 
 
 def _cyclic_generators(group: GroupSet, x: int) -> tuple:

@@ -354,9 +354,10 @@ def invariant_subspaces(matrices: Sequence[Matrix], n: Optional[int] = None,
     they generate.  With the flag set, 0 and the full space are removed.
     The result is a new list in canonical order (``Subspace.sort_key``).
 
-    Each candidate W is tested by looking up the image of each of its basis
-    rows among W's member vectors, a bitmask over vector codes kept with
-    the subspace list by ``_sorted_subspaces``; no image is row-reduced.
+    Each candidate W is tested row by row without row reduction: a vector
+    v lies in W iff v = sum v[p] * r over W's RREF rows r, p the pivot
+    column of r.  The image of each distinct RREF row under each matrix is
+    formed once per call, since the subspaces share few rows.
     """
     matrices = list(matrices)
     if not matrices:
@@ -369,32 +370,43 @@ def invariant_subspaces(matrices: Sequence[Matrix], n: Optional[int] = None,
             raise AmbientMismatch("matrices must be square over one field")
         if not m.is_invertible():
             raise SingularElement("invariant subspaces need invertible matrices")
-    # an invertible m keeps dim W, so W*m = W once every basis row's image
-    # is one of W's member vectors
-    subspaces, members, codes = _sorted_subspaces(field, n, cap)
-    return [w for w, inside in zip(subspaces, members)
-            if not (proper_nontrivial and (w.is_zero() or w.is_full()))
-            and all(inside >> codes[apply_row(field, r, m)] & 1
-                    for m in matrices for r in w.rows)]
+    subspaces, pivots = _sorted_subspaces(field, n, cap)
+    mul, add = field._mul, field._add
+    images = [{} for _ in matrices]
+
+    def invariant(w: Subspace, piv: tuple, free: tuple) -> bool:
+        # an invertible m keeps dim W, so W*m = W once every basis row's
+        # image lies in W; the image agrees with sum u[p] * r at the pivots
+        # by construction, so only the free columns are compared
+        rows = w.rows
+        for m, image in zip(matrices, images):
+            for r in rows:
+                u = image.get(r)
+                if u is None:
+                    u = image[r] = apply_row(field, r, m)
+                for j in free:
+                    s = 0
+                    for p, row in zip(piv, rows):
+                        s = add[s][mul[u[p]][row[j]]]
+                    if s != u[j]:
+                        return False
+        return True
+
+    # 0 has no rows and the full space no free columns
+    return [w for w, (piv, free) in zip(subspaces, pivots)
+            if not (proper_nontrivial and not (w.rows and free))
+            and invariant(w, piv, free)]
 
 
 @lru_cache(maxsize=4)
 def _sorted_subspaces(field: FqField, n: int, cap: int) -> tuple:
-    """(subspaces, members, codes), kept for later calls: every subspace of
-    GF(q)^n in canonical order; the member vectors of each, as a bitmask
-    whose bit c is set iff the vector of code c lies in it; and the code of
-    every vector, its position in the lexicographic order of vectors."""
+    """(subspaces, pivots), kept for later calls: every subspace of GF(q)^n
+    in canonical order, and each one's (pivot columns, free columns): the
+    columns where its RREF rows lead and the others."""
     subspaces = tuple(sorted(enumerate_subspaces(field, n, cap=cap),
                              key=Subspace.sort_key))
-    codes = {v: c for c, v in
-             enumerate(product(range(field.q), repeat=n))}
-    mul, add = field._mul, field._add
-    members = []
+    pivots = []
     for w in subspaces:
-        span = [(0,) * n]
-        for row in w.rows:
-            multiples = [tuple(mul[c][x] for x in row) for c in range(field.q)]
-            span = [tuple(add[x][y] for x, y in zip(v, u))
-                    for v in span for u in multiples]
-        members.append(sum(1 << codes[v] for v in span))
-    return subspaces, tuple(members), codes
+        piv = tuple(row.index(next(filter(None, row))) for row in w.rows)
+        pivots.append((piv, tuple(j for j in range(n) if j not in piv)))
+    return subspaces, tuple(pivots)

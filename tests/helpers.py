@@ -90,7 +90,7 @@ def lattice_by_unpruned_cyclic_extension(group):
     trivial = frozenset((group.identity_index,))
     known = {trivial}
     queue = [(trivial, [])]
-    cyclic, _, _ = _prime_power_cyclic_generators(group)
+    cyclic, _ = _prime_power_cyclic_generators(group)
     while queue:
         current, gens = queue.pop()
         for x in cyclic:

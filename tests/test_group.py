@@ -104,8 +104,8 @@ def test_power_walk_records_every_inverse(kind, n, p, u):
     # memo from x^k * x^(m-k) = 1; checked against Matrix.inverse for every
     # element, and inv reads the same memo
     group = _preset(kind, n, p, u)
-    _, _, inverse = group_module._prime_power_cyclic_generators(group)
-    assert inverse is group._inv
+    group_module._prime_power_cyclic_generators(group)
+    inverse = list(group._inv)
     oracle = [group.index_of(group.element(i).inverse())
               for i in range(group.order)]
     assert inverse == oracle
@@ -630,6 +630,11 @@ def test_subgroup_equality_by_members(gl23):
         assert fresh == k and k == fresh and lattice[fresh] == i
         assert all(fresh != other for other in subs[:i] + subs[i + 1:])
     assert gl23.full_subgroup() == subs[-1]
+    # a different order decides without building either side's bits
+    fresh = gl23.subgroup(set(subs[1].member_ids))
+    assert all(fresh != k and k != fresh
+               for k in subs if k.order != fresh.order)
+    assert fresh._bits is None
     assert gl23.trivial_subgroup() != gl23.full_subgroup()
     assert gl23.trivial_subgroup() != gl23.trivial_subgroup().member_ids
 

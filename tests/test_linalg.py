@@ -218,9 +218,11 @@ def _random_generators(rng, field, n):
 
 @pytest.mark.parametrize("p,u,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2),
                                    (5, 1, 2), (2, 3, 2), (3, 2, 2),
-                                   (2, 1, 3), (3, 1, 3)],
+                                   (101, 1, 2), (2, 1, 3), (3, 1, 3),
+                                   (3, 3, 3)],
                          ids=["GF(2)^2", "GF(3)^2", "GF(4)^2", "GF(5)^2",
-                              "GF(8)^2", "GF(9)^2", "GF(2)^3", "GF(3)^3"])
+                              "GF(8)^2", "GF(9)^2", "GF(101)^2", "GF(2)^3",
+                              "GF(3)^3", "GF(27)^3"])
 def test_invariant_subspaces_match_rref_oracle(p, u, n):
     # basis-row images inside W against row-reducing W*m and comparing
     field = FqField(p, u)
@@ -234,6 +236,14 @@ def test_invariant_subspaces_match_rref_oracle(p, u, n):
         sizes.add(len(found))
     # the samples reach both irreducible groups and reducible ones
     assert 0 in sizes and len(sizes) > 1
+
+
+def test_invariant_subspaces_of_gf97_cubed():
+    # 19,016 subspaces and 912,673 vectors: W's RREF rows decide membership,
+    # so the cost follows the subspaces, never the vectors
+    ident = Matrix.identity(FqField(97), 3)
+    assert len(invariant_subspaces([ident], 3)) == 19016
+    assert invariant_subspaces([ident], 3, proper_nontrivial=True)[0].dim == 1
 
 
 def test_invariant_subspaces_checks_run_with_a_warm_cache():
