@@ -307,14 +307,17 @@ class GroupSet:
                 "element set is not closed under product") from None
         return False
 
-    def _generate(self, ids: Iterable[int]) -> tuple:
+    def _generate(self, ids: Iterable[int],
+                  top: Optional[frozenset] = None) -> tuple:
         """(members, gens) of the subgroup generated by ``ids``, where gens
-        are the ids, in the given order, that were not yet members."""
+        are the ids, in the given order, that were not yet members.  Each
+        join runs inside ``top`` (default: the whole group), which must
+        contain every id."""
         members = frozenset((self.identity_index,))
         gens: list = []
         for i in ids:
             if i not in members:
-                members = self._join(members, gens, i)
+                members = self._join(members, gens, i, top)
                 gens.append(i)
         return members, gens
 
@@ -368,9 +371,13 @@ class SubgroupRef:
         return list(map(self.parent.element, self.ids))
 
     def generator_ids(self) -> tuple:
-        """A small deterministic generating set (greedy over the id order)."""
+        """A small deterministic generating set (greedy over the id order).
+
+        The joins run inside H itself, so Lagrange's stop ends the last one
+        once it passes |H|/p elements."""
         if self._gens is None:
-            self._gens = tuple(self.parent._generate(self.ids)[1])
+            self._gens = tuple(
+                self.parent._generate(self.ids, self.member_ids)[1])
         return self._gens
 
     def generator_matrices(self) -> list:

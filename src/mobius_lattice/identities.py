@@ -88,25 +88,30 @@ def stabilizer_family(group: GroupSet, subgroup: SubgroupRef) -> StabilizerFamil
 
 
 class ReducibleIdeal:
-    """The order ideal generated by the stabilizer family, as a bitmask.
+    """The order ideal generated by the stabilizer family, on a lattice.
 
     ``members`` are the subgroups K with H <= K <= M for some stabilizer M,
     a genuine order ideal of the overgroup interval.  They are read off
-    ``lattice``: ``bottom`` is the index of H there and ``mask`` holds the
-    members' bits and H's own.  G, adjoined as maximum, has no bit there:
-    ``mu_ideal`` adds it by the recursion.  When H has no proper invariant
-    subspace the ideal is empty, the mask holds H alone and the ideal with G
-    adjoined is the chain {H, G}.
+    ``lattice``: ``bottom`` is the index of H there, ``indices`` holds the
+    members' indices and H's own, ascending, and ``mask`` holds their bits.
+    G, adjoined as maximum, is not among them: ``mu_ideal`` adds it by the
+    recursion.  When H has no proper invariant subspace the ideal is empty,
+    the indices and mask hold H alone and the ideal with G adjoined is the
+    chain {H, G}.
     """
 
-    __slots__ = ("members", "lattice", "bottom", "mask")
+    __slots__ = ("members", "lattice", "bottom", "indices", "mask")
 
     def __init__(self, members: Sequence[SubgroupRef], lattice: FinitePoset,
-                 bottom: int, mask: int):
+                 bottom: int, indices: Sequence[int]):
         self.members = tuple(members)
         self.lattice = lattice
         self.bottom = bottom
-        self.mask = mask
+        self.indices = tuple(indices)
+        buf = bytearray((lattice.size + 7) >> 3)
+        for k in self.indices:
+            buf[k >> 3] |= 1 << (k & 7)
+        self.mask = int.from_bytes(buf, "little")
 
 
 def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
@@ -172,20 +177,17 @@ def build_ideal(family: StabilizerFamily,
     for m in stabs:
         tops |= 1 << _position(lattice, m)
     up = lattice.up
-    mask = 1 << bottom
-    for k in _bits(up[bottom]):
-        if up[k] & tops:
-            mask |= 1 << k
-    members = [lattice.items[i] for i in _bits(mask)] if stabs else []
+    indices = [k for k in lattice.above(bottom) if up[k] & tops] or [bottom]
+    members = [lattice.items[k] for k in indices] if stabs else []
     if len(members) > max_interval:
         raise IntervalTooLarge(
             f"ideal exceeded interval cap {max_interval} subgroups: "
             f"{len(members)} found")
-    _validate_meets(lattice, mask)
-    return ReducibleIdeal(members, lattice, bottom, mask)
+    _validate_meets(lattice, indices)
+    return ReducibleIdeal(members, lattice, bottom, indices)
 
 
-def _validate_meets(lattice: FinitePoset, mask: int) -> None:
+def _validate_meets(lattice: FinitePoset, indices: Sequence[int]) -> None:
     """Meets in the ideal are subgroup intersections; check they are members.
 
     K1 ^ K2 contains H and sits below any stabilizer dominating K1, so the
@@ -193,7 +195,7 @@ def _validate_meets(lattice: FinitePoset, mask: int) -> None:
     enumeration itself is broken.  Member sets are compared as element
     bitmasks (``SubgroupRef.member_bits``), every pair of them.
     """
-    bits = [lattice.items[i].member_bits for i in _bits(mask)]
+    bits = [lattice.items[i].member_bits for i in indices]
     known = set(bits)
     for i, a in enumerate(bits):
         if not {a & b for b in bits[i + 1:]} <= known:
@@ -448,6 +450,7 @@ def _decomposition(group: GroupSet, ideal: ReducibleIdeal, mu_hat: int):
     the ideal was read off."""
     top = _position(ideal.lattice, group.full_subgroup())
     row = mobius_row(ideal.lattice, ideal.bottom)
+    inside = set(ideal.indices)
     outside = sum(value for k, value in row.items()
-                  if k != top and not ideal.mask >> k & 1)
+                  if k != top and k not in inside)
     return row[top], row[top] - mu_hat + outside

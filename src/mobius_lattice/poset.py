@@ -1,13 +1,17 @@
 """Finite posets and Mobius rows.
 
 The order relation is stored once, as one bitmask per element: `up[i]` has
-bit j set iff items[i] <= items[j].  Nothing keeps its transpose.  The
-Mobius recursion pushes each settled value along `up` to the elements above,
-so a row costs one bit scan per element with a nonzero value.
+bit j set iff items[i] <= items[j].  Nothing keeps its transpose.  Beside
+the masks a poset keeps `rank`, each element's position in one linear
+extension (larger up-sets first), and, built on first use, the index tuple
+of each `up[t]`, whose entries are shared int objects.  The Mobius recursion
+walks those tuples in rank order and pushes each settled value along them
+to the elements above, so a row makes no per-bit work on N-bit ints.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import InvalidOrderRelation
@@ -16,9 +20,14 @@ POWERSET_CAP = 22
 
 
 class FinitePoset:
-    """An explicit finite poset over an indexed item list."""
+    """An explicit finite poset over an indexed item list.
 
-    __slots__ = ("items", "up", "_index")
+    ``rank[i]`` is i's position when the elements are sorted by descending
+    up-set size, ties by index: i < j forces up[j] to be a proper subset of
+    up[i], so the ranks are a linear extension of the order.
+    """
+
+    __slots__ = ("items", "up", "rank", "_index", "_ints", "_above")
 
     def __init__(self, items: Sequence, up: Sequence[int]):
         """Check ``up``: one mask per item, then unknown items, so that a
@@ -49,6 +58,13 @@ class FinitePoset:
                 rest ^= low
         if len(set(self.up)) != n:
             raise InvalidOrderRelation("relation is not antisymmetric")
+        rank = [0] * n
+        by_size = sorted(range(n), key=lambda i: -self.up[i].bit_count())
+        for r, i in enumerate(by_size):
+            rank[i] = r
+        self.rank = tuple(rank)
+        self._ints = tuple(range(n))
+        self._above = [None] * n
 
     @classmethod
     def from_leq(cls, items: Sequence, leq: Callable) -> "FinitePoset":
@@ -70,8 +86,33 @@ class FinitePoset:
     def index_of(self, item) -> int:
         return self._index[item]
 
+    def above(self, t: int) -> tuple:
+        """The indices of up[t]'s set bits, ascending; built on first use
+        and kept.  Entries are picked from one shared ``range`` tuple, so
+        the cache holds about one pointer per relation.  The bits are found
+        by ``str.find`` on the reversed binary string, one C-level search
+        per set bit."""
+        row = self._above[t]
+        if row is None:
+            ints = self._ints
+            digits = bin(self.up[t])[:1:-1]
+            found = []
+            pos = digits.find("1")
+            while pos >= 0:
+                found.append(ints[pos])
+                pos = digits.find("1", pos + 1)
+            row = self._above[t] = tuple(found)
+        return row
+
+
+# the binary digits "0"/"1" as the bytes 0/1, so a mask's reversed digit
+# string becomes one selector byte per index
+_FLAG = bytes.maketrans(b"01", b"\0\1")
+
 
 def _bits(mask: int):
+    """The set bits of a small mask, such as a face; a poset's up-sets are
+    walked by ``FinitePoset.above`` instead."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -81,22 +122,28 @@ def _bits(mask: int):
 def mobius_row(poset: FinitePoset, start: int, within: int = -1) -> dict:
     """Values mu(start, t) for every t >= start, by the defining recursion.
 
-    The elements above ``start`` are taken by descending |up[t] & above|, so
-    each comes after everything below it, and each settled nonzero
-    mu(start, t) is pushed to the elements above t; an element's value is
-    minus what it has collected by its turn.  With ``within`` (a bitmask
-    holding ``start``) the recursion runs on the subposet induced by its set
-    bits instead.
+    The elements of ``start``'s index tuple are taken in rank order, so each
+    comes after everything below it, and each settled nonzero mu(start, t)
+    is pushed along t's index tuple; an element's value is minus what it
+    has collected by its turn.  With ``within`` (a bitmask, which must hold
+    ``start``) the recursion runs on the subposet induced by its set bits
+    instead: only start's tuple is filtered by it.  A slot outside
+    ``within`` may collect a value, but it is never read.
     """
-    up = poset.up
-    above = up[start] & within
-    collected = [0] * len(up)
+    n = poset.size
+    keep = bin(within & (1 << n) - 1)[:1:-1].encode().translate(_FLAG)
+    keep = keep.ljust(n, b"\0")
+    if not 0 <= start < n or not keep[start]:
+        raise ValueError(f"within does not hold the start element {start}")
+    walk = poset.above(start)
+    walk = compress(walk, map(keep.__getitem__, walk))
+    above = poset.above
+    collected = [0] * n
     row = {}
-    for t in sorted(_bits(above), reverse=True,
-                    key=lambda t: (up[t] & above).bit_count()):
+    for t in sorted(walk, key=poset.rank.__getitem__):
         value = row[t] = 1 if t == start else -collected[t]
         if value:
             # t's own slot gains the value too, but is never read again
-            for u in _bits(up[t] & above):
+            for u in above(t):
                 collected[u] += value
     return row

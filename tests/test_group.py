@@ -882,3 +882,11 @@ def test_alternating_subset_cancellation_bruteforce(size):
 @pytest.mark.parametrize("size", range(1, 21))
 def test_alternating_subset_cancellation_binomial(size):
     assert sum((-1) ** k * math.comb(size, k) for k in range(size + 1)) == 0
+
+
+def test_generators_joined_inside_the_subgroup(corpus, gl25):
+    # generator_ids runs each greedy join inside H rather than G; Lagrange's
+    # stop then fires at |H|/p, and the joins find the same generators
+    for group in [g for _, g, _ in corpus] + [gl25]:
+        for k in overgroup_interval(group, group.trivial_subgroup()):
+            assert k.generator_ids() == tuple(group._generate(k.ids)[1])

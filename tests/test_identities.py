@@ -23,7 +23,7 @@ from mobius_lattice.identities import (
     verify_identities,
 )
 from mobius_lattice.linalg import Matrix, Subspace
-from mobius_lattice.poset import FinitePoset
+from mobius_lattice.poset import FinitePoset, mobius_row
 from mobius_lattice.simplicial import euler
 
 from helpers import containment_order
@@ -514,3 +514,18 @@ def test_two_item_interval_order_matches_pairwise_order():
 def test_slow_whole_lattice_order_matches_pairwise_order(kind, p, u):
     g = closure(preset_generators(kind, 2, FqField(p, u)))
     _assert_order_matches_oracle(overgroup_interval(g, g.trivial_subgroup()))
+
+
+def test_mobius_query_builds_index_tuples_only_where_it_walks(gl25):
+    # a fresh lattice has no tuple; a query from H builds H's own and one
+    # per element above H whose value it pushes, none elsewhere
+    lattice = subgroup_lattice(
+        overgroup_interval(gl25, gl25.trivial_subgroup()))
+    assert lattice._above == [None] * lattice.size
+    low = next(k for k in lattice.items if k.order == 4)
+    mobius_between(gl25, low, lattice=lattice)
+    built = {t for t, row in enumerate(lattice._above) if row is not None}
+    start = lattice.index_of(low)
+    row = mobius_row(lattice, start)
+    assert built == {t for t, value in row.items() if value}
+    assert len(built) < len(lattice.above(start)) < lattice.size

@@ -305,3 +305,63 @@ def test_mobius_row_under_mask_matches_induced_subposet(seed, data):
     table = mobius_by_zeta_inversion(sub)
     assert mobius_row(p, start, mask) == {
         j: table.mu_items(start, j) for j in kept if leq(p, start, j)}
+
+
+def test_mobius_row_rejects_mask_without_start():
+    # the chain 0 < 1 < 2 masked to {1, 2}: no row from 0 exists there
+    p = chain(3)
+    with pytest.raises(ValueError, match="within does not hold"):
+        mobius_row(p, 0, 0b110)
+    assert mobius_row(p, 1, 0b110) == {1: 1, 2: -1}
+
+
+def _relabelled(poset, perm):
+    """The same order with element i renamed perm[i], so that the index
+    order is no longer a linear extension."""
+    n = poset.size
+    up = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if leq(poset, i, j):
+                up[perm[i]] |= 1 << perm[j]
+    return FinitePoset(range(n), up)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+def test_mobius_rows_of_relabelled_posets_match_zeta_inversion(seed, data):
+    # random_poset's edges only go up in index, so its index order is
+    # already a linear extension; a relabelling leaves the rank order as
+    # the only thing that keeps each element after everything below it
+    base = random_poset(random.Random(seed), 9)
+    p = _relabelled(base, data.draw(st.permutations(range(base.size))))
+    table = mobius_by_zeta_inversion(p)
+    for i in range(p.size):
+        assert mobius_row(p, i) == {
+            j: table.mu(i, j) for j in range(p.size) if leq(p, i, j)}
+    start = data.draw(st.integers(min_value=0, max_value=p.size - 1))
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << p.size) - 1))
+    mask |= 1 << start
+    kept = [i for i in range(p.size) if mask >> i & 1]
+    sub = mobius_by_zeta_inversion(
+        FinitePoset.from_leq(kept, lambda a, b: leq(p, a, b)))
+    assert mobius_row(p, start, mask) == {
+        j: sub.mu_items(start, j) for j in kept if leq(p, start, j)}
+
+
+def test_index_tuples_hold_the_set_bits_and_ranks_extend_the_order():
+    rng = random.Random(31)
+    for _ in range(30):
+        base = random_poset(rng, 12)
+        perm = list(range(base.size))
+        rng.shuffle(perm)
+        for p in (base, _relabelled(base, perm)):
+            assert sorted(p.rank) == list(range(p.size))
+            for t in range(p.size):
+                assert p.above(t) == tuple(
+                    j for j in range(p.size) if leq(p, t, j))
+                assert all(p.rank[t] < p.rank[j] for j in p.above(t)
+                           if j != t)
+    # past the small-int cache, the tuples still share their int objects
+    p = chain(600)
+    assert p.above(0)[500] is p.above(400)[100] is p.above(500)[0]
+    assert p.above(0) is p.above(0)
