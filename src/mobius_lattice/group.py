@@ -11,12 +11,10 @@ over GF(q) is packed into one integer code (its entries read as base-q
 digits), and an element is keyed by the tuple of its n row codes (the bare
 code for n = 1).  The right action of an element g on all q^n row codes,
 built once from ``apply_row``, turns any product h*g into n list lookups
-and one probe of the element index.  Up to ``TABLE_CAP`` elements, products
-are read off right-multiplication columns of the Cayley table, each built
-from that action the first time its right factor is used; above the cap
-they are taken from the action directly.  ``mul`` multiplies one pair;
-``right_images`` multiplies a whole list of ids by one right factor,
-looking its column or action up once.  Both read the factor through one
+and one probe of the element index.  Each element's action is built the
+first time the element is a right factor, and kept.  ``mul``
+multiplies one pair; ``right_images`` multiplies a whole list of ids by one
+right factor, looking its action up once.  Both read the action through one
 accessor, and both raise ``NotASubgroup`` on an element set that is not
 closed.
 
@@ -31,22 +29,21 @@ the canonical matrix order.  No ``Matrix`` product is formed:
 
 Subgroups are grown by one routine, ``GroupSet._join``: <K, g> is built one
 right coset of K at a time (Dimino's algorithm), with the generators of K
-and g as the only right factors.  Each factor's column or row action is
-looked up once per join; whether a coset times a factor is new is one pick
-out of it, and a new coset is one pass over the old.  The join runs inside
-a subgroup T known to contain it (G unless the caller knows a smaller one)
-and stops once it holds more than |T|/p elements, p the smallest prime
-dividing [T:K]: by Lagrange's theorem it is then T.  Subgroup closures,
-generating sets, stabilizers and overgroup intervals all go through it;
-nothing is memoised beyond the full subgroup, the columns, the row
-actions, inverses, stabilizers and the tuple of element matrices, which
-``elements`` builds from the row keys the first time it is read (row
-actions and subgroup generators read one matrix at a time, through
-``element``).  Inverses share one memo, a list indexed by id.  ``inv``
-fills one entry at a time by inverting a ``Matrix``; the power walk of
-``_prime_power_cyclic_generators``, which takes every element's powers
-1, x, ..., x^(m-1) anyway, fills all of it at once, since x^k and x^(m-k)
-are each other's inverses.  After that walk the lattice reads inverses
+and g as the only right factors.  Each factor's row action is looked up
+once per join; whether a coset times a factor is new is one pick out of it,
+and a new coset is one pass over the old.  The join runs inside a subgroup
+T known to contain it (G unless the caller knows a smaller one) and stops
+once it holds more than |T|/p elements, p the smallest prime dividing
+[T:K]: by Lagrange's theorem it is then T.  Subgroup closures, generating
+sets, stabilizers and overgroup intervals all go through it; nothing is
+memoised beyond the full subgroup, the row actions, inverses, stabilizers
+and the tuple of element matrices, which ``elements`` builds from the row
+keys the first time it is read (row actions and subgroup generators read
+one matrix at a time, through ``element``).  Inverses share one memo, a
+list indexed by id.  ``inv`` fills one entry at a time by inverting a
+``Matrix``; the power walk of ``_prime_power_cyclic_generators``, which
+takes every element's powers 1, x, ..., x^(m-1) anyway, fills all of it at
+once, since x^k and x^(m-k) are each other's inverses.  After that walk the lattice reads inverses
 straight out of the list.
 
 ``stabilizer`` never scans G.  It walks the orbit of the subspace W under
@@ -97,10 +94,6 @@ from .linalg import Matrix, Subspace, apply_row, invariant_subspaces
 
 ORDER_CAP = 250_000
 INTERVAL_CAP = 100_000
-# columns of the multiplication table are kept only for modest orders; above
-# this products are taken from cached row actions on demand.  Below 2**16, so
-# a column's ids fit in unsigned 16-bit entries.
-TABLE_CAP = 5_000
 
 
 class GroupSet:
@@ -108,7 +101,7 @@ class GroupSet:
 
     __slots__ = ("field", "n", "_elements", "generators", "order",
                  "_vectors", "_codes", "_keys", "_rows", "_idx",
-                 "identity_index", "_table", "_actions", "_inv",
+                 "identity_index", "_actions", "_inv",
                  "_stab_cache", "_irreducible", "_full", "_full_ref")
 
     def __init__(self, field: FqField, n: int, elements: Sequence[Matrix],
@@ -149,12 +142,7 @@ class GroupSet:
             self.identity_index = self.index_of(Matrix.identity(field, n))
         except KeyError:
             raise ValueError("identity missing from element set") from None
-        if self.order <= TABLE_CAP:
-            self._table = [None] * self.order
-            self._actions = None
-        else:
-            self._table = None
-            self._actions = [None] * self.order
+        self._actions = [None] * self.order
         # _inv[i] is the id of the inverse of i, None until it is known
         self._inv = [None] * self.order
         self._stab_cache = {}
@@ -182,48 +170,28 @@ class GroupSet:
         return _matrix_row_action(self.field, self._vectors, self._codes,
                                   self.element(j))
 
-    def _column(self, j: int) -> array:
-        """Right-multiplication column j: entry i is the id of i*j."""
-        action, idx = self._row_action(j), self._idx
-        try:
-            return array("H", [idx[rows(action)] for rows in self._rows])
-        except KeyError:
-            raise NotASubgroup(
-                "element set is not closed under product") from None
-
-    def _factor(self, j: int):
-        """What multiplies by j on the right, built on first use: column j of
-        the Cayley table up to ``TABLE_CAP``, the row action of j above."""
-        table = self._table
-        if table is not None:
-            column = table[j]
-            if column is None:
-                column = table[j] = self._column(j)
-            return column
+    def _factor(self, j: int) -> list:
+        """The row action of j, which multiplies by j on the right, built on
+        first use."""
         action = self._actions[j]
         if action is None:
             action = self._actions[j] = self._row_action(j)
         return action
 
     def mul(self, i: int, j: int) -> int:
-        factor = self._factor(j)
-        if self._table is not None:
-            return factor[i]
+        action = self._factor(j)
         try:
-            return self._idx[self._rows[i](factor)]
+            return self._idx[self._rows[i](action)]
         except KeyError:
             raise NotASubgroup(
                 "element set is not closed under product") from None
 
     def right_images(self, ids: Iterable[int], j: int) -> list:
-        """``[mul(i, j) for i in ids]`` with one lookup of j's column or
-        action for the whole list."""
-        factor = self._factor(j)
-        if self._table is not None:
-            return list(map(factor.__getitem__, ids))
-        rows, idx = self._rows, self._idx
+        """``[mul(i, j) for i in ids]`` with one lookup of j's action for the
+        whole list."""
+        action, rows, idx = self._factor(j), self._rows, self._idx
         try:
-            return [idx[rows[i](factor)] for i in ids]
+            return [idx[rows[i](action)] for i in ids]
         except KeyError:
             raise NotASubgroup(
                 "element set is not closed under product") from None
@@ -285,19 +253,17 @@ class GroupSet:
         A coset C times a factor s is the coset K*(c*s), new exactly when
         c*s is not yet seen.  Filling it as C*s, never as K times a new
         representative, keeps the factors the only right factors.  Each
-        factor's column or row action is looked up once per call, and c*s
-        is one pick out of it.
+        factor's row action is looked up once per call, and c*s is one pick
+        out of it.
         """
-        by_column = self._table is not None
         rows, idx = self._rows, self._idx
         factors = [self._factor(s) for s in factors]
         try:
             for coset in cosets:
                 c = coset[0]
                 for f in factors:
-                    if (f[c] if by_column else idx[rows[c](f)]) not in seen:
-                        image = (list(map(f.__getitem__, coset)) if by_column
-                                 else [idx[rows[i](f)] for i in coset])
+                    if idx[rows[c](f)] not in seen:
+                        image = [idx[rows[i](f)] for i in coset]
                         seen.update(image)
                         if len(seen) > bound:
                             return True

@@ -2,15 +2,16 @@
 
 The poset and complex oracles here are the classical results the package's
 own paths are checked against, and nothing in the package runs them: the
-full Mobius table by zeta inversion, the down-sets of an order, bounded
-posets, adjoined bounds, coatoms, meets and crosscut sums (Rota, 1964),
-downward closure of a face family, order complexes (Hall's theorem) and
-alternating face sums.  The group oracles beside them build groups by
-matrix products, stabilizers by element scans, the subgroup lattice by
-cyclic extension without the package's normalizer-orbit pruning, overgroup
-intervals by a coset search that skips only double cosets, and the
-lattice's containment order by comparing every pair of member sets;
-invariant subspaces are found by row-reducing every image.
+number-theoretic Mobius function, the full Mobius table by zeta inversion,
+the down-sets of an order, bounded posets, adjoined bounds, coatoms, meets
+and crosscut sums (Rota, 1964), downward closure of a face family, order
+complexes (Hall's theorem) and alternating face sums.  The group oracles
+beside them build groups by matrix products, stabilizers by element scans,
+the subgroup lattice by cyclic extension without the package's
+normalizer-orbit pruning, overgroup intervals by a coset search that skips
+only double cosets, and the lattice's containment order by comparing every
+pair of member sets; invariant subspaces are found by row-reducing every
+image.
 """
 
 import itertools
@@ -193,6 +194,23 @@ def naive_subset_sums(group, base, stabilizers):
         return total
 
     return alt_sum(sorted(set(stabilizers), key=sorted)), alt_sum(stabilizers)
+
+
+def moebius_number_theoretic(n):
+    # squarefree oracle by trial factorization
+    count = 0
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            count += 1
+            if n % d == 0:
+                return 0
+        else:
+            d += 1
+    if n > 1:
+        count += 1
+    return (-1) ** count
 
 
 def random_poset(rng: random.Random, max_size: int = 10) -> FinitePoset:

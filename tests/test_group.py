@@ -18,7 +18,6 @@ from mobius_lattice.errors import (
 )
 from mobius_lattice.gfq import FqField
 from mobius_lattice.group import (
-    TABLE_CAP,
     GroupSet,
     closure,
     is_irreducible,
@@ -52,7 +51,6 @@ F3 = FqField(3)
 
 @pytest.fixture(scope="module")
 def gl33():
-    # order 11232 > TABLE_CAP: every product on the row-action path
     return closure(preset_generators("GL", 3, FqField(3)))
 
 
@@ -168,8 +166,6 @@ def test_product_kernel_every_pair(kind, n, p, u):
 @pytest.mark.parametrize("kind,n,p,u", [("SL", 2, 3, 2), ("GL", 3, 3, 1)])
 def test_product_kernel_seeded_pairs(kind, n, p, u):
     group = _preset(kind, n, p, u)
-    if n == 3:
-        assert group.order > TABLE_CAP  # the row-action path, no columns
     rng = random.Random(f"{kind}{n}{p}{u}")
     pairs = [(rng.randrange(group.order), rng.randrange(group.order))
              for _ in range(3000)]
@@ -194,12 +190,11 @@ def test_join_every_pair_gl23(gl23):
 
 
 def test_join_seeded_sets_gl33():
-    # row-action path.  Elements come from the stabilizer of a line or of a
-    # plane (order 864 each), so the sets generate subgroups of many orders;
-    # drawn from all of GL(3,3), most sets generate SL(3,3) or GL(3,3), and
-    # the matrix-level oracle would take ~0.3 s for each of them
+    # elements come from the stabilizer of a line or of a plane (order 864
+    # each), so the sets generate subgroups of many orders; drawn from all of
+    # GL(3,3), most sets generate SL(3,3) or GL(3,3), and the matrix-level
+    # oracle would take ~0.3 s for each of them
     group = _preset("GL", 3, 3)
-    assert group.order > TABLE_CAP
     pools = [stabilizer(group, Subspace.from_vectors(F3, 3, rows)).ids
              for rows in ([[1, 0, 0]], [[1, 0, 0], [0, 1, 0]])]
     rng = random.Random("join-gl33")
@@ -213,21 +208,18 @@ def test_join_seeded_sets_gl33():
 
 def test_query_builds_few_columns():
     # mu(Borel, GL(2,7)) multiplies by the Borel's generators and a few
-    # coset representatives (13 columns); an eager |G|^2 table fills 2016
+    # coset representatives, so few of the 2016 row actions are built
     group = _preset("GL", 2, 7)
     f7 = group.field
     borel = group.subgroup_closure(
         group.index_of(Matrix.from_rows(f7, rows))
         for rows in ([[1, 1], [0, 1]], [[3, 0], [0, 1]], [[1, 0], [0, 3]]))
     assert mobius_between(group, borel, group.full_subgroup()) == -1
-    built = sum(column is not None for column in group._table)
+    built = sum(action is not None for action in group._actions)
     assert 0 < built < 64
 
 
-@pytest.mark.parametrize("table_cap", [TABLE_CAP, 0])
-def test_non_closed_element_set_raises(monkeypatch, table_cap):
-    # table_cap 0 sends every product through the row-action path
-    monkeypatch.setattr(group_module, "TABLE_CAP", table_cap)
+def test_non_closed_element_set_raises():
     t = Matrix.from_rows(F3, [[1, 1], [0, 1]])
     group = GroupSet(F3, 2, [Matrix.identity(F3, 2), t], [t])  # t^2 left out
     ti = group.index_of(t)
@@ -247,12 +239,8 @@ def test_non_closed_element_set_raises(monkeypatch, table_cap):
                     group.index_of(t))
 
 
-@pytest.mark.parametrize("table_cap", [TABLE_CAP, 0])
-def test_right_images_match_mul_gl23(monkeypatch, table_cap):
-    # table_cap 0 takes every image from the row actions instead of columns
-    monkeypatch.setattr(group_module, "TABLE_CAP", table_cap)
+def test_right_images_match_mul_gl23():
     group = _preset("GL", 2, 3)
-    assert (group._table is None) == (table_cap == 0)
     ids = list(range(group.order))
     random.Random("images-gl23").shuffle(ids)
     for j in range(group.order):
@@ -685,12 +673,13 @@ def test_interval_within_every_top_matches_lattice_filter(kind, n, p):
     assert pairs == _NESTED_PAIRS[kind, n, p]
 
 
-def test_interval_within_every_top_row_action_path(monkeypatch):
-    # TABLE_CAP 0: every product of the search comes from row actions
-    monkeypatch.setattr(group_module, "TABLE_CAP", 0)
+def test_interval_within_every_top_row_action_path():
+    # every product of the search comes from the row actions, built on
+    # first use; a fresh group starts with none of them
     g = _preset("GL", 3, 2)
-    assert g._table is None
+    assert not any(g._actions)
     assert _assert_intervals_match_lattice_filter(g) == 1445
+    assert any(g._actions)
 
 
 def test_interval_search_joins_few_subgroups(monkeypatch, gl33):
@@ -750,14 +739,10 @@ def test_interval_search_matches_unpruned_gl33(gl33):
     assert pairs == 14
 
 
-@pytest.mark.parametrize("table_cap", [TABLE_CAP, 0])
-def test_interval_search_matches_unpruned_gl27(monkeypatch, table_cap):
-    # [reflection, GL(2,7)]: top is G but low is not 1, so the coset search
-    # runs; table_cap 0 takes every product from row actions
-    monkeypatch.setattr(group_module, "TABLE_CAP", table_cap)
+def test_interval_search_matches_unpruned_gl27():
+    # [reflection, GL(2,7)]: top is G but low is not 1, so the search runs
     f7 = FqField(7)
     g = closure(preset_generators("GL", 2, f7))
-    assert (g._table is None) == (table_cap == 0)
     h = g.subgroup_closure([g.index_of(Matrix.from_rows(f7, [[6, 0],
                                                              [0, 1]]))])
     assert _assert_search_matches_unpruned(g, h, g._full) == 76

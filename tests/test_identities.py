@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mobius_lattice.errors import (
     IntervalTooLarge,
@@ -10,7 +12,12 @@ from mobius_lattice.errors import (
 )
 from mobius_lattice.cli import preset_generators
 from mobius_lattice.gfq import FqField
-from mobius_lattice.group import closure, overgroup_interval, stabilizer
+from mobius_lattice.group import (
+    closure,
+    is_irreducible,
+    overgroup_interval,
+    stabilizer,
+)
 from mobius_lattice import identities
 from mobius_lattice.identities import (
     alternating_sums,
@@ -26,7 +33,7 @@ from mobius_lattice.linalg import Matrix, Subspace
 from mobius_lattice.poset import FinitePoset, mobius_row
 from mobius_lattice.simplicial import euler
 
-from helpers import containment_order
+from helpers import containment_order, moebius_number_theoretic
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -197,6 +204,41 @@ def test_quantities_invariant_under_conjugation(corpus):
                                          with_decomposition=True).to_dict()
                        for k in (h, conjugate)]
             assert reports[0] == reports[1], (name, h.order)
+
+
+@pytest.fixture(scope="module")
+def corpus_reports(corpus):
+    """name -> {member ids of H: report dict} over each corpus group's proper
+    subgroups, decomposition included."""
+    out = {}
+    for name, group, subs in corpus:
+        lattice = subgroup_lattice(subs)
+        out[name] = {h.member_ids: verify_identities(
+            group, h, lattice=lattice, with_decomposition=True).to_dict()
+            for h in subs if h.order < group.order}
+    return out
+
+
+@given(data=st.data())
+def test_quantities_invariant_under_generator_order(corpus, corpus_reports,
+                                                    data):
+    # G rebuilt from its generators permuted, some of them repeated: the
+    # element ids, the lattice and every report must come out the same,
+    # though the orbit walks and the cyclic extension follow the new order
+    name, group, subs = data.draw(st.sampled_from(corpus), label="group")
+    gens = list(group.generators)
+    gens += data.draw(st.lists(st.sampled_from(gens), max_size=2),
+                      label="repeated")
+    rebuilt = closure(data.draw(st.permutations(gens), label="generators"))
+    assert rebuilt._keys == group._keys
+    lattice = overgroup_interval(rebuilt, rebuilt.trivial_subgroup())
+    assert [k.member_ids for k in lattice] == [k.member_ids for k in subs]
+    order = subgroup_lattice(lattice)
+    for h in lattice[:-1]:
+        report = verify_identities(rebuilt, h, lattice=order,
+                                   with_decomposition=True)
+        assert report.to_dict() == corpus_reports[name][h.member_ids], \
+            (name, h.order)
 
 
 def test_sums_for_irreducible_subgroup(gl22):
@@ -405,6 +447,30 @@ def test_mobius_matches_divisor_lattice_for_scalar_cyclics():
     c6 = closure([Matrix.from_rows(f7, [[3, 0], [0, 3]])])
     assert c6.order == 6
     assert mobius_between(c6, c6.trivial_subgroup()) == 1
+
+
+def test_singer_cycle_gl25_closed_forms():
+    # the companion matrix of x^2 - x + 2 over GF(5); order 24 = 5^2 - 1
+    # makes the polynomial primitive, so G is cyclic and irreducible, and
+    # mu(H, G) is the number-theoretic mu(|G : H|) (Hall, 1936)
+    f5 = FqField(5)
+    group = closure([Matrix.from_rows(f5, [[0, 1], [3, 1]])])
+    assert group.order == 24
+    assert is_irreducible(group)
+    subs = overgroup_interval(group, group.trivial_subgroup())
+    assert [h.order for h in subs] == [1, 2, 3, 4, 6, 8, 12, 24]
+    for h in subs[:-1]:
+        report = verify_identities(group, h, with_decomposition=True)
+        assert report.all_equal, h.order
+        assert report.mu_full == moebius_number_theoretic(24 // h.order), \
+            h.order
+    # the order-3 subgroup fixes no line, so its ideal is empty and the
+    # ideal with G adjoined is the chain {H, G}
+    c3 = subs[2]
+    assert stabilizer_family(group, c3).pairs == ()
+    report = verify_identities(group, c3)
+    assert report.mu_ideal == -1
+    assert report.subspace_sum == report.stabilizer_sum == 1
 
 
 def test_klein_four_mobius_in_gl23(gl23):

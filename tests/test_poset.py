@@ -20,6 +20,7 @@ from helpers import (
     lt,
     mobius,
     mobius_by_zeta_inversion,
+    moebius_number_theoretic,
     random_lattice,
     random_poset,
 )
@@ -37,23 +38,6 @@ def boolean_lattice(m):
 def divisor_lattice(n):
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     return FinitePoset.from_leq(divisors, lambda a, b: b % a == 0)
-
-
-def moebius_number_theoretic(n):
-    # squarefree oracle by trial factorization
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            count += 1
-            if n % d == 0:
-                return 0
-        else:
-            d += 1
-    if n > 1:
-        count += 1
-    return (-1) ** count
 
 
 def test_mobius_three_chain():
