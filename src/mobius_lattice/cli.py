@@ -154,10 +154,12 @@ def load_group(args: argparse.Namespace) -> tuple:
                 raise ValueError("no generators")
             if any(g.nrows != n or g.ncols != n for g in gens):
                 raise ValueError(f"generators are not {n}x{n} matrices")
+            name = spec.get("name", os.path.basename(args.gens_file))
+            if not isinstance(name, str):
+                raise TypeError("the group name is not a string")
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise GroupSpecError(f"cannot read generator file: {exc}") from exc
         group = build_group(gens, cap=args.max_order)
-        name = spec.get("name", os.path.basename(args.gens_file))
         return group, {"name": name, "n": n, "field": fq.to_dict()}
     fq = _flag_field(args)
     kind = args.preset or "GL"
@@ -393,6 +395,10 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
                             f"JSON object")
                     if row.get("type") == "summary":
                         continue
+                    if not isinstance(row.get("group", ""), str):
+                        raise MalformedReport(
+                            f"malformed report: {path}: a row's group is "
+                            f"not a string")
                     key = (row.get("group"),
                            json.dumps(row.get("h_generators"), sort_keys=True))
                     # duplicates may differ in their timing only; the first

@@ -41,7 +41,7 @@ from .group import (
     stabilizer,
 )
 from .linalg import invariant_subspaces
-from .poset import POWERSET_CAP, FinitePoset, _bits, mobius_row
+from .poset import POWERSET_CAP, FinitePoset, mobius_row
 from .simplicial import SimplicialComplex, complex_from_faces, euler
 
 
@@ -93,14 +93,13 @@ class ReducibleIdeal:
     ``members`` are the subgroups K with H <= K <= M for some stabilizer M,
     a genuine order ideal of the overgroup interval.  They are read off
     ``lattice``: ``bottom`` is the index of H there, ``indices`` holds the
-    members' indices and H's own, ascending, and ``mask`` holds their bits.
-    G, adjoined as maximum, is not among them: ``mu_ideal`` adds it by the
-    recursion.  When H has no proper invariant subspace the ideal is empty,
-    the indices and mask hold H alone and the ideal with G adjoined is the
-    chain {H, G}.
+    members' indices and H's own, ascending.  G, adjoined as maximum, is
+    not among them: ``mu_ideal`` adds it by the recursion.  When H has no
+    proper invariant subspace the ideal is empty, the indices hold H alone
+    and the ideal with G adjoined is the chain {H, G}.
     """
 
-    __slots__ = ("members", "lattice", "bottom", "indices", "mask")
+    __slots__ = ("members", "lattice", "bottom", "indices")
 
     def __init__(self, members: Sequence[SubgroupRef], lattice: FinitePoset,
                  bottom: int, indices: Sequence[int]):
@@ -108,10 +107,6 @@ class ReducibleIdeal:
         self.lattice = lattice
         self.bottom = bottom
         self.indices = tuple(indices)
-        buf = bytearray((lattice.size + 7) >> 3)
-        for k in self.indices:
-            buf[k >> 3] |= 1 << (k & 7)
-        self.mask = int.from_bytes(buf, "little")
 
 
 def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
@@ -206,7 +201,8 @@ def _validate_meets(lattice: FinitePoset, indices: Sequence[int]) -> None:
 def mu_ideal(ideal: ReducibleIdeal) -> int:
     """Mobius value from H to G adjoined above the ideal, by the recursion:
     minus the sum of mu(H, K) over the ideal's elements K."""
-    return -sum(mobius_row(ideal.lattice, ideal.bottom, ideal.mask).values())
+    row = mobius_row(ideal.lattice, ideal.bottom, ideal.indices)
+    return -sum(row.values())
 
 
 @dataclass(frozen=True)
@@ -311,8 +307,8 @@ def build_complexes(family: StabilizerFamily,
     to more than H.  The second lives on the distinct stabilizers other than
     H itself, with faces the subsets intersecting to more than H.  Shrinking
     a face can only grow the intersection, so both families are complexes by
-    construction; ``complex_from_faces`` checks that and would surface a bug,
-    never repair one.
+    construction; ``complex_from_faces`` checks that on the face masks of
+    ``_faces`` and would surface a bug, never repair one.
     """
     group, subgroup = family.subgroup.parent, family.subgroup
     _check_pair(group, subgroup)
@@ -331,15 +327,12 @@ def build_complexes(family: StabilizerFamily,
             f"{len(stab_vertices)} stabilizers) exceed powerset cap "
             f"{max_powerset}")
 
-    def to_complex(vertices, sets):
-        masks = _faces(sets, ambient, target)
-        families = [[vertices[i] for i in _bits(mask)] for mask in masks]
-        return complex_from_faces(vertices, families)
-
     stab_labels = [f"M{idx}(order={m.order})"
                    for idx, m in enumerate(stab_vertices)]
-    return (to_complex(space_vertices, space_sets),
-            to_complex(stab_labels, stab_sets))
+    space_faces = _faces(space_sets, ambient, target)
+    stab_faces = _faces(stab_sets, ambient, target)
+    return (complex_from_faces(space_vertices, space_faces),
+            complex_from_faces(stab_labels, stab_faces))
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,13 @@ the masks a poset keeps `rank`, each element's position in one linear
 extension (larger up-sets first), and, built on first use, the index tuple
 of each `up[t]`, whose entries are shared int objects.  The Mobius recursion
 walks those tuples in rank order and pushes each settled value along them
-to the elements above, so a row makes no per-bit work on N-bit ints.
+to the elements above, so a row makes no per-bit work on N-bit ints.  A
+row on a subposet is given that subposet as element indices.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InvalidOrderRelation
 
@@ -105,38 +105,27 @@ class FinitePoset:
         return row
 
 
-# the binary digits "0"/"1" as the bytes 0/1, so a mask's reversed digit
-# string becomes one selector byte per index
-_FLAG = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(mask: int):
-    """The set bits of a small mask, such as a face; a poset's up-sets are
-    walked by ``FinitePoset.above`` instead."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
-
-
-def mobius_row(poset: FinitePoset, start: int, within: int = -1) -> dict:
+def mobius_row(poset: FinitePoset, start: int,
+               within: Optional[Iterable[int]] = None) -> dict:
     """Values mu(start, t) for every t >= start, by the defining recursion.
 
     The elements of ``start``'s index tuple are taken in rank order, so each
     comes after everything below it, and each settled nonzero mu(start, t)
     is pushed along t's index tuple; an element's value is minus what it
-    has collected by its turn.  With ``within`` (a bitmask, which must hold
-    ``start``) the recursion runs on the subposet induced by its set bits
-    instead: only start's tuple is filtered by it.  A slot outside
+    has collected by its turn.  With ``within`` (element indices, which
+    must hold ``start``) the recursion runs on the subposet they induce
+    instead: only start's tuple is filtered by them.  A slot outside
     ``within`` may collect a value, but it is never read.
     """
     n = poset.size
-    keep = bin(within & (1 << n) - 1)[:1:-1].encode().translate(_FLAG)
-    keep = keep.ljust(n, b"\0")
-    if not 0 <= start < n or not keep[start]:
-        raise ValueError(f"within does not hold the start element {start}")
+    if not 0 <= start < n:
+        raise ValueError(f"start {start} is not an element of the poset")
     walk = poset.above(start)
-    walk = compress(walk, map(keep.__getitem__, walk))
+    if within is not None:
+        keep = frozenset(within)
+        if start not in keep:
+            raise ValueError(f"within does not hold the start element {start}")
+        walk = filter(keep.__contains__, walk)
     above = poset.above
     collected = [0] * n
     row = {}

@@ -1,11 +1,13 @@
 """Abstract simplicial complexes and their Euler characteristics.
 
-Faces are stored as bitmasks over the vertex index.  Two degenerate complexes
-are kept distinct on purpose: the empty complex (no faces at all, reduced
-Euler characteristic 0) and the complex whose only face is the empty set
-(reduced Euler characteristic -1).  The second one shows up naturally as the
-face family of a vertex-free identity instance and must contribute an
-alternating face sum of 1.
+A complex is its face family: an indexed vertex tuple and one bitmask per
+face, bit i standing for vertex i.  Faces are built, checked and counted as
+those masks; vertex labels are read only when faces are dumped.  Two
+degenerate complexes are kept distinct on purpose: the empty complex (no
+faces at all, reduced Euler characteristic 0) and the complex whose only
+face is the empty set (reduced Euler characteristic -1).  The second one
+shows up naturally as the face family of a vertex-free identity instance
+and must contribute an alternating face sum of 1.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotDownwardClosed
-from .poset import _bits
+
+
+def _bits(mask: int):
+    """The set bits of a face mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask &= mask - 1
 
 
 class SimplicialComplex:
@@ -46,22 +55,21 @@ class SimplicialComplex:
 
 
 def complex_from_faces(vertices: Sequence,
-                       faces: Iterable[Iterable]) -> SimplicialComplex:
-    """Build a complex from a family of faces given as vertex collections.
+                       faces: Iterable[int]) -> SimplicialComplex:
+    """Build a complex from a family of faces given as masks over
+    ``vertices``, bit i standing for ``vertices[i]``.
 
     The family must already be closed under taking subsets and hold every
     vertex as a singleton face: it is a complex by construction wherever it
     is built, so a gap means a bug upstream and is rejected, never repaired.
+    A negative mask, or one naming a vertex past the tuple, is a ValueError.
     """
     vertices = tuple(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    masks = set()
-    for face in faces:
-        mask = 0
-        for v in face:
-            mask |= 1 << index[v]
-        masks.add(mask)
+    masks = set(faces)
     for mask in masks:
+        if mask < 0 or mask >> len(vertices):
+            raise ValueError(f"face mask {mask} names no subset of "
+                             f"{len(vertices)} vertices")
         for i in _bits(mask):
             if mask & ~(1 << i) not in masks:
                 raise NotDownwardClosed(f"face {mask:b} lacks a subset")

@@ -31,13 +31,8 @@ from mobius_lattice.linalg import (
     apply_row,
     enumerate_subspaces,
 )
-from mobius_lattice.poset import (
-    POWERSET_CAP,
-    FinitePoset,
-    _bits,
-    mobius_row,
-)
-from mobius_lattice.simplicial import SimplicialComplex
+from mobius_lattice.poset import POWERSET_CAP, FinitePoset, mobius_row
+from mobius_lattice.simplicial import SimplicialComplex, _bits
 
 
 def closure_by_matrix_products(gens):

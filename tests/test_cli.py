@@ -378,6 +378,19 @@ def test_report_non_object_line_exits_two(tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("group", [["x"], {"x": 1}, 5])
+def test_report_row_with_non_string_group_exits_two(tmp_path, group):
+    # group is part of each row's merge key, and a list there cannot be
+    # hashed; exit 1 would read as a failed identity
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({"group": group, "h_generators": []}) + "\n")
+    proc = _run_module("report", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: malformed report")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 # sha256 of reports written by the code before the single-enumeration
 # refactor; any change to report bytes shows up here
 GOLDEN_JSON = {
@@ -561,6 +574,11 @@ EXIT_CASES = {
     "no-generators": (lambda tmp: _gens_file(
         tmp, {"field": {"p": 2, "u": 1}, "n": 2, "generators": []}), 2),
     "generator-file-not-object": (lambda tmp: _gens_file(tmp, [1, 2]), 2),
+    # the name is written into every row's group, which report sorts on
+    "generator-name-list": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), name=["x"])), 2),
+    "generator-name-object": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), name={"x": 1})), 2),
     "generator-size-not-n": (lambda tmp: _gens_file(
         tmp, {"field": {"p": 2, "u": 1}, "n": 3,
               "generators": _GL22_GENS}), 2),

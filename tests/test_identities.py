@@ -29,7 +29,7 @@ from mobius_lattice.identities import (
     subgroup_lattice,
     verify_identities,
 )
-from mobius_lattice.linalg import Matrix, Subspace
+from mobius_lattice.linalg import Matrix, Subspace, invariant_subspaces
 from mobius_lattice.poset import FinitePoset, mobius_row
 from mobius_lattice.simplicial import euler
 
@@ -123,8 +123,8 @@ def test_ideal_for_irreducible_subgroup_is_two_chain(gl22):
     fam = stabilizer_family(gl22, c3)
     ideal = build_ideal(fam)
     assert ideal.members == ()
-    # the mask holds H alone: with G adjoined, the chain {H, G}
-    assert ideal.mask == 1 << ideal.bottom
+    # the indices hold H alone: with G adjoined, the chain {H, G}
+    assert ideal.indices == (ideal.bottom,)
     assert mu_ideal(ideal) == -1
 
 
@@ -132,7 +132,7 @@ def test_ideal_for_trivial_subgroup_gl22(gl22):
     fam = stabilizer_family(gl22, gl22.trivial_subgroup())
     ideal = build_ideal(fam)
     assert sorted(k.order for k in ideal.members) == [1, 2, 2, 2]
-    assert bin(ideal.mask).count("1") == 4
+    assert len(ideal.indices) == 4
     # hand recursion: mu(1,1)=1, three mu(1,M)=-1, so mu(1,G) = -(1-3) = 2
     assert mu_ideal(ideal) == 2
 
@@ -239,6 +239,65 @@ def test_quantities_invariant_under_generator_order(corpus, corpus_reports,
                                    with_decomposition=True)
         assert report.to_dict() == corpus_reports[name][h.member_ids], \
             (name, h.order)
+
+
+@pytest.fixture(scope="module")
+def singer_gl25(gl25):
+    """The GL(2,5) Singer cycle G of order 24, its subgroups, the report
+    dict of each proper one, and the x in GL(2,5) with G^x != G."""
+    group = closure([Matrix.from_rows(FqField(5), [[0, 1], [3, 1]])])
+    subs = overgroup_interval(group, group.trivial_subgroup())
+    reports = {h.member_ids: verify_identities(
+        group, h, with_decomposition=True).to_dict() for h in subs[:-1]}
+    s, = group.generators
+    moving = []
+    for x in gl25.elements:
+        try:
+            group.index_of(x.inverse() * s * x)
+        except KeyError:
+            moving.append(x)
+    return group, subs, reports, moving
+
+
+@given(data=st.data())
+def test_quantities_invariant_under_change_of_basis(singer_gl25, data):
+    # G and H both conjugated by x in GL(2,5) (W -> W x carries one family
+    # onto the other).  G is not normal in GL(2,5) and x is drawn outside
+    # its normaliser, so G^x is another group on other matrices, and the
+    # reports are computed afresh, not read off G's own lattice as in the
+    # conjugation test
+    group, subs, reports, moving = singer_gl25
+    x = data.draw(st.sampled_from(moving), label="x")
+    x_inv = x.inverse()
+    moved = closure([x_inv * g * x for g in group.generators])
+    assert set(moved.elements) != set(group.elements)
+    for h in subs[:-1]:
+        image = moved.subgroup(moved.index_of(x_inv * m * x)
+                               for m in h.matrices())
+        report = verify_identities(moved, image, with_decomposition=True)
+        assert report.to_dict() == reports[h.member_ids], h.order
+
+
+def _inverse_transpose(m):
+    inv = m.inverse()
+    n = inv.nrows
+    return Matrix(inv.field, n, n,
+                  tuple(inv.data[j * n + i] for i in range(n) for j in range(n)))
+
+
+def test_quantities_invariant_under_inverse_transpose(gl32, corpus_reports):
+    # g -> g^-T is an outer automorphism of GL(3,2); it carries H's
+    # invariant subspaces W onto their annihilators, since
+    # (x g^-T) . w = x . (w g^-1), and so the whole stabilizer family
+    reports = corpus_reports["GL(3,2)"]
+    subs = overgroup_interval(gl32, gl32.trivial_subgroup())
+    for h in subs[:-1]:
+        image = gl32.subgroup(gl32.index_of(_inverse_transpose(m))
+                              for m in h.matrices())
+        assert reports[image.member_ids] == reports[h.member_ids], h.order
+        spaces = invariant_subspaces(h.generator_matrices(), 3)
+        assert invariant_subspaces(image.generator_matrices(), 3) == sorted(
+            w.annihilator() for w in spaces), h.order
 
 
 def test_sums_for_irreducible_subgroup(gl22):

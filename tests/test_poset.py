@@ -287,16 +287,24 @@ def test_mobius_row_under_mask_matches_induced_subposet(seed, data):
     kept = [i for i in range(p.size) if mask >> i & 1]
     sub = FinitePoset.from_leq(kept, lambda a, b: leq(p, a, b))
     table = mobius_by_zeta_inversion(sub)
-    assert mobius_row(p, start, mask) == {
+    assert mobius_row(p, start, kept) == {
         j: table.mu_items(start, j) for j in kept if leq(p, start, j)}
 
 
 def test_mobius_row_rejects_mask_without_start():
-    # the chain 0 < 1 < 2 masked to {1, 2}: no row from 0 exists there
+    # the chain 0 < 1 < 2 restricted to {1, 2}: no row from 0 exists there
     p = chain(3)
     with pytest.raises(ValueError, match="within does not hold"):
-        mobius_row(p, 0, 0b110)
-    assert mobius_row(p, 1, 0b110) == {1: 1, 2: -1}
+        mobius_row(p, 0, [1, 2])
+    assert mobius_row(p, 1, [1, 2]) == {1: 1, 2: -1}
+
+
+@pytest.mark.parametrize("within", [None, [0, 1, 2, 3]])
+@pytest.mark.parametrize("start", [-1, 3])
+def test_mobius_row_rejects_start_outside_poset(start, within):
+    # an out-of-range start is named as such, with or without ``within``
+    with pytest.raises(ValueError, match="is not an element of the poset"):
+        mobius_row(chain(3), start, within)
 
 
 def _relabelled(poset, perm):
@@ -328,7 +336,7 @@ def test_mobius_rows_of_relabelled_posets_match_zeta_inversion(seed, data):
     kept = [i for i in range(p.size) if mask >> i & 1]
     sub = mobius_by_zeta_inversion(
         FinitePoset.from_leq(kept, lambda a, b: leq(p, a, b)))
-    assert mobius_row(p, start, mask) == {
+    assert mobius_row(p, start, kept) == {
         j: sub.mu_items(start, j) for j in kept if leq(p, start, j)}
 
 

@@ -45,18 +45,25 @@ def test_full_triangle():
 
 def test_strict_mode_rejects_gaps():
     with pytest.raises(NotDownwardClosed):
-        complex_from_faces("ab", [("a", "b")])
+        complex_from_faces("ab", [0b11])
 
 
 def test_complex_from_faces_rejects_vertex_without_singleton():
     with pytest.raises(NotDownwardClosed, match="no singleton face"):
-        complex_from_faces("ab", [(), ("a",)])
+        complex_from_faces("ab", [0, 0b01])
 
 
 def test_strict_mode_accepts_closed_family():
-    family = [(), ("a",), ("b",), ("a", "b")]
+    family = [0, 0b01, 0b10, 0b11]
     c = complex_from_faces("ab", family)
     assert len(c.faces) == 4
+
+
+@pytest.mark.parametrize("mask", [-1, 0b100, 0b111])
+def test_complex_from_faces_rejects_mask_outside_vertices(mask):
+    # bit 2 names no vertex of "ab"; a negative mask names infinitely many
+    with pytest.raises(ValueError, match="names no subset of 2 vertices"):
+        complex_from_faces("ab", [0, 0b01, 0b10, 0b11, mask])
 
 
 def test_three_isolated_vertices():
