@@ -22,6 +22,7 @@ from .errors import (
     InvalidCap,
     MalformedReport,
     MobiusLatticeError,
+    NotASubgroup,
     PowersetTooLarge,
     ReducibleAmbientGroup,
 )
@@ -42,6 +43,7 @@ from .group import (
     overgroup_interval,
 )
 from .identities import (
+    certify_meets,
     mobius_between,
     stabilizer_family,
     subgroup_lattice,
@@ -269,9 +271,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not is_irreducible(group):
             raise ReducibleAmbientGroup(
                 "ambient group fixes a proper non-trivial subspace")
-        # the one subgroup lattice of the run, shared by every pair
+        # the one subgroup lattice of the run, shared by every pair, and
+        # proved closed under intersection once instead of once per ideal
         lattice = subgroup_lattice(overgroup_interval(
             group, group.trivial_subgroup(), cap=args.max_interval))
+        certify_meets(group, lattice)
         subgroups = select_subgroups(group, args, lattice.items)
     except MobiusLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -367,6 +371,10 @@ def cmd_mobius(args: argparse.Namespace) -> int:
         group, descriptor = load_group(args)
         low = _resolve_endpoint(group, args.low)
         high = _resolve_endpoint(group, args.high)
+        if not low.member_ids <= high.member_ids:
+            raise NotASubgroup(
+                f"--from subgroup of order {low.order} is not contained in "
+                f"--to subgroup of order {high.order}")
         lattice = subgroup_lattice(overgroup_interval(
             group, low, top=high, cap=args.max_interval))
         value = mobius_between(group, low, high, lattice=lattice)

@@ -36,10 +36,15 @@ T known to contain it (G unless the caller knows a smaller one) and stops
 once it holds more than |T|/p elements, p the smallest prime dividing
 [T:K]: by Lagrange's theorem it is then T.  Subgroup closures, generating
 sets, stabilizers and overgroup intervals all go through it; nothing is
-memoised beyond the full subgroup, the row actions, inverses, stabilizers
-and the tuple of element matrices, which ``elements`` builds from the row
-keys the first time it is read (row actions and subgroup generators read
-one matrix at a time, through ``element``).  Inverses share one memo, a
+memoised beyond the full subgroup, the row actions, inverses, stabilizers,
+each element's proper non-trivial invariant subspaces, the class orbits of
+the last whole-lattice walk, the lattice certified closed under
+intersection and the tuple of element matrices, which ``elements`` builds
+from the row keys the first time it is read (row actions and subgroup
+generators read one matrix at a time, through ``element``).  The invariant
+subspaces are a list indexed by id that ``identities.stabilizer_family``
+fills one generator at a time, so each element's linear algebra runs once
+per group however many subgroups it generates.  Inverses share one memo, a
 list indexed by id.  ``inv`` fills one entry at a time by inverting a
 ``Matrix``; the power walk of ``_prime_power_cyclic_generators``, which
 takes every element's powers 1, x, ..., x^(m-1) anyway, fills all of it at
@@ -62,14 +67,16 @@ set under conjugation by G's generators, and that orbit's Schreier
 generators give N_G(K).  Since <K, C^n> = <K, C>^n for n in N_G(K), K is
 joined with one cyclic subgroup C of prime-power order per N_G(K)-orbit
 outside K, the orbits found by a union-find over conjugation by N_G(K)'s
-generators.  Any other interval [H, M] is searched by joining each known
-subgroup K with the elements g of M outside it, each join stopped by
-Lagrange's bound inside the smallest known overgroup of K holding g (<K, g>
-lies in it).  After a join, the search skips every element x with
-<K, x> = <K, g>: all of <K, g> when [<K, g> : K] is prime (each such x
-outside K generates it with K), else the double cosets K*g^k*K for every k
-prime to the order of g (<K, h*g^k*h'> = <K, g^k> = <K, g> for h, h' in
-K).  This search is also the test oracle of the first.
+generators.  The walk records the class orbits on the group, where
+``identities.certify_meets`` reads them to prove the lattice closed under
+intersection once per run.  Any other interval [H, M] is searched by
+joining each known subgroup K with the elements g of M outside it, each
+join stopped by Lagrange's bound inside the smallest known overgroup of K
+holding g (<K, g> lies in it).  After a join, the search skips every
+element x with <K, x> = <K, g>: all of <K, g> when [<K, g> : K] is prime
+(each such x outside K generates it with K), else the double cosets
+K*g^k*K for every k prime to the order of g (<K, h*g^k*h'> = <K, g^k> =
+<K, g> for h, h' in K).  This search is also the test oracle of the first.
 """
 
 from __future__ import annotations
@@ -101,8 +108,9 @@ class GroupSet:
 
     __slots__ = ("field", "n", "_elements", "generators", "order",
                  "_vectors", "_codes", "_keys", "_rows", "_idx",
-                 "identity_index", "_actions", "_inv",
-                 "_stab_cache", "_irreducible", "_full", "_full_ref")
+                 "identity_index", "_actions", "_inv", "_subspaces",
+                 "_stab_cache", "_irreducible", "_full", "_full_ref",
+                 "_classes", "_meet_closed")
 
     def __init__(self, field: FqField, n: int, elements: Sequence[Matrix],
                  generators: Sequence[Matrix]):
@@ -145,8 +153,15 @@ class GroupSet:
         self._actions = [None] * self.order
         # _inv[i] is the id of the inverse of i, None until it is known
         self._inv = [None] * self.order
+        # _subspaces[i]: the proper non-trivial subspaces element i fixes,
+        # None until identities.stabilizer_family first reads them
+        self._subspaces = [None] * self.order
         self._stab_cache = {}
         self._irreducible = None
+        # the class orbits of the last whole-lattice walk, and the lattice
+        # that identities.certify_meets proved closed under intersection
+        self._classes = None
+        self._meet_closed = None
 
     @property
     def elements(self) -> tuple:
@@ -615,6 +630,10 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     <K, C>, so K is joined with one C per N_G(K)-orbit outside K.  The orbit
     of K under conjugation by G's generators is its class, and the orbit's
     Schreier generators generate N_G(K).
+
+    The class orbits are recorded on the group as ``_classes``, a tuple of
+    tuples of member sets, each led by its representative and the trivial
+    subgroup's class first; ``identities.certify_meets`` reads them.
     """
     images = group.right_images
     # the power walk also completes the inverse memo, read below as a list
@@ -631,6 +650,7 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
             map(conj.__getitem__, sub))))
     trivial = frozenset((group.identity_index,))
     known = {trivial}
+    classes = [(trivial,)]
     # each representative K is queued with its generators and N_G(K)'s
     queue = [(trivial, [], [g for g, _ in moves])]
     while queue:
@@ -644,8 +664,10 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
             conjugates, _, normalizer = _orbit_stabilizer(
                 group, extended, moves, "conjugate subgroups")
             known.update(conjugates)
+            classes.append(tuple(conjugates))
             _check_cap(known, cap)
             queue.append((extended, gens + [x], normalizer))
+    group._classes = tuple(classes)
     return known
 
 

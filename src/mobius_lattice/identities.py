@@ -70,10 +70,27 @@ def _check_pair(group: GroupSet, subgroup: SubgroupRef) -> None:
             "ambient group fixes a proper non-trivial subspace")
 
 
+def _fixed_subspaces(group: GroupSet, i: int) -> tuple:
+    """The proper non-trivial subspaces that element i fixes, in canonical
+    order, from the group's memo ``GroupSet._subspaces``, filled on first
+    use."""
+    found = group._subspaces[i]
+    if found is None:
+        found = group._subspaces[i] = tuple(invariant_subspaces(
+            [group.element(i)], group.n, proper_nontrivial=True))
+    return found
+
+
 def stabilizer_family(group: GroupSet, subgroup: SubgroupRef) -> StabilizerFamily:
+    """The family of H = ``subgroup``.  A subspace is H-invariant iff each
+    generator of H fixes it, so the invariant subspaces are the first
+    generator's, in their canonical order, that every other generator also
+    fixes; H = 1, with no generators, reads the identity's."""
     _check_pair(group, subgroup)
-    invariant = invariant_subspaces(subgroup.generator_matrices(), group.n,
-                                    proper_nontrivial=True)
+    fixed = [_fixed_subspaces(group, i)
+             for i in subgroup.generator_ids() or (group.identity_index,)]
+    others = [set(found) for found in fixed[1:]]
+    invariant = [w for w in fixed[0] if all(w in found for found in others)]
     pairs = []
     for w in invariant:
         stab = stabilizer(group, w)
@@ -140,6 +157,43 @@ def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
     return FinitePoset(items, up)
 
 
+def certify_meets(group: GroupSet, lattice: FinitePoset) -> None:
+    """Prove ``lattice`` closed under intersection, once for every ideal
+    read off it; ``build_ideal`` then skips its per-ideal meet check on this
+    lattice, and only on it.
+
+    The proof reads the class orbits that the group's last whole-lattice
+    walk recorded (``overgroup_interval(group, 1)``).  Two conditions give
+    closure, since K^g & L = (K & L^(g^-1))^g:
+
+    - the orbits partition the lattice's items, so each item's whole
+      conjugacy class is in the lattice;
+    - K & L is an item for the first member K of each orbit, its class
+      representative, and every item L.
+
+    That is classes x N ANDs of ``SubgroupRef.member_bits``.  A failed
+    condition raises ``RuntimeError``, as the per-ideal check does: the
+    enumeration itself is broken.
+    """
+    classes = group._classes
+    if classes is None:
+        raise RuntimeError("no class orbits recorded; the whole lattice "
+                           "was not enumerated")
+    items = {k.member_ids: k for k in lattice.items}
+    orbits = set().union(*classes)
+    if orbits != items.keys() or sum(map(len, classes)) != len(orbits):
+        raise RuntimeError(
+            "class orbits do not partition the lattice; not closed under "
+            "conjugation")
+    bits = {k.member_bits for k in lattice.items}
+    for orbit in classes:
+        rep = items[orbit[0]].member_bits
+        if not {rep & b for b in bits} <= bits:
+            raise RuntimeError(
+                "lattice is not closed under intersection")
+    group._meet_closed = lattice
+
+
 def _position(lattice: FinitePoset, subgroup: SubgroupRef) -> int:
     try:
         return lattice.index_of(subgroup)
@@ -157,6 +211,12 @@ def build_ideal(family: StabilizerFamily,
     every stabilizer, e.g. the whole lattice of the group) as the elements
     above H whose up-set holds some stabilizer.  Without one, the lattice is
     H and the union of the intervals [H, M], enumerated directly.
+
+    The ideal is checked closed under meets (``_validate_meets``) unless
+    ``lattice`` is the one ``certify_meets`` proved closed under
+    intersection for this group, as ``verify`` does for its whole lattice
+    once per run: then every ideal read off it is closed.  An enumerated
+    lattice and any lattice a caller builds are checked per ideal.
     """
     group, subgroup = family.subgroup.parent, family.subgroup
     _check_pair(group, subgroup)
@@ -178,7 +238,8 @@ def build_ideal(family: StabilizerFamily,
         raise IntervalTooLarge(
             f"ideal exceeded interval cap {max_interval} subgroups: "
             f"{len(members)} found")
-    _validate_meets(lattice, indices)
+    if lattice is not group._meet_closed:
+        _validate_meets(lattice, indices)
     return ReducibleIdeal(members, lattice, bottom, indices)
 
 
@@ -188,7 +249,9 @@ def _validate_meets(lattice: FinitePoset, indices: Sequence[int]) -> None:
     K1 ^ K2 contains H and sits below any stabilizer dominating K1, so the
     intersection belongs to the ideal whenever K1 does; a miss means the
     enumeration itself is broken.  Member sets are compared as element
-    bitmasks (``SubgroupRef.member_bits``), every pair of them.
+    bitmasks (``SubgroupRef.member_bits``), every pair of them.  It runs per
+    ideal on every lattice but a certified one (``certify_meets``), whose
+    closure under intersection implies that of each of its ideals.
     """
     bits = [lattice.items[i].member_bits for i in indices]
     known = set(bits)

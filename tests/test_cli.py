@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -8,9 +9,10 @@ import time
 import pytest
 
 from mobius_lattice import cli, identities
+from mobius_lattice import group as group_module
 from mobius_lattice.cli import main, preset_generators
 from mobius_lattice.gfq import FqField
-from mobius_lattice.group import closure
+from mobius_lattice.group import closure, overgroup_interval
 from mobius_lattice.linalg import Matrix
 
 
@@ -147,6 +149,10 @@ def test_mobius_not_nested(tmp_path, capsys):
     code = run_cli(["mobius", "--preset", "GL", "--n", "2", "--q", "2",
                     "--from", "full", "--to", str(gens)])
     assert code == 2
+    # the flags are named, with the orders of the two endpoints
+    assert capsys.readouterr().err == (
+        "error: --from subgroup of order 6 is not contained in --to "
+        "subgroup of order 2\n")
 
 
 def test_report_merge_disjoint(tmp_path, capsys):
@@ -510,6 +516,36 @@ def test_mobius_enumerates_interval_once(capsys, interval_calls):
     assert sorted(interval_calls) == ["overgroup_interval", "subgroup_lattice"]
 
 
+def test_verify_certifies_meets_once_and_fixes_subspaces_per_element(
+        tmp_path, monkeypatch):
+    # a GL(2,5) sweep on a fresh group: the run's lattice is certified once,
+    # so no ideal runs the per-ideal meet check, and invariant_subspaces
+    # runs once per distinct generator element (the identity for H = 1)
+    # plus once for the irreducibility test
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(identities, "_validate_meets")
+    count(identities, "invariant_subspaces")
+    count(group_module, "invariant_subspaces")
+    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "5",
+                    "--out", str(tmp_path / "out.jsonl")]) == 0
+    seen = dict(calls)
+    group = closure(preset_generators("GL", 2, FqField(5)))
+    subs = overgroup_interval(group, group.trivial_subgroup())
+    elements = {i for h in subs[:-1]
+                for i in h.generator_ids() or (group.identity_index,)}
+    assert seen == {"invariant_subspaces": len(elements) + 1}
+
+
 def test_verify_reducible_ambient_group_exits_two(tmp_path):
     spec = {"field": {"p": 2, "u": 1}, "n": 2,
             "generators": [[[1, 1], [0, 1]]]}
@@ -619,6 +655,10 @@ EXIT_CASES = {
         tmp, [[[1, 0], [0, 1]]]), 2),
     # GL(2,2) has order 6
     "order-cap": (lambda tmp: [*_GL22, "--max-order", "5"], 2),
+    # the whole group is not contained in the trivial subgroup
+    "mobius-endpoints-not-nested": (lambda tmp: [
+        "--preset", "GL", "--n", "2", "--q", "3", "--from", "full",
+        "--to", "trivial"], 2, "mobius"),
 }
 
 

@@ -25,8 +25,10 @@ from mobius_lattice.group import (
     stabilizer,
 )
 from mobius_lattice.identities import (
+    certify_meets,
     mobius_between,
     stabilizer_family,
+    subgroup_lattice,
     verify_identities,
 )
 from mobius_lattice.linalg import (
@@ -773,6 +775,49 @@ def test_slow_lattice_sizes(kind, n, p, u, size):
     print(f"{kind}({n},{p ** u}): {len(subs)} subgroups in "
           f"{time.perf_counter() - start:.1f} s")
     assert len(subs) == size
+
+
+def _sp42():
+    # Sp(4,2), closed from its 15 symplectic transvections x -> x + B(x, v) v
+    # of GF(2)^4, B(x, y) = x1 y3 + x2 y4 + x3 y1 + x4 y2: the matrix is
+    # I + (J v^T) v, J v^T = (v3, v4, v1, v2)
+    gens = []
+    for v in itertools.product(range(2), repeat=4):
+        if any(v):
+            jv = v[2:] + v[:2]
+            gens.append(Matrix.from_rows(F2, [
+                [int(i == j) ^ (jv[i] & v[j]) for j in range(4)]
+                for i in range(4)]))
+    return closure(gens)
+
+
+# name: (group builder, order, subgroups, conjugacy classes of subgroups)
+_CLASS_COUNTS = {
+    "SL(2,4)": (lambda: _preset("SL", 2, 2, 2), 60, 59, 9),     # A5
+    "GL(3,2)": (lambda: _preset("GL", 3, 2), 168, 179, 15),     # PSL(2,7)
+    "Sp(4,2)": (_sp42, 720, 1455, 56),                           # S6
+}
+
+
+@pytest.mark.parametrize("name", list(_CLASS_COUNTS))
+def test_lattice_records_published_class_counts(name):
+    # the published subgroup and class counts of A5, PSL(2,7) and S6 (OEIS
+    # A005432 for S6), read off the class orbits the walk records
+    build, order, size, classes = _CLASS_COUNTS[name]
+    g = build()
+    assert g.order == order
+    subs = overgroup_interval(g, g.trivial_subgroup())
+    assert (len(subs), len(g._classes)) == (size, classes)
+    # the orbits partition the lattice: each subgroup in exactly one
+    assert collections.Counter(
+        k for orbit in g._classes for k in orbit) == collections.Counter(
+        k.member_ids for k in subs)
+    for orbit in g._classes:
+        assert len({len(k) for k in orbit}) == 1
+        assert order % len(orbit) == 0
+    lattice = subgroup_lattice(subs)
+    certify_meets(g, lattice)
+    assert g._meet_closed is lattice
 
 
 def test_interval_within_top(gl23):

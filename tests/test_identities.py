@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobius_lattice.errors import (
@@ -23,6 +23,7 @@ from mobius_lattice.identities import (
     alternating_sums,
     build_complexes,
     build_ideal,
+    certify_meets,
     mobius_between,
     mu_ideal,
     stabilizer_family,
@@ -33,7 +34,11 @@ from mobius_lattice.linalg import Matrix, Subspace, invariant_subspaces
 from mobius_lattice.poset import FinitePoset, mobius_row
 from mobius_lattice.simplicial import euler
 
-from helpers import containment_order, moebius_number_theoretic
+from helpers import (
+    containment_order,
+    invariant_subspaces_by_rref,
+    moebius_number_theoretic,
+)
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -116,6 +121,38 @@ def test_family_rejects_foreign_subgroup(gl22, gl23):
         verify_identities(gl22, gl22.trivial_subgroup(), lattice=short)
     with pytest.raises(SubgroupNotContained):
         mobius_between(gl22, gl22.trivial_subgroup(), lattice=short)
+
+
+def test_family_subspaces_match_direct_computation(corpus, gl25):
+    # the family intersects the memoised subspaces of H's generators; they
+    # must be the subspaces all of H's generators fix, computed at once and
+    # by the row-reducing oracle, in the same canonical order
+    groups = [(group, subs) for _, group, subs in corpus]
+    groups.append((gl25, overgroup_interval(gl25, gl25.trivial_subgroup())))
+    for group, subs in groups:
+        for h in subs:
+            spaces = [w for w, _ in stabilizer_family(group, h).pairs]
+            gens = h.generator_matrices()
+            assert spaces == invariant_subspaces(
+                gens, group.n, proper_nontrivial=True), h.order
+            assert spaces == invariant_subspaces_by_rref(
+                gens, group.n, proper_nontrivial=True), h.order
+
+
+def test_subspace_memo_belongs_to_its_group():
+    # groups built one after another, each dropped before the next: every
+    # new group starts with an empty memo of its own, so no entry of an
+    # earlier group, whose id may be reused, can be read for it
+    for kind in ("GL", "SL", "GL", "SL"):
+        group = closure(preset_generators(kind, 2, F3))
+        assert group._subspaces == [None] * group.order
+        for h in overgroup_interval(group, group.trivial_subgroup()):
+            spaces = [w for w, _ in stabilizer_family(group, h).pairs]
+            assert spaces == invariant_subspaces(
+                h.generator_matrices(), 2, proper_nontrivial=True)
+        for i in group.trivial_subgroup().member_ids:
+            assert group._subspaces[i] is not None
+        del group
 
 
 def test_ideal_for_irreducible_subgroup_is_two_chain(gl22):
@@ -300,6 +337,63 @@ def test_quantities_invariant_under_inverse_transpose(gl32, corpus_reports):
             w.annihilator() for w in spaces), h.order
 
 
+def _frobenius(m, times):
+    # x -> x^p entrywise, ``times`` times over: a field automorphism of
+    # GF(p^u), hence an automorphism of GL(n, q)
+    field = m.field
+    power = []
+    for x in range(field.q):
+        y = field._one_index
+        for _ in range(field.p ** times):
+            y = field._mul[y][x]
+        power.append(y)
+    return Matrix(field, m.nrows, m.ncols, tuple(power[v] for v in m.data))
+
+
+@pytest.fixture(scope="module")
+def frobenius_groups():
+    """name -> (G, its proper subgroups, {member ids of H: report dict})
+    for groups over GF(4), GF(8) and GF(9)."""
+    out = {}
+    for kind, p, u in [("SL", 2, 2), ("GL", 2, 2), ("SL", 2, 3),
+                       ("SL", 3, 2)]:
+        group = closure(preset_generators(kind, 2, FqField(p, u)))
+        subs = overgroup_interval(group, group.trivial_subgroup())
+        lattice = subgroup_lattice(subs)
+        out[f"{kind}(2,{p ** u})"] = (group, subs[:-1], {
+            h.member_ids: verify_identities(
+                group, h, lattice=lattice, with_decomposition=True).to_dict()
+            for h in subs[:-1]})
+    return out
+
+
+@settings(max_examples=8)
+@given(data=st.data())
+def test_quantities_invariant_under_frobenius(frobenius_groups, data):
+    # (d): the Frobenius x -> x^p, applied entrywise, carries H's invariant
+    # subspaces W onto their images and so the whole stabilizer family; G
+    # is rebuilt from the images of its generators, permuted, and each
+    # proper H is matched with its image through the same map
+    name = data.draw(st.sampled_from(sorted(frobenius_groups)), label="group")
+    group, subs, reports = frobenius_groups[name]
+    times = data.draw(st.integers(1, group.field.u - 1), label="times")
+    gens = [_frobenius(m, times) for m in group.generators]
+    image = closure(data.draw(st.permutations(gens), label="generators"))
+    lattice = subgroup_lattice(overgroup_interval(image,
+                                                  image.trivial_subgroup()))
+    assert lattice.size == len(subs) + 1
+    moved = 0
+    for h in subs:
+        h_image = image.subgroup(image.index_of(_frobenius(m, times))
+                                 for m in h.matrices())
+        moved += h_image.member_ids != h.member_ids
+        report = verify_identities(image, h_image, lattice=lattice,
+                                   with_decomposition=True)
+        assert report.to_dict() == reports[h.member_ids], (name, h.order)
+    # the map moves some subgroups, so the matching is not the identity
+    assert moved, name
+
+
 def test_sums_for_irreducible_subgroup(gl22):
     c3 = find_subgroup(gl22, 3)
     fam = stabilizer_family(gl22, c3)
@@ -420,6 +514,76 @@ def test_meet_check_rejects_gl25_lattice_missing_a_meet(gl25):
     short = subgroup_lattice([s for s in subs if s != meet])
     with pytest.raises(RuntimeError, match="not closed under intersection"):
         build_ideal(fam, lattice=short)
+
+
+def test_meet_certificate_rejects_lattice_missing_a_conjugate(corpus):
+    # one conjugate of a non-normal subgroup dropped: the recorded class
+    # orbits no longer partition the lattice, so it is not closed under
+    # conjugation and the certificate fails closed
+    for name, group, subs in corpus:
+        for orbit in group._classes:
+            if len(orbit) > 1:
+                short = subgroup_lattice([k for k in subs
+                                          if k.member_ids != orbit[-1]])
+                with pytest.raises(RuntimeError, match="do not partition"):
+                    certify_meets(group, short)
+                assert group._meet_closed is not short, name
+
+
+def test_meet_certificate_rejects_lattice_missing_an_intersection(
+        corpus, monkeypatch):
+    # the trivial subgroup's class dropped from both the lattice and the
+    # recorded orbits: the orbits still partition the lattice, but two
+    # subgroups meeting in 1 have no meet there
+    for name, group, subs in corpus:
+        trivial = group.trivial_subgroup().member_ids
+        monkeypatch.setattr(group, "_classes", tuple(
+            orbit for orbit in group._classes if orbit[0] != trivial))
+        short = subgroup_lattice(subs[1:])
+        with pytest.raises(RuntimeError,
+                           match="not closed under intersection"):
+            certify_meets(group, short)
+        assert group._meet_closed is not short, name
+
+
+def test_meet_certificate_needs_recorded_orbits():
+    # a group whose whole lattice was never walked has no orbits to read
+    group = closure(preset_generators("GL", 2, F3))
+    lattice = subgroup_lattice([group.trivial_subgroup(),
+                                group.full_subgroup()])
+    with pytest.raises(RuntimeError, match="no class orbits recorded"):
+        certify_meets(group, lattice)
+    assert group._meet_closed is None
+
+
+def test_meet_check_runs_per_ideal_unless_the_lattice_is_certified(
+        monkeypatch):
+    # only the lattice the certificate ran on skips the per-ideal check: a
+    # lattice built from the same subgroup list, and the lattice build_ideal
+    # enumerates itself, are still checked ideal by ideal
+    group = closure(preset_generators("GL", 2, F3))
+    subs = overgroup_interval(group, group.trivial_subgroup())
+    certified = subgroup_lattice(subs)
+    certify_meets(group, certified)
+    assert group._meet_closed is certified
+    own = subgroup_lattice(subs)
+    validate = identities._validate_meets
+    checked = []
+
+    def counted(lattice, indices):
+        checked.append(lattice)
+        return validate(lattice, indices)
+
+    monkeypatch.setattr(identities, "_validate_meets", counted)
+    for h in subs[:-1]:
+        fam = stabilizer_family(group, h)
+        ideal = build_ideal(fam, lattice=certified)
+        assert checked == []
+        assert build_ideal(fam, lattice=own).indices == ideal.indices
+        assert [k.member_ids for k in build_ideal(fam).members] == [
+            k.member_ids for k in ideal.members]
+        assert checked[0] is own and checked[1] is not certified
+        checked.clear()
 
 
 def test_ideal_reads_supplied_lattice_without_building_a_poset(gl23,
@@ -639,6 +803,35 @@ def test_two_item_interval_order_matches_pairwise_order():
 def test_slow_whole_lattice_order_matches_pairwise_order(kind, p, u):
     g = closure(preset_generators(kind, 2, FqField(p, u)))
     _assert_order_matches_oracle(overgroup_interval(g, g.trivial_subgroup()))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind,n,p,u", [("GL", 2, 7, 1), ("SL", 2, 3, 2),
+                                        ("SL", 3, 3, 1)],
+                         ids=["GL(2,7)", "SL(2,9)", "SL(3,3)"])
+def test_slow_lattice_passes_meet_certificate(kind, n, p, u):
+    group = closure(preset_generators(kind, n, FqField(p, u)))
+    lattice = subgroup_lattice(overgroup_interval(group,
+                                                  group.trivial_subgroup()))
+    certify_meets(group, lattice)
+    assert group._meet_closed is lattice
+
+
+@pytest.mark.slow
+def test_slow_gl27_rows_on_certified_and_uncertified_lattices():
+    # every row of GL(2,7) read off the certified lattice, which skips the
+    # per-ideal meet check, equals the row read off a lattice built from
+    # the same subgroup list, which runs it
+    group = closure(preset_generators("GL", 2, FqField(7)))
+    subs = overgroup_interval(group, group.trivial_subgroup())
+    certified = subgroup_lattice(subs)
+    certify_meets(group, certified)
+    uncertified = subgroup_lattice(subs)
+    for h in subs[:-1]:
+        rows = [verify_identities(group, h, lattice=lattice,
+                                  with_decomposition=True).to_dict()
+                for lattice in (certified, uncertified)]
+        assert rows[0] == rows[1], h.order
 
 
 def test_mobius_query_builds_index_tuples_only_where_it_walks(gl25):
