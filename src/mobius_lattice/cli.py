@@ -49,7 +49,7 @@ from .identities import (
     subgroup_lattice,
     verify_identities,
 )
-from .poset import POWERSET_CAP
+from .poset import POWERSET_CAP, FinitePoset
 
 
 def group_order_formula(kind: str, n: int, q: int) -> int:
@@ -261,6 +261,21 @@ def _check_writable(out: Optional[str]) -> None:
             raise GroupSpecError(f"cannot write report: {exc}") from exc
 
 
+def _certificate_pays(group: GroupSet, lattice: FinitePoset,
+                      subgroups: list) -> bool:
+    """True when one meet certificate for the run costs less than the
+    per-ideal meet checks it replaces.  The certificate is classes x N ANDs;
+    the ideal of H lies in the up-set of H, so its check is at most
+    |up-set|^2 / 2 ANDs."""
+    budget = 2 * len(group._classes) * lattice.size
+    total = 0
+    for h in subgroups:
+        total += len(lattice.above(lattice.index_of(h))) ** 2
+        if total > budget:
+            return True
+    return False
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     # wall_time covers the whole run: load, lattice, selection and the loop
     started = time.monotonic()
@@ -273,10 +288,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "ambient group fixes a proper non-trivial subspace")
         # the one subgroup lattice of the run, shared by every pair, and
         # proved closed under intersection once instead of once per ideal
+        # when the per-ideal checks would cost more
         lattice = subgroup_lattice(overgroup_interval(
             group, group.trivial_subgroup(), cap=args.max_interval))
-        certify_meets(group, lattice)
         subgroups = select_subgroups(group, args, lattice.items)
+        if _certificate_pays(group, lattice, subgroups):
+            certify_meets(group, lattice)
     except MobiusLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

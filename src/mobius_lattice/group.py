@@ -34,7 +34,10 @@ once per join; whether a coset times a factor is new is one pick out of it,
 and a new coset is one pass over the old.  The join runs inside a subgroup
 T known to contain it (G unless the caller knows a smaller one) and stops
 once it holds more than |T|/p elements, p the smallest prime dividing
-[T:K]: by Lagrange's theorem it is then T.  Subgroup closures, generating
+[T:K]: by Lagrange's theorem it is then T.  A caller may also pass
+``reach``, elements r known to satisfy <K, r> = T: the join is T at once
+when g is one of them, or when the next new coset's representative is, since
+<K, g> then holds <K, r>.  Subgroup closures, generating
 sets, stabilizers and overgroup intervals all go through it; nothing is
 memoised beyond the full subgroup, the row actions, inverses, stabilizers,
 each element's proper non-trivial invariant subspaces, the class orbits of
@@ -77,6 +80,15 @@ element x with <K, x> = <K, g>: all of <K, g> when [<K, g> : K] is prime
 (each such x outside K generates it with K), else the double cosets
 K*g^k*K for every k prime to the order of g (<K, h*g^k*h'> = <K, g^k> =
 <K, g> for h, h' in K).  This search is also the test oracle of the first.
+
+Both searches spend most of their time on joins that end at their bound,
+and both fill the joins' ``reach`` by one exact ancestor rule: if
+<A, r> = S and A <= K <= S, then <K, r> = S, so a join <K, g> inside S
+that meets r is S.  The walk takes, from each join <K, x> = G, every
+generator of every cyclic subgroup in x's N_G(K)-orbit (<K, x^n> =
+<K, x>^n = G); the coset search takes the elements a join giving S covered,
+per S.  Each K uses its witnesses for the rest of its loop and hands them
+to the subgroups it queues, whose loops start only after K's ends.
 """
 
 from __future__ import annotations
@@ -86,7 +98,7 @@ from bisect import insort
 from itertools import product
 from math import gcd
 from operator import itemgetter, methodcaller
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -101,6 +113,8 @@ from .linalg import Matrix, Subspace, apply_row, invariant_subspaces
 
 ORDER_CAP = 250_000
 INTERVAL_CAP = 100_000
+# the default witness set of a join: none, so only Lagrange's bound stops it
+_NO_WITNESSES = frozenset()
 
 
 class GroupSet:
@@ -236,18 +250,26 @@ class GroupSet:
         return SubgroupRef(self, self._generate(seed_ids)[0])
 
     def _join(self, members: frozenset, gens: list, g: int,
-              top: Optional[frozenset] = None) -> frozenset:
+              top: Optional[frozenset] = None,
+              reach: Collection[int] = _NO_WITNESSES) -> frozenset:
         """<K, g> for K = ``members`` generated by ``gens`` (Dimino), inside
         a subgroup ``top`` known to contain it (default: the whole group).
 
         Once more than |top|/p elements are found, p the smallest prime
         dividing [top:K], the join is ``top`` itself (Lagrange: a proper
         subgroup of top containing K has index at least p in top).
+
+        ``reach`` holds elements r known to satisfy <K, r> = top.  The join
+        is ``top`` at once when g is one of them, and as soon as a new coset
+        representative is: <K, g> then holds <K, r> = top.
         """
         top = self._full if top is None else top
+        if g in reach:
+            return top
         bound = len(top) // _smallest_prime_factor(len(top) // len(members))
         seen = set(members)
-        if self._grow_cosets([list(members)], seen, list(gens) + [g], bound):
+        if self._grow_cosets([list(members)], seen, list(gens) + [g], bound,
+                             reach):
             return top
         return frozenset(seen)
 
@@ -260,10 +282,12 @@ class GroupSet:
         return seen
 
     def _grow_cosets(self, cosets: list, seen: set, factors: list,
-                     bound: int) -> bool:
+                     bound: int,
+                     reach: Collection[int] = _NO_WITNESSES) -> bool:
         """Close the right cosets of K in ``cosets``, whose union is
         ``seen``, under right multiplication by ``factors``; True as soon
-        as ``seen`` holds more than ``bound`` elements.
+        as ``seen`` holds more than ``bound`` elements, or as soon as a new
+        coset's representative is in ``reach`` (``_join``'s witnesses).
 
         A coset C times a factor s is the coset K*(c*s), new exactly when
         c*s is not yet seen.  Filling it as C*s, never as K times a new
@@ -277,7 +301,10 @@ class GroupSet:
             for coset in cosets:
                 c = coset[0]
                 for f in factors:
-                    if idx[rows[c](f)] not in seen:
+                    y = idx[rows[c](f)]
+                    if y not in seen:
+                        if y in reach:
+                            return True
                         image = [idx[rows[i](f)] for i in coset]
                         seen.update(image)
                         if len(seen) > bound:
@@ -584,36 +611,72 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
     Each join runs inside the smallest known proper overgroup of K that
     holds g, and inside top only when none does: <K, g> lies in every
     subgroup holding K and g, so Lagrange's stop fires at that subgroup's
-    bound.  None of this changes the result.
+    bound.
+
+    The elements covered after a join that gave S are witnesses for S:
+    <K, r> = S for each of them outside K.  If <A, r> = S and A <= K <= S,
+    then <K, r> = S too, so a later join inside S that meets r is S
+    (``_join``'s ``reach``).  Witnesses are kept per S as a list of sets,
+    merged into one only when a join inside S reads them (``_witnesses``),
+    used in the rest of K's loop and inherited by the subgroups K queues,
+    each of which copies the lists.  None of this changes the result.
     """
     candidates = sorted(top_ids)
     known = {low.member_ids}
-    queue = [(low.member_ids, list(low.generator_ids()))]
+    queue = [(low.member_ids, list(low.generator_ids()), {})]
     while queue:
-        current, gens = queue.pop()
+        current, gens, inherited = queue.pop()
         size = len(current)
         # the known proper overgroups of K, smallest first
         above = sorted((s for s in known if len(s) > size and current < s),
                        key=len)
+        # reach[S]: the sets of witnesses for joins inside S, merged when a
+        # join reads them; K's own list, so K appends to it alone
+        reach = {s: list(inherited[s]) for s in above if s in inherited}
+        merged = set()
         covered = set(current)
         for g in candidates:
             if g in covered:
                 continue
             inside = next((s for s in above if g in s), top_ids)
-            extended = group._join(current, gens, g, inside)
+            extended = group._join(current, gens, g, inside,
+                                   _witnesses(reach, inside, merged))
+            witnesses = reach.setdefault(extended, [])
             index = len(extended) // size
             if _smallest_prime_factor(index) == index:
                 covered.update(extended)
+                witnesses.append(extended)
             else:
                 for x in _cyclic_generators(group, g)[0]:
                     if x not in covered:
-                        covered.update(group._double_coset(current, gens, x))
+                        coset = group._double_coset(current, gens, x)
+                        covered.update(coset)
+                        witnesses.append(coset)
             if extended not in known:
                 known.add(extended)
                 _check_cap(known, cap)
-                queue.append((extended, gens + [g]))
+                queue.append((extended, gens + [g], reach))
                 insort(above, extended, key=len)
     return known
+
+
+def _witnesses(reach: dict, bound: frozenset,
+               merged: set) -> Collection[int]:
+    """The witnesses in ``reach[bound]`` as one set, merging its list of
+    sets in place.  A set the search merged into earlier (its id in
+    ``merged``) grows; any other is copied first, since the subgroups queued
+    before may share it."""
+    sets = reach.get(bound)
+    if not sets:
+        return _NO_WITNESSES
+    if len(sets) > 1:
+        first = sets[0]
+        if id(first) not in merged:
+            first = set(first)
+            merged.add(id(first))
+        first.update(*sets[1:])
+        sets[:] = [first]
+    return sets[0]
 
 
 def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
@@ -630,6 +693,13 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     <K, C>, so K is joined with one C per N_G(K)-orbit outside K.  The orbit
     of K under conjugation by G's generators is its class, and the orbit's
     Schreier generators generate N_G(K).
+
+    When <K, x> = G, so is <K, y> for every generator y of every cyclic
+    subgroup in x's N_G(K)-orbit: <K, x^n> = <K, x>^n = G.  Those y are
+    witnesses (``_join``'s ``reach``) for the rest of K's loop, and every
+    subgroup K queues inherits them, since <K', y> = G for K' >= K.  A join
+    that gives G can then end at its first step, or at the first coset that
+    meets a witness, before it passes |G|/p elements.
 
     The class orbits are recorded on the group as ``_classes``, a tuple of
     tuples of member sets, each led by its representative and the trivial
@@ -648,17 +718,31 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
         conj = images(map(inv, images(range(group.order), g)), g)
         moves.append((g, lambda sub, conj=conj: frozenset(
             map(conj.__getitem__, sub))))
+    # generators_of[c]: every generator of the cyclic subgroup of cyclic[c]
+    generators_of = [[] for _ in cyclic]
+    for y, c in enumerate(cyc_of):
+        if c >= 0:
+            generators_of[c].append(y)
     trivial = frozenset((group.identity_index,))
     known = {trivial}
     classes = [(trivial,)]
-    # each representative K is queued with its generators and N_G(K)'s
-    queue = [(trivial, [], [g for g, _ in moves])]
+    # each representative K is queued with its generators, N_G(K)'s and the
+    # witnesses its parent found: elements r with <parent, r> = G
+    queue = [(trivial, [], [g for g, _ in moves], _NO_WITNESSES)]
     while queue:
-        current, gens, normalizer = queue.pop()
-        for x in _orbit_representatives(group, normalizer, cyclic, cyc_of):
+        current, gens, normalizer, inherited = queue.pop()
+        # <A, r> = G for an A <= K gives <K, r> = G
+        reach = set(inherited)
+        for orbit in _cyclic_orbits(group, normalizer, cyclic, cyc_of):
+            x = cyclic[orbit[0]]
             if x in current:
                 continue
-            extended = group._join(current, gens, x)
+            extended = group._join(current, gens, x, None, reach)
+            if len(extended) == group.order:
+                # <K, y> = <K, x^n> = <K, x>^n = G for n in N_G(K) and every
+                # generator y of a cyclic subgroup <x^n> in x's orbit
+                for c in orbit:
+                    reach.update(generators_of[c])
             if extended in known:
                 continue
             conjugates, _, normalizer = _orbit_stabilizer(
@@ -666,19 +750,22 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
             known.update(conjugates)
             classes.append(tuple(conjugates))
             _check_cap(known, cap)
-            queue.append((extended, gens + [x], normalizer))
+            # K's loop ends before this child is popped, so by then reach
+            # holds every witness K finds
+            queue.append((extended, gens + [x], normalizer, reach))
     group._classes = tuple(classes)
     return known
 
 
-def _orbit_representatives(group: GroupSet, gens: list, cyclic: list,
-                           cyc_of: array) -> list:
-    """The first generator, in ``cyclic``'s order, of each orbit of the
-    subgroup generated by ``gens`` acting by conjugation on the cyclic
-    subgroups that ``cyclic`` generates; ``cyc_of`` maps every generator of
-    each to its position in ``cyclic``.  The orbits are the classes of a
-    union-find whose roots are the least positions.  Inverses are read from
-    the group's memo, which ``_prime_power_cyclic_generators`` filled."""
+def _cyclic_orbits(group: GroupSet, gens: list, cyclic: list,
+                   cyc_of: array) -> list:
+    """The orbits of the subgroup generated by ``gens``, acting by
+    conjugation on the cyclic subgroups that ``cyclic`` generates, as lists
+    of positions in ``cyclic``, each led by its least and in the order of
+    that least; ``cyc_of`` maps every generator of each to its position.
+    The orbits are the classes of a union-find whose roots are the least
+    positions.  Inverses are read from the group's memo, which
+    ``_prime_power_cyclic_generators`` filled."""
     images, inv = group.right_images, group._inv.__getitem__
     root = list(range(len(cyclic)))
 
@@ -695,7 +782,11 @@ def _orbit_representatives(group: GroupSet, gens: list, cyclic: list,
                 a, b = find(c), find(d)
                 if a != b:
                     root[max(a, b)] = min(a, b)
-    return [x for c, x in enumerate(cyclic) if root[c] == c]
+    # a root is the least position of its orbit, so it opens its list
+    orbits = {}
+    for c in range(len(cyclic)):
+        orbits.setdefault(find(c), []).append(c)
+    return list(orbits.values())
 
 
 def _prime_power_cyclic_generators(group: GroupSet) -> tuple:

@@ -215,7 +215,8 @@ def build_ideal(family: StabilizerFamily,
     The ideal is checked closed under meets (``_validate_meets``) unless
     ``lattice`` is the one ``certify_meets`` proved closed under
     intersection for this group, as ``verify`` does for its whole lattice
-    once per run: then every ideal read off it is closed.  An enumerated
+    once per run when the per-ideal checks would cost more: then every
+    ideal read off it is closed.  An enumerated
     lattice and any lattice a caller builds are checked per ideal.
     """
     group, subgroup = family.subgroup.parent, family.subgroup

@@ -516,6 +516,17 @@ def test_mobius_enumerates_interval_once(capsys, interval_calls):
     assert sorted(interval_calls) == ["overgroup_interval", "subgroup_lattice"]
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Count the calls of ``module.name`` into ``calls[name]``."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_verify_certifies_meets_once_and_fixes_subspaces_per_element(
         tmp_path, monkeypatch):
     # a GL(2,5) sweep on a fresh group: the run's lattice is certified once,
@@ -523,19 +534,10 @@ def test_verify_certifies_meets_once_and_fixes_subspaces_per_element(
     # runs once per distinct generator element (the identity for H = 1)
     # plus once for the irreducibility test
     calls = collections.Counter()
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(identities, "_validate_meets")
-    count(identities, "invariant_subspaces")
-    count(group_module, "invariant_subspaces")
+    _count_calls(monkeypatch, calls, identities, "_validate_meets")
+    _count_calls(monkeypatch, calls, identities, "invariant_subspaces")
+    _count_calls(monkeypatch, calls, group_module, "invariant_subspaces")
+    _count_calls(monkeypatch, calls, cli, "certify_meets")
     assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "5",
                     "--out", str(tmp_path / "out.jsonl")]) == 0
     seen = dict(calls)
@@ -543,7 +545,33 @@ def test_verify_certifies_meets_once_and_fixes_subspaces_per_element(
     subs = overgroup_interval(group, group.trivial_subgroup())
     elements = {i for h in subs[:-1]
                 for i in h.generator_ids() or (group.identity_index,)}
-    assert seen == {"invariant_subspaces": len(elements) + 1}
+    assert seen == {"invariant_subspaces": len(elements) + 1,
+                    "certify_meets": 1}
+
+
+def test_verify_one_pair_checks_its_ideal_without_the_certificate(
+        tmp_path, monkeypatch):
+    # GL(2,5) on its Borel subgroup: the ideal lies in the Borel's up-set of
+    # 2 subgroups, so its own meet check (at most 2^2 / 2 ANDs) costs less
+    # than the certificate's 48 classes x 466 subgroups; the row is the
+    # Borel's row of the certified full sweep, byte for byte
+    borel = [[[2, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 1], [0, 1]]]
+    subs = tmp_path / "subs.json"
+    subs.write_text(json.dumps([borel]))
+    gl25 = ["verify", "--preset", "GL", "--n", "2", "--q", "5"]
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, identities, "_validate_meets")
+    _count_calls(monkeypatch, calls, cli, "certify_meets")
+    one = tmp_path / "one.jsonl"
+    assert run_cli([*gl25, "--subgroups", "file", "--subgroups-file",
+                    str(subs), "--out", str(one)]) == 0
+    assert dict(calls) == {"_validate_meets": 1}
+    swept = tmp_path / "all.jsonl"
+    assert run_cli([*gl25, "--out", str(swept)]) == 0
+    assert calls["certify_meets"] == 1
+    row = one.read_text().splitlines()[0]
+    assert json.loads(row)["h_order"] == 80
+    assert row in swept.read_text().splitlines()
 
 
 def test_verify_reducible_ambient_group_exits_two(tmp_path):

@@ -462,15 +462,17 @@ def test_cyclic_extension_matches_coset_search(name):
 
 def _record_extension_joins(monkeypatch):
     """Record (K, x) for every join <K, x> the extension loop makes from a
-    queued representative K.  The joins ``_generate`` makes while building a
-    normalizer are not recorded."""
+    queued representative K, the joins its witnesses decide included.  The
+    joins ``_generate`` makes while building a normalizer are not
+    recorded."""
     joins = []
     join = GroupSet._join
 
-    def recording_join(self, members, gens, g, top=None):
+    def recording_join(self, members, gens, g, top=None,
+                       reach=group_module._NO_WITNESSES):
         if sys._getframe(1).f_code.co_name == "_lattice_by_cyclic_extension":
             joins.append((members, g))
-        return join(self, members, gens, g, top)
+        return join(self, members, gens, g, top, reach)
 
     monkeypatch.setattr(GroupSet, "_join", recording_join)
     return joins
@@ -750,6 +752,113 @@ def test_interval_search_matches_unpruned_gl27():
     assert _assert_search_matches_unpruned(g, h, g._full) == 76
 
 
+class _Witnesses(set):
+    """A join's witness set that logs each witness a membership test meets:
+    a met witness decides the join."""
+
+    def __init__(self, items, log, members, gens, top):
+        super().__init__(items)
+        self.log, self.join = log, (members, tuple(gens), top)
+
+    def __contains__(self, r):
+        hit = set.__contains__(self, r)
+        if hit:
+            self.log.add((*self.join, r))
+        return hit
+
+
+def _record_decided_joins(monkeypatch):
+    """Record (K, K's generators, top, r) for every join that a witness r
+    decides."""
+    decided = set()
+    join = GroupSet._join
+
+    def recording_join(self, members, gens, g, top=None,
+                       reach=group_module._NO_WITNESSES):
+        if reach:
+            reach = _Witnesses(reach, decided, members, gens, top)
+        return join(self, members, gens, g, top, reach)
+
+    monkeypatch.setattr(GroupSet, "_join", recording_join)
+    return decided
+
+
+def _assert_witnesses_sound(group, decided):
+    # every decision checked by a join with no witnesses, stopped only by
+    # Lagrange's bound inside G: <K, r> must be the top it was taken for
+    for members, gens, top, r in decided:
+        top = group._full if top is None else top
+        assert GroupSet._join(group, members, list(gens), r) == top
+
+
+@pytest.mark.parametrize("name", ["GL(2,3)", "SL(2,3)", "GL(3,2)",
+                                  "GL(2,5)"])
+def test_cyclic_extension_witnesses_generate_g(monkeypatch, name):
+    build, _ = _LATTICE_GROUPS[name]
+    g = build()
+    decided = _record_decided_joins(monkeypatch)
+    group_module._lattice_by_cyclic_extension(g, group_module.INTERVAL_CAP)
+    monkeypatch.undo()
+    assert decided
+    _assert_witnesses_sound(g, decided)
+
+
+def test_coset_search_witnesses_generate_their_bound(monkeypatch, gl33):
+    # the 14 intervals of the ideal-gl33 workload's five subgroups, and
+    # [Borel, GL(2,7)] and [reflection, GL(2,7)]
+    f7 = FqField(7)
+    gl27 = closure(preset_generators("GL", 2, f7))
+    borel = stabilizer(gl27, Subspace.from_vectors(f7, 2, [[1, 0]]))
+    reflection = gl27.subgroup_closure(
+        [gl27.index_of(Matrix.from_rows(f7, [[6, 0], [0, 1]]))])
+    intervals = [(gl27, borel, gl27._full), (gl27, reflection, gl27._full)]
+    for gens in _GL33_SUBGROUPS:
+        h = gl33.subgroup_closure(
+            gl33.index_of(Matrix.from_rows(F3, rows)) for rows in gens)
+        intervals.extend(
+            (gl33, h, m.member_ids)
+            for m in stabilizer_family(gl33, h).distinct_stabilizers)
+    assert len(intervals) == 16
+    decided = {}
+    for g, low, top_ids in intervals:
+        log = _record_decided_joins(monkeypatch)
+        group_module._interval_by_coset_search(
+            g, low, top_ids, group_module.INTERVAL_CAP)
+        monkeypatch.undo()
+        decided.setdefault(g, set()).update(log)
+    assert all(decided.values())
+    for g, log in decided.items():
+        _assert_witnesses_sound(g, log)
+
+
+def test_cyclic_extension_false_witness_loses_subgroups(monkeypatch):
+    # mutation check: one element r with <K, r> != G planted in the walk's
+    # witnesses (K = 1, r of prime order, so <r> is reached from 1 only)
+    # must lose a class, and the unpruned oracle must see it
+    g = _preset("GL", 2, 3)
+    expected = lattice_by_unpruned_cyclic_extension(g)
+    join = GroupSet._join
+    planted = []
+
+    def planting_join(self, members, gens, x, top=None,
+                      reach=group_module._NO_WITNESSES):
+        if (not planted and len(members) == 1
+                and sys._getframe(1).f_code.co_name
+                == "_lattice_by_cyclic_extension"):
+            order = len(join(self, members, gens, x))
+            if 1 < order < self.order and all(
+                    order % d for d in range(2, order)):
+                planted.append(x)
+                reach = set(reach) | {x}
+        return join(self, members, gens, x, top, reach)
+
+    monkeypatch.setattr(GroupSet, "_join", planting_join)
+    lattice = group_module._lattice_by_cyclic_extension(
+        g, group_module.INTERVAL_CAP)
+    assert len(planted) == 1
+    assert lattice < expected
+
+
 @pytest.mark.slow
 def test_slow_interval_search_matches_unpruned_reflection_gl33(gl33):
     # the ten intervals [H, M] of scripts/slow_instance.py, H = GL(1,3) + I_2:
@@ -775,6 +884,22 @@ def test_slow_lattice_sizes(kind, n, p, u, size):
     print(f"{kind}({n},{p ** u}): {len(subs)} subgroups in "
           f"{time.perf_counter() - start:.1f} s")
     assert len(subs) == size
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind,n,p,size,classes", [("GL", 3, 3, 21731, 154),
+                                                   ("GL", 4, 2, 48337, 137)],
+                         ids=["GL(3,3)", "GL(4,2)"])
+def test_slow_lattice_class_counts(kind, n, p, size, classes):
+    # GL(4,2) is A8, with 48,337 subgroups in 137 classes (OEIS A029725);
+    # the GL(3,3) counts are a regression pin.  Read off the walk alone: no
+    # order build and no meet certificate
+    g = _preset(kind, n, p)
+    start = time.perf_counter()
+    subs = overgroup_interval(g, g.trivial_subgroup())
+    print(f"{kind}({n},{p}): {len(subs)} subgroups in {len(g._classes)} "
+          f"classes in {time.perf_counter() - start:.1f} s")
+    assert (len(subs), len(g._classes)) == (size, classes)
 
 
 def _sp42():
