@@ -151,6 +151,10 @@ def load_group(args: argparse.Namespace) -> tuple:
             else:
                 fq = _flag_field(args)
             n = spec["n"]
+            # bool is a subclass of int, and every report row echoes n
+            if type(n) is not int or n < 1:
+                raise ValueError(f"n is {json.dumps(n)}, not an integer "
+                                 f"of at least 1")
             gens = [Matrix.from_rows(fq, rows) for rows in spec["generators"]]
             if not gens:
                 raise ValueError("no generators")

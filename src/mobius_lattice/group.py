@@ -69,19 +69,23 @@ conjugacy class.  Each new K brings its whole class, the orbit of its member
 set under conjugation by G's generators, and that orbit's Schreier
 generators give N_G(K).  Since <K, C^n> = <K, C>^n for n in N_G(K), K is
 joined with one cyclic subgroup C of prime-power order per N_G(K)-orbit
-outside K, the orbits found by a union-find over conjugation by N_G(K)'s
-generators.  The walk records the class orbits on the group, where
+outside K, each orbit walked breadth-first over the permutations that
+N_G(K)'s generators induce on those cyclic subgroups, each permutation
+built once per walk.  The walk records the class orbits on the group, where
 ``identities.certify_meets`` reads them to prove the lattice closed under
 intersection once per run.  Any other interval [H, M] is searched by
-joining each known subgroup K with the elements g of M outside it, each
-join stopped by Lagrange's bound inside the smallest known overgroup of K
-holding g (<K, g> lies in it).  After a join, the search skips every
-element x with <K, x> = <K, g>: all of <K, g> when [<K, g> : K] is prime
-(each such x outside K generates it with K), else the double cosets
-K*g^k*K for every k prime to the order of g (<K, h*g^k*h'> = <K, g^k> =
-<K, g> for h, h' in K).  This search is also the test oracle of the first.
+joining each known subgroup K with the elements g of M outside it.  After
+a join, the search skips every element x with <K, x> = <K, g>: all of
+<K, g> when [<K, g> : K] is prime (each such x outside K generates it with
+K), else the double cosets K*g^k*K for every k prime to the order of g
+(<K, h*g^k*h'> = <K, g^k> = <K, g> for h, h' in K).  This search is also
+the test oracle of the first.
 
-Both searches spend most of their time on joins that end at their bound,
+Both searches join K with x inside the smallest known overgroup of K that
+holds x (``_least_holding``), and inside G or M only when none does:
+<K, x> lies in every subgroup holding K and x, so a join whose result is
+already known stops at that subgroup's Lagrange bound instead of walking
+all of it.  Both spend most of their time on joins that end at their bound,
 and both fill the joins' ``reach`` by one exact ancestor rule: if
 <A, r> = S and A <= K <= S, then <K, r> = S, so a join <K, g> inside S
 that meets r is S.  The walk takes, from each join <K, x> = G, every
@@ -95,7 +99,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import insort
-from itertools import product
+from itertools import chain, product
 from math import gcd
 from operator import itemgetter, methodcaller
 from typing import Collection, Iterable, Optional, Sequence
@@ -627,9 +631,7 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
     while queue:
         current, gens, inherited = queue.pop()
         size = len(current)
-        # the known proper overgroups of K, smallest first
-        above = sorted((s for s in known if len(s) > size and current < s),
-                       key=len)
+        above = _overgroups(known, current)
         # reach[S]: the sets of witnesses for joins inside S, merged when a
         # join reads them; K's own list, so K appends to it alone
         reach = {s: list(inherited[s]) for s in above if s in inherited}
@@ -638,7 +640,7 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
         for g in candidates:
             if g in covered:
                 continue
-            inside = next((s for s in above if g in s), top_ids)
+            inside = _least_holding(above, g) or top_ids
             extended = group._join(current, gens, g, inside,
                                    _witnesses(reach, inside, merged))
             witnesses = reach.setdefault(extended, [])
@@ -658,6 +660,19 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
                 queue.append((extended, gens + [g], reach))
                 insort(above, extended, key=len)
     return known
+
+
+def _overgroups(known: Iterable, members: frozenset) -> list:
+    """The proper overgroups of ``members`` among the ``known`` member
+    sets, smallest first."""
+    return sorted(filter(members.__lt__, known), key=len)
+
+
+def _least_holding(above: list, x: int) -> Optional[frozenset]:
+    """The first set in ``above`` (``_overgroups`` of K) that holds x, None
+    if none does.  Every set holding K and x holds <K, x>, so this smallest
+    one is the tightest known bound for the join of K with x."""
+    return next((s for s in above if x in s), None)
 
 
 def _witnesses(reach: dict, bound: frozenset,
@@ -694,12 +709,19 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     of K under conjugation by G's generators is its class, and the orbit's
     Schreier generators generate N_G(K).
 
+    Each orbit's x is joined inside the smallest known proper overgroup S
+    of K that holds x, and inside G only when none does: <K, x> <= S, so a
+    join whose result is already known stops at |S|/p elements.  ``above``
+    holds K's known proper overgroups by order, read off the classes whose
+    order |K| divides; each new class adds its conjugates that contain K.
+
     When <K, x> = G, so is <K, y> for every generator y of every cyclic
     subgroup in x's N_G(K)-orbit: <K, x^n> = <K, x>^n = G.  Those y are
     witnesses (``_join``'s ``reach``) for the rest of K's loop, and every
     subgroup K queues inherits them, since <K', y> = G for K' >= K.  A join
     that gives G can then end at its first step, or at the first coset that
-    meets a witness, before it passes |G|/p elements.
+    meets a witness, before it passes |G|/p elements.  A join inside a
+    proper S takes no witnesses: none lies in S.
 
     The class orbits are recorded on the group as ``_classes``, a tuple of
     tuples of member sets, each led by its representative and the trivial
@@ -723,6 +745,9 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     for y, c in enumerate(cyc_of):
         if c >= 0:
             generators_of[c].append(y)
+    # perm_of[g]: how conjugation by g permutes the positions in cyclic
+    perm_of = {}
+    order = group.order
     trivial = frozenset((group.identity_index,))
     known = {trivial}
     classes = [(trivial,)]
@@ -733,12 +758,23 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
         current, gens, normalizer, inherited = queue.pop()
         # <A, r> = G for an A <= K gives <K, r> = G
         reach = set(inherited)
-        for orbit in _cyclic_orbits(group, normalizer, cyclic, cyc_of):
+        # Lagrange: an overgroup's order is a multiple of |K|, and a class
+        # shares one order, so whole classes are skipped at once
+        size = len(current)
+        above = _overgroups(chain.from_iterable(
+            orbit for orbit in classes if len(orbit[0]) % size == 0), current)
+        for orbit in _cyclic_orbits(group, normalizer, cyclic, cyc_of,
+                                    perm_of):
             x = cyclic[orbit[0]]
             if x in current:
                 continue
-            extended = group._join(current, gens, x, None, reach)
-            if len(extended) == group.order:
+            inside = _least_holding(above, x)
+            if inside is None or len(inside) == order:
+                extended = group._join(current, gens, x, None, reach)
+            else:
+                # a witness r has <K, r> = G, so none lies in a proper S
+                extended = group._join(current, gens, x, inside)
+            if len(extended) == order:
                 # <K, y> = <K, x^n> = <K, x>^n = G for n in N_G(K) and every
                 # generator y of a cyclic subgroup <x^n> in x's orbit
                 for c in orbit:
@@ -750,6 +786,9 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
             known.update(conjugates)
             classes.append(tuple(conjugates))
             _check_cap(known, cap)
+            for conjugate in conjugates:
+                if current < conjugate:
+                    insort(above, conjugate, key=len)
             # K's loop ends before this child is popped, so by then reach
             # holds every witness K finds
             queue.append((extended, gens + [x], normalizer, reach))
@@ -758,35 +797,40 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
 
 
 def _cyclic_orbits(group: GroupSet, gens: list, cyclic: list,
-                   cyc_of: array) -> list:
+                   cyc_of: array, perm_of: dict) -> list:
     """The orbits of the subgroup generated by ``gens``, acting by
     conjugation on the cyclic subgroups that ``cyclic`` generates, as lists
     of positions in ``cyclic``, each led by its least and in the order of
     that least; ``cyc_of`` maps every generator of each to its position.
-    The orbits are the classes of a union-find whose roots are the least
-    positions.  Inverses are read from the group's memo, which
-    ``_prime_power_cyclic_generators`` filled."""
+
+    Each generator g becomes a permutation of the positions, kept in
+    ``perm_of[g]``: the walk shares one such dict across its normalizers,
+    whose Schreier generators recur (519 in all but 117 distinct on
+    GL(4,2)).  Each orbit is walked breadth-first from the least position
+    not yet seen, so it is led by its least.  Inverses are read from the
+    group's memo, which ``_prime_power_cyclic_generators`` filled."""
     images, inv = group.right_images, group._inv.__getitem__
-    root = list(range(len(cyclic)))
-
-    def find(c: int) -> int:
-        while root[c] != c:
-            root[c] = c = root[root[c]]
-        return c
-
     for g in gens:
-        # (x g)^-1 g = g^-1 x^-1 g generates <x>^g
-        for c, y in enumerate(images(map(inv, images(cyclic, g)), g)):
-            d = cyc_of[y]
-            if d != c:
-                a, b = find(c), find(d)
-                if a != b:
-                    root[max(a, b)] = min(a, b)
-    # a root is the least position of its orbit, so it opens its list
-    orbits = {}
+        if g not in perm_of:
+            # (x g)^-1 g = g^-1 x^-1 g generates <x>^g
+            perm_of[g] = array("i", map(cyc_of.__getitem__, images(
+                map(inv, images(cyclic, g)), g)))
+    perms = list(map(perm_of.__getitem__, gens))
+    seen = bytearray(len(cyclic))
+    orbits = []
     for c in range(len(cyclic)):
-        orbits.setdefault(find(c), []).append(c)
-    return list(orbits.values())
+        if seen[c]:
+            continue
+        seen[c] = 1
+        orbit = [c]
+        for d in orbit:
+            for perm in perms:
+                e = perm[d]
+                if not seen[e]:
+                    seen[e] = 1
+                    orbit.append(e)
+        orbits.append(orbit)
+    return orbits
 
 
 def _prime_power_cyclic_generators(group: GroupSet) -> tuple:

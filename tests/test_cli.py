@@ -643,6 +643,15 @@ EXIT_CASES = {
         tmp, dict(_gl22_spec(_GL22_GENS[0]), name=["x"])), 2),
     "generator-name-object": (lambda tmp: _gens_file(
         tmp, dict(_gl22_spec(_GL22_GENS[0]), name={"x": 1})), 2),
+    # n is echoed into every report row, so only a positive int passes
+    "generator-n-float": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), n=2.0)), 2),
+    "generator-n-boolean": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), n=True)), 2),
+    "generator-n-string": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), n="2")), 2),
+    "generator-n-zero": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), n=0)), 2),
     "generator-size-not-n": (lambda tmp: _gens_file(
         tmp, {"field": {"p": 2, "u": 1}, "n": 3,
               "generators": _GL22_GENS}), 2),
@@ -743,6 +752,16 @@ def test_bad_matrix_entry_names_value(tmp_path):
     assert proc.stderr.strip() == (
         "error: cannot read generator file: 'a' is not an element of "
         "GF(2): expected an integer or a list of 1 integer")
+
+
+@pytest.mark.parametrize("n,shown", [(2.0, "2.0"), (True, "true"),
+                                     ("2", '"2"'), (0, "0"), (None, "null")])
+def test_generator_file_n_names_value(tmp_path, capsys, n, shown):
+    args = _gens_file(tmp_path, dict(_gl22_spec(_GL22_GENS[0]), n=n))
+    assert run_cli(["verify", *args]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read generator file: n is {shown}, not an integer "
+        f"of at least 1\n")
 
 
 @pytest.mark.parametrize("generators,message", [

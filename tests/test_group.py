@@ -859,6 +859,142 @@ def test_cyclic_extension_false_witness_loses_subgroups(monkeypatch):
     assert lattice < expected
 
 
+def _record_bounded_joins(monkeypatch):
+    """Record (K, K's generators, x, top, <K, x>) for every extension join
+    that the walk runs inside a proper subgroup top."""
+    bounded = []
+    join = GroupSet._join
+
+    def recording_join(self, members, gens, g, top=None,
+                       reach=group_module._NO_WITNESSES):
+        extended = join(self, members, gens, g, top, reach)
+        if (top is not None and len(top) < self.order
+                and sys._getframe(1).f_code.co_name
+                == "_lattice_by_cyclic_extension"):
+            assert not reach
+            bounded.append((members, tuple(gens), g, top, extended))
+        return extended
+
+    monkeypatch.setattr(GroupSet, "_join", recording_join)
+    return bounded
+
+
+def _assert_bounded_joins_exact(monkeypatch, g):
+    # every bound holds K and x, so <K, x> lies in it; checked against a
+    # join inside G with no witnesses, stopped only by Lagrange's bound
+    bounded = _record_bounded_joins(monkeypatch)
+    lattice = group_module._lattice_by_cyclic_extension(
+        g, group_module.INTERVAL_CAP)
+    monkeypatch.undo()
+    assert bounded
+    for members, gens, x, top, extended in bounded:
+        assert members < top and x in top
+        assert extended <= top and extended in lattice
+        assert GroupSet._join(g, members, list(gens), x) == extended
+    # some joins return their bound, a subgroup already known: Lagrange's
+    # stop ends them at |top|/p elements instead of walking all of it
+    assert any(extended == top for *_, top, extended in bounded)
+
+
+@pytest.mark.parametrize("kind,n,p", [
+    ("GL", 2, 3), ("SL", 2, 3), ("GL", 3, 2), ("GL", 2, 5), ("GL", 2, 7),
+    pytest.param("SL", 3, 3, marks=pytest.mark.slow)],
+    ids=["GL(2,3)", "SL(2,3)", "GL(3,2)", "GL(2,5)", "GL(2,7)",
+         "slow-SL(3,3)"])
+def test_cyclic_extension_bounds_hold_the_join(monkeypatch, kind, n, p):
+    _assert_bounded_joins_exact(monkeypatch, _preset(kind, n, p))
+
+
+def test_cyclic_extension_bound_without_x_loses_subgroups(monkeypatch):
+    # mutation check: a lookup that returns a known proper overgroup of K
+    # lacking x, whenever K has one, stops joins at that subgroup's bound;
+    # the walk must then lose subgroups, and the unpruned oracle must see it
+    g = _preset("GL", 2, 5)
+    expected = lattice_by_unpruned_cyclic_extension(g)
+    least_holding = group_module._least_holding
+    planted = []
+
+    def planting_lookup(above, x):
+        wrong = next((s for s in above if x not in s and len(s) < g.order),
+                     None)
+        if wrong is None:
+            return least_holding(above, x)
+        planted.append(wrong)
+        return wrong
+
+    monkeypatch.setattr(group_module, "_least_holding", planting_lookup)
+    lattice = group_module._lattice_by_cyclic_extension(
+        g, group_module.INTERVAL_CAP)
+    assert planted
+    assert lattice < expected
+
+
+def _orbits_by_conjugating_member_sets(g, gens, cyclic):
+    """The orbits of <gens> on the cyclic subgroups <cyclic[c]>, as sets of
+    positions, by conjugating member sets with matrix products."""
+    identity = g.elements[g.identity_index]
+    members = []
+    for x in cyclic:
+        powers, y = [], g.elements[x]
+        while True:
+            powers.append(g.index_of(y))
+            if y == identity:
+                break
+            y = y * g.elements[x]
+        members.append(frozenset(powers))
+    position = {m: c for c, m in enumerate(members)}
+    conjugations = []
+    for s in gens:
+        m, m_inv = g.elements[s], g.elements[s].inverse()
+        conjugations.append([g.index_of(m_inv * e * m) for e in g.elements])
+    orbits = set()
+    for c, m in enumerate(members):
+        orbit, frontier = {c}, [m]
+        for sub in frontier:
+            for conj in conjugations:
+                d = position[frozenset(map(conj.__getitem__, sub))]
+                if d not in orbit:
+                    orbit.add(d)
+                    frontier.append(members[d])
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def _record_orbit_generators(monkeypatch):
+    """Record every generator list the walk hands to ``_cyclic_orbits``."""
+    lists = []
+    cyclic_orbits = group_module._cyclic_orbits
+
+    def recording(group, gens, cyclic, cyc_of, perm_of):
+        lists.append(list(gens))
+        return cyclic_orbits(group, gens, cyclic, cyc_of, perm_of)
+
+    monkeypatch.setattr(group_module, "_cyclic_orbits", recording)
+    return lists
+
+
+@pytest.mark.parametrize("name", ["GL(2,2)", "GL(2,3)", "SL(2,3)",
+                                  "GL(3,2)", "GL(2,5)"])
+def test_cyclic_orbits_match_conjugated_member_sets(monkeypatch, name):
+    build, _ = _LATTICE_GROUPS[name]
+    g = build()
+    lists = _record_orbit_generators(monkeypatch)
+    group_module._lattice_by_cyclic_extension(g, group_module.INTERVAL_CAP)
+    monkeypatch.undo()
+    # the walk's first list is G's own generators; N_G(K)'s follow
+    generator_ids = [g.index_of(m) for m in g.generators]
+    assert lists[0] == generator_ids and len(lists) > 1
+    cyclic, cyc_of = group_module._prime_power_cyclic_generators(g)
+    for gens in lists + [[]]:
+        got = group_module._cyclic_orbits(g, gens, cyclic, cyc_of, {})
+        assert ({frozenset(orbit) for orbit in got}
+                == _orbits_by_conjugating_member_sets(g, gens, cyclic))
+        assert sum(map(len, got)) == len(cyclic)
+        leaders = [orbit[0] for orbit in got]
+        assert leaders == [min(orbit) for orbit in got]
+        assert leaders == sorted(leaders)
+
+
 @pytest.mark.slow
 def test_slow_interval_search_matches_unpruned_reflection_gl33(gl33):
     # the ten intervals [H, M] of scripts/slow_instance.py, H = GL(1,3) + I_2:
