@@ -256,13 +256,18 @@ def _check_caps(args: argparse.Namespace) -> None:
 def _check_writable(out: Optional[str]) -> None:
     """Fail before any work when the report path cannot be written.
 
-    Append mode creates a missing file and leaves an existing one as it is
-    until the report is written."""
+    Append mode leaves an existing file as it is until the report is
+    written.  A file the check creates is removed again: a run that then
+    fails would leave it empty, and a later ``report`` would merge it as
+    zero rows."""
     if out:
+        existed = os.path.exists(out)
         try:
             open(out, "a").close()
         except OSError as exc:
             raise GroupSpecError(f"cannot write report: {exc}") from exc
+        if not existed:
+            os.remove(out)
 
 
 def _certificate_pays(group: GroupSet, lattice: FinitePoset,
@@ -413,21 +418,21 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
         _check_writable(out)
         for path in paths:
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
+                for number, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
                     row = json.loads(line)
                     if not isinstance(row, dict):
                         raise MalformedReport(
-                            f"malformed report: {path}: a line is not a "
-                            f"JSON object")
+                            f"malformed report: {path}: line {number} is "
+                            f"not a JSON object")
                     if row.get("type") == "summary":
                         continue
                     if not isinstance(row.get("group", ""), str):
                         raise MalformedReport(
-                            f"malformed report: {path}: a row's group is "
-                            f"not a string")
+                            f"malformed report: {path}: line {number}: "
+                            f"the row's group is not a string")
                     key = (row.get("group"),
                            json.dumps(row.get("h_generators"), sort_keys=True))
                     # duplicates may differ in their timing only; the first
@@ -436,8 +441,12 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
                     if dict(first, timing=None) != dict(row, timing=None):
                         raise MalformedReport(
                             f"conflicting duplicate for {key[0]} pair")
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: malformed report: {exc}", file=sys.stderr)
+        return 2
+    except json.JSONDecodeError as exc:
+        print(f"error: malformed report: {path}: line {number}, column "
+              f"{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
         print(f"error: malformed report: {path}: not UTF-8 text: {exc}",

@@ -213,7 +213,21 @@ class FqField:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "FqField":
-        return cls(spec["p"], spec.get("u", 1), spec.get("modulus"))
+        """The field of a ``to_dict`` spec: an object whose ``p`` and ``u``
+        (default 1) are ints and whose ``modulus``, when given, is a list of
+        ints.  Any other spec is a ``ValueError`` naming the bad entry; a
+        bool is not read as an int."""
+        if not isinstance(spec, dict):
+            raise ValueError(f"field is {spec!r}, not an object")
+        p, u, modulus = spec.get("p"), spec.get("u", 1), spec.get("modulus")
+        for name, value in (("p", p), ("u", u)):
+            if type(value) is not int:
+                raise ValueError(f"field {name} is {value!r}, not an integer")
+        if modulus is not None and not (isinstance(modulus, list) and all(
+                type(c) is int for c in modulus)):
+            raise ValueError(
+                f"field modulus is {modulus!r}, not a list of integers")
+        return cls(p, u, modulus)
 
     def to_dict(self) -> dict:
         out = {"p": self.p, "u": self.u}

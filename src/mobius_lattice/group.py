@@ -48,10 +48,10 @@ generators read one matrix at a time, through ``element``).  The invariant
 subspaces are a list indexed by id that ``identities.stabilizer_family``
 fills one generator at a time, so each element's linear algebra runs once
 per group however many subgroups it generates.  Inverses share one memo, a
-list indexed by id.  ``inv`` fills one entry at a time by inverting a
-``Matrix``; the power walk of ``_prime_power_cyclic_generators``, which
-takes every element's powers 1, x, ..., x^(m-1) anyway, fills all of it at
-once, since x^k and x^(m-k) are each other's inverses.  After that walk the lattice reads inverses
+list indexed by id, and one producer: the power walk ``_cyclic_generators``
+takes x, x^2, ..., x^(m-1) and records x^k and x^(m-k) as each other's
+inverses.  ``inv`` runs it on a miss; ``_prime_power_cyclic_generators``
+runs it over the whole group, after which the lattice reads inverses
 straight out of the list.
 
 ``stabilizer`` never scans G.  It walks the orbit of the subspace W under
@@ -81,18 +81,24 @@ K), else the double cosets K*g^k*K for every k prime to the order of g
 (<K, h*g^k*h'> = <K, g^k> = <K, g> for h, h' in K).  This search is also
 the test oracle of the first.
 
-Both searches join K with x inside the smallest known overgroup of K that
-holds x (``_least_holding``), and inside G or M only when none does:
-<K, x> lies in every subgroup holding K and x, so a join whose result is
-already known stops at that subgroup's Lagrange bound instead of walking
-all of it.  Both spend most of their time on joins that end at their bound,
-and both fill the joins' ``reach`` by one exact ancestor rule: if
+Both searches join at one site, the same for each:
+
+    inside = _least_holding(above, x) or <the top's member set>
+    group._join(K, gens, x, inside, _witnesses(reach, inside, merged))
+
+<K, x> lies in every subgroup holding K and x, so a join inside the
+smallest known overgroup of K that holds x (``_least_holding``), and inside
+G or M only when none does, stops at that subgroup's Lagrange bound instead
+of walking all of it.  Both spend most of their time on joins that end at
+their bound, and both fill ``reach`` by one exact ancestor rule: if
 <A, r> = S and A <= K <= S, then <K, r> = S, so a join <K, g> inside S
-that meets r is S.  The walk takes, from each join <K, x> = G, every
-generator of every cyclic subgroup in x's N_G(K)-orbit (<K, x^n> =
-<K, x>^n = G); the coset search takes the elements a join giving S covered,
-per S.  Each K uses its witnesses for the rest of its loop and hands them
-to the subgroups it queues, whose loops start only after K's ends.
+that meets r is S.  ``reach`` maps each bound S to a list of witness sets.
+Each K copies the lists of the subgroup that queued it, and merges a list
+into one set of its own (its id in ``merged``) only when a join inside S
+reads it.  K uses its witnesses for the rest of its loop and hands them to
+the subgroups it queues, whose loops start only after K's ends.  The
+searches differ only in their candidates x, in the elements that become
+witnesses, and in the class orbits that the walk records.
 """
 
 from __future__ import annotations
@@ -169,8 +175,10 @@ class GroupSet:
         except KeyError:
             raise ValueError("identity missing from element set") from None
         self._actions = [None] * self.order
-        # _inv[i] is the id of the inverse of i, None until it is known
+        # _inv[i] is the id of the inverse of i, None until a power walk
+        # (_cyclic_generators) through i has run
         self._inv = [None] * self.order
+        self._inv[self.identity_index] = self.identity_index
         # _subspaces[i]: the proper non-trivial subspaces element i fixes,
         # None until identities.stabilizer_family first reads them
         self._subspaces = [None] * self.order
@@ -198,17 +206,13 @@ class GroupSet:
             data = sum(map(vectors.__getitem__, key), ())
         return Matrix(self.field, self.n, self.n, data)
 
-    def _row_action(self, j: int) -> list:
-        """Code of v*g_j for every row vector v, in code order."""
-        return _matrix_row_action(self.field, self._vectors, self._codes,
-                                  self.element(j))
-
     def _factor(self, j: int) -> list:
-        """The row action of j, which multiplies by j on the right, built on
-        first use."""
+        """The row action of j, which multiplies by j on the right: the code
+        of v*j for every row vector v, in code order, built on first use."""
         action = self._actions[j]
         if action is None:
-            action = self._actions[j] = self._row_action(j)
+            action = self._actions[j] = _matrix_row_action(
+                self.field, self._vectors, self._codes, self.element(j))
         return action
 
     def mul(self, i: int, j: int) -> int:
@@ -230,11 +234,11 @@ class GroupSet:
                 "element set is not closed under product") from None
 
     def inv(self, i: int) -> int:
-        cached = self._inv[i]
-        if cached is None:
-            cached = self.index_of(self.element(i).inverse())
-            self._inv[i] = cached
-        return cached
+        """The id of i's inverse.  On a miss, the power walk of i
+        (``_cyclic_generators``) fills the memo for every power of i."""
+        if self._inv[i] is None:
+            _cyclic_generators(self, i)
+        return self._inv[i]
 
     def index_of(self, m: Matrix) -> int:
         return self._idx[_row_key(self._codes, self.n, m)]
@@ -612,18 +616,9 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
     - and so is K*g^k*K for every k prime to the order of g, since g and
       g^k generate the same cyclic subgroup, so <K, g^k> = <K, g>.
 
-    Each join runs inside the smallest known proper overgroup of K that
-    holds g, and inside top only when none does: <K, g> lies in every
-    subgroup holding K and g, so Lagrange's stop fires at that subgroup's
-    bound.
-
-    The elements covered after a join that gave S are witnesses for S:
-    <K, r> = S for each of them outside K.  If <A, r> = S and A <= K <= S,
-    then <K, r> = S too, so a later join inside S that meets r is S
-    (``_join``'s ``reach``).  Witnesses are kept per S as a list of sets,
-    merged into one only when a join inside S reads them (``_witnesses``),
-    used in the rest of K's loop and inherited by the subgroups K queues,
-    each of which copies the lists.  None of this changes the result.
+    Joins run at the shared site (module docstring), bounded by top.  The
+    witnesses are the elements that a join giving S covered, kept under S:
+    <K, r> = S for each of them outside K.
     """
     candidates = sorted(top_ids)
     known = {low.member_ids}
@@ -709,27 +704,24 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     of K under conjugation by G's generators is its class, and the orbit's
     Schreier generators generate N_G(K).
 
-    Each orbit's x is joined inside the smallest known proper overgroup S
-    of K that holds x, and inside G only when none does: <K, x> <= S, so a
-    join whose result is already known stops at |S|/p elements.  ``above``
-    holds K's known proper overgroups by order, read off the classes whose
-    order |K| divides; each new class adds its conjugates that contain K.
-
-    When <K, x> = G, so is <K, y> for every generator y of every cyclic
-    subgroup in x's N_G(K)-orbit: <K, x^n> = <K, x>^n = G.  Those y are
-    witnesses (``_join``'s ``reach``) for the rest of K's loop, and every
-    subgroup K queues inherits them, since <K', y> = G for K' >= K.  A join
-    that gives G can then end at its first step, or at the first coset that
-    meets a witness, before it passes |G|/p elements.  A join inside a
-    proper S takes no witnesses: none lies in S.
+    Joins run at the shared site (module docstring), bounded by G.
+    ``above`` holds K's known proper overgroups by order, read off the
+    classes whose order |K| divides; each new class adds its conjugates that
+    contain K.  When <K, x> = G, so is <K, y> for every generator y of every
+    cyclic subgroup in x's N_G(K)-orbit: <K, x^n> = <K, x>^n = G.  Those y
+    are the witnesses, all kept under G; a join inside a proper S reads
+    none, since none lies in S.
 
     The class orbits are recorded on the group as ``_classes``, a tuple of
     tuples of member sets, each led by its representative and the trivial
     subgroup's class first; ``identities.certify_meets`` reads them.
     """
     images = group.right_images
-    # the power walk also completes the inverse memo, read below as a list
-    cyclic, cyc_of = _prime_power_cyclic_generators(group)
+    # generators_of[c]: every generator of the c-th cyclic subgroup, led by
+    # the one the walk joins; the power walk also completes the inverse memo,
+    # read below as a list
+    generators_of, cyc_of = _prime_power_cyclic_generators(group)
+    cyclic = list(map(itemgetter(0), generators_of))
     inv = group._inv.__getitem__
     # conj[t] = g^-1 t^-1 g = (t g)^-1 g: since a subgroup holds the inverse
     # of each of its members, mapping its members through conj conjugates it
@@ -740,24 +732,20 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
         conj = images(map(inv, images(range(group.order), g)), g)
         moves.append((g, lambda sub, conj=conj: frozenset(
             map(conj.__getitem__, sub))))
-    # generators_of[c]: every generator of the cyclic subgroup of cyclic[c]
-    generators_of = [[] for _ in cyclic]
-    for y, c in enumerate(cyc_of):
-        if c >= 0:
-            generators_of[c].append(y)
     # perm_of[g]: how conjugation by g permutes the positions in cyclic
     perm_of = {}
-    order = group.order
+    full = group._full
     trivial = frozenset((group.identity_index,))
     known = {trivial}
     classes = [(trivial,)]
     # each representative K is queued with its generators, N_G(K)'s and the
-    # witnesses its parent found: elements r with <parent, r> = G
-    queue = [(trivial, [], [g for g, _ in moves], _NO_WITNESSES)]
+    # witness lists its parent found
+    queue = [(trivial, [], [g for g, _ in moves], {})]
     while queue:
         current, gens, normalizer, inherited = queue.pop()
-        # <A, r> = G for an A <= K gives <K, r> = G
-        reach = set(inherited)
+        # K's own copy of the lists, so K appends to it alone
+        reach = {s: list(sets) for s, sets in inherited.items()}
+        merged = set()
         # Lagrange: an overgroup's order is a multiple of |K|, and a class
         # shares one order, so whole classes are skipped at once
         size = len(current)
@@ -768,17 +756,14 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
             x = cyclic[orbit[0]]
             if x in current:
                 continue
-            inside = _least_holding(above, x)
-            if inside is None or len(inside) == order:
-                extended = group._join(current, gens, x, None, reach)
-            else:
-                # a witness r has <K, r> = G, so none lies in a proper S
-                extended = group._join(current, gens, x, inside)
-            if len(extended) == order:
+            inside = _least_holding(above, x) or full
+            extended = group._join(current, gens, x, inside,
+                                   _witnesses(reach, inside, merged))
+            if len(extended) == group.order:
                 # <K, y> = <K, x^n> = <K, x>^n = G for n in N_G(K) and every
                 # generator y of a cyclic subgroup <x^n> in x's orbit
-                for c in orbit:
-                    reach.update(generators_of[c])
+                reach.setdefault(full, []).extend(
+                    map(generators_of.__getitem__, orbit))
             if extended in known:
                 continue
             conjugates, _, normalizer = _orbit_stabilizer(
@@ -834,17 +819,15 @@ def _cyclic_orbits(group: GroupSet, gens: list, cyclic: list,
 
 
 def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
-    """(cyclic, cyc_of): one generator of each non-trivial cyclic subgroup
-    of prime-power order, in the order of their first generator's id, and
-    the map from every generator of each to its position in ``cyclic``
-    (-1 for the other elements).
+    """(generators_of, cyc_of): for each non-trivial cyclic subgroup of
+    prime-power order, in the order of their first generator's id, the list
+    of its generators (``_cyclic_generators``), led by that first one; and
+    the map from every such generator to its list's position (-1 for the
+    other elements).
 
-    Every element is a power of some x walked here, and x^k * x^(m-k) = 1
-    for m the order of x, so the walk also completes the group's inverse
-    memo ``_inv``."""
+    Every element is a power of some x walked here, so the walk also
+    completes the group's inverse memo ``_inv``."""
     identity = group.identity_index
-    inverse = group._inv
-    inverse[identity] = identity
     # done[y]: y generates a cyclic subgroup whose powers were already taken
     done = bytearray(group.order)
     cyc_of = array("i", [-1]) * group.order
@@ -854,8 +837,6 @@ def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
             continue
         generators, powers = _cyclic_generators(group, x)
         order = len(powers)
-        for k in range(1, order):
-            inverse[powers[k]] = powers[order - k]
         for y in generators:
             done[y] = 1
         p = _smallest_prime_factor(order)
@@ -864,18 +845,27 @@ def _prime_power_cyclic_generators(group: GroupSet) -> tuple:
         if order == 1:
             for y in generators:
                 cyc_of[y] = len(found)
-            found.append(x)
+            found.append(generators)
     return found, cyc_of
 
 
 def _cyclic_generators(group: GroupSet, x: int) -> tuple:
     """(generators, powers): the powers x^k for k prime to the order m of
-    x, in increasing k, and all of [1, x, x^2, ..., x^(m-1)]."""
-    mul, identity = group.mul, group.identity_index
+    x, in increasing k, and all of [1, x, x^2, ..., x^(m-1)].
+
+    x^k and x^(m-k) are each other's inverses, so the walk records the
+    inverse of every power in the group's memo ``_inv``.  An element whose
+    powers leave the element set, or never return to the identity, raises
+    ``NotASubgroup``."""
+    mul, identity, inverse = group.mul, group.identity_index, group._inv
     powers = [identity]
     y = x
     while y != identity:
+        if len(powers) == group.order:
+            raise NotASubgroup(f"element {x} has no inverse")
         powers.append(y)
         y = mul(y, x)
     order = len(powers)
+    for k in range(1, order):
+        inverse[powers[k]] = powers[order - k]
     return [powers[k] for k in range(1, order) if gcd(k, order) == 1], powers

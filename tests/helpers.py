@@ -86,7 +86,8 @@ def lattice_by_unpruned_cyclic_extension(group):
     trivial = frozenset((group.identity_index,))
     known = {trivial}
     queue = [(trivial, [])]
-    cyclic, _ = _prime_power_cyclic_generators(group)
+    cyclic = [generators[0] for generators
+              in _prime_power_cyclic_generators(group)[0]]
     while queue:
         current, gens = queue.pop()
         for x in cyclic:

@@ -655,6 +655,19 @@ EXIT_CASES = {
     "generator-size-not-n": (lambda tmp: _gens_file(
         tmp, {"field": {"p": 2, "u": 1}, "n": 3,
               "generators": _GL22_GENS}), 2),
+    # a --gens file's field must be an object of ints; true is no int, and
+    # {"p": 2, "u": true} would otherwise run GF(2)
+    "field-u-boolean": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), field={"p": 2, "u": True})), 2),
+    "field-p-float": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), field={"p": 3.0})), 2),
+    "field-u-string": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), field={"p": 3, "u": "x"})), 2),
+    "field-modulus-string": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]),
+                  field={"p": 2, "u": 2, "modulus": "x"})), 2),
+    "field-not-object": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), field=[3])), 2),
     "modulus-not-integers": (lambda tmp: [
         "--preset", "GL", "--n", "2", "--q", "4", "--modulus", "1,x"], 2),
     "modulus-prime-field": (lambda tmp: [*_GL22, "--modulus", "1,1,1"], 2),
@@ -789,6 +802,38 @@ def test_mobius_rejects_generator_file_object(tmp_path, flag):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "expected a JSON list of matrices" in lines[0]
+
+
+def test_report_malformed_line_names_file_and_line(tmp_path):
+    path = tmp_path / "cut.jsonl"
+    path.write_text('{"group": "a", "h_generators": []}\n\n'
+                    '{"group": "b", "h_generators": "[[1\n')
+    proc = _run_module("report", str(path))
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert lines == [f"error: malformed report: {path}: line 3, column 32: "
+                     f"Unterminated string starting at"], lines
+
+
+def test_exit_two_leaves_no_report_file_of_its_own(tmp_path, capsys):
+    # an empty report left by a failed run would merge as zero rows
+    out = tmp_path / "x.jsonl"
+    assert run_cli(["verify", "--q", "6", "--out", str(out)]) == 2
+    assert not out.exists()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("[1]\n")
+    merged = tmp_path / "merged.csv"
+    assert run_cli(["report", str(bad), "--out", str(merged)]) == 2
+    assert not merged.exists()
+    # a file that was there before the run stays as it was
+    out.write_text("kept\n")
+    assert run_cli(["verify", "--q", "6", "--out", str(out)]) == 2
+    assert run_cli(["report", str(bad), "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --q 6 is not a prime power",
+                   f"error: malformed report: {bad}: line 1 is not a JSON "
+                   f"object"] * 2
 
 
 def test_report_not_utf8_exits_two(tmp_path):

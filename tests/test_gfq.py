@@ -157,6 +157,21 @@ def test_config_round_trip():
         assert field == again
 
 
+@pytest.mark.parametrize("spec,entry", [
+    ({"p": 2, "u": True}, "field u is True"),
+    ({"p": 3.0}, "field p is 3.0"),
+    ({"p": 3, "u": "x"}, "field u is 'x'"),
+    ({"u": 1}, "field p is None"),
+    ({"p": 2, "u": 2, "modulus": "x"}, "field modulus is 'x'"),
+    ({"p": 2, "u": 2, "modulus": [1, True, 1]}, "field modulus is"),
+    ([3], "field is [3], not an object")])
+def test_from_dict_names_the_bad_entry(spec, entry):
+    # a bool is no int here: {"p": 2, "u": true} would otherwise be GF(2)
+    with pytest.raises(ValueError) as info:
+        FqField.from_dict(spec)
+    assert str(info.value).startswith(entry)
+
+
 def test_subtraction_and_pow():
     f7 = FqField(7)
     three, five = f7.index(3), f7.index(5)

@@ -112,6 +112,29 @@ def test_power_walk_records_every_inverse(kind, n, p, u):
     assert [group.inv(i) for i in range(group.order)] == oracle
 
 
+@pytest.mark.parametrize("kind,n,p,sample", [
+    ("GL", 2, 3, None), ("SL", 2, 3, None), ("GL", 3, 2, None),
+    ("GL", 3, 3, 200)])
+def test_inv_walks_powers_on_a_fresh_group(kind, n, p, sample):
+    # no power walk ran first: only the identity's inverse is known.  Each
+    # inv(i) (every id, or a seeded sample) matches Matrix.inverse, and the
+    # one call left the inverse of every power of i in the memo
+    group = _preset(kind, n, p)
+    assert group._inv.count(None) == group.order - 1
+    ids = range(group.order)
+    if sample:
+        ids = random.Random(0).sample(ids, sample)
+    oracle = group.index_of
+    for i in ids:
+        assert group.inv(i) == oracle(group.element(i).inverse())
+        y = i
+        while True:
+            assert group._inv[y] == oracle(group.element(y).inverse())
+            if y == group.identity_index:
+                break
+            y = group.mul(y, i)
+
+
 @pytest.mark.parametrize("kind,n,p,u", [
     ("GL", 1, 7, 1), ("GL", 1, 2, 2), ("GL", 2, 3, 1), ("SL", 2, 2, 2),
     ("SL", 2, 3, 2), ("GL", 3, 2, 1), ("GL", 3, 3, 1)])
@@ -232,6 +255,14 @@ def test_non_closed_element_set_raises():
                               group.identity_index) == [ti, group.identity_index]
     with pytest.raises(NotASubgroup, match="not closed under product"):
         group.right_images([group.identity_index, ti], ti)
+    # inv walks the powers of t, and t^2 is not in the set
+    with pytest.raises(NotASubgroup, match="not closed under product"):
+        group.inv(ti)
+    # {1, 0} is closed, but the powers of 0 never return to the identity
+    zero = Matrix.from_rows(F3, [[0, 0], [0, 0]])
+    group = GroupSet(F3, 2, [Matrix.identity(F3, 2), zero], [zero])
+    with pytest.raises(NotASubgroup, match="no inverse"):
+        group.inv(group.index_of(zero))
     # four elements, t^2 left out: [top : 1] = 4, so Lagrange's stop would
     # fire only past two elements, and growing <t> reaches t*t first
     u = Matrix.from_rows(F3, [[2, 0], [0, 2]])
@@ -794,6 +825,10 @@ def _assert_witnesses_sound(group, decided):
 @pytest.mark.parametrize("name", ["GL(2,3)", "SL(2,3)", "GL(3,2)",
                                   "GL(2,5)"])
 def test_cyclic_extension_witnesses_generate_g(monkeypatch, name):
+    # each representative merges its witness lists into sets of its own: a
+    # walk that shares one merge memo across representatives grows a set
+    # that siblings hold too, and GL(2,5) then decides a join by an element
+    # r with <K, r> != G
     build, _ = _LATTICE_GROUPS[name]
     g = build()
     decided = _record_decided_joins(monkeypatch)
@@ -984,7 +1019,8 @@ def test_cyclic_orbits_match_conjugated_member_sets(monkeypatch, name):
     # the walk's first list is G's own generators; N_G(K)'s follow
     generator_ids = [g.index_of(m) for m in g.generators]
     assert lists[0] == generator_ids and len(lists) > 1
-    cyclic, cyc_of = group_module._prime_power_cyclic_generators(g)
+    generators_of, cyc_of = group_module._prime_power_cyclic_generators(g)
+    cyclic = [gens[0] for gens in generators_of]
     for gens in lists + [[]]:
         got = group_module._cyclic_orbits(g, gens, cyclic, cyc_of, {})
         assert ({frozenset(orbit) for orbit in got}
