@@ -279,7 +279,7 @@ def _certificate_pays(group: GroupSet, lattice: FinitePoset,
     budget = 2 * len(group._classes) * lattice.size
     total = 0
     for h in subgroups:
-        total += len(lattice.above(lattice.index_of(h))) ** 2
+        total += len(lattice.up[lattice.index_of(h)]) ** 2
         if total > budget:
             return True
     return False

@@ -130,11 +130,13 @@ def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
     """The containment order on ``subgroups``, items sorted by ``sort_key``.
 
     Orders grow with the index, so the index order is a linear extension and
-    only a later item can contain an earlier one.  ``containing[x]`` holds
-    the bits of the items that contain element x; an item's bit is recorded
-    only for the elements some earlier item has, since no other element can
-    decide a containment.  ``up[i]`` is then the AND of ``containing[x]``
-    over the members x of item i, masked to the items after i.
+    only a later item can contain an earlier one.  ``containing[x]``, local
+    to the build, holds the bits of the items that contain element x; an
+    item's bit is recorded only for the elements some earlier item has,
+    since no other element can decide a containment.  Item i's up-set is
+    the AND of ``containing[x]`` over the members x of item i, masked to the
+    items after i.  Each AND is turned into i's index row at once, its
+    entries drawn from one shared ``range`` tuple, and the mask is dropped.
     """
     items = sorted(subgroups, key=SubgroupRef.sort_key)
     containing: dict = {}
@@ -144,6 +146,7 @@ def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
         for x in seen.intersection(k.member_ids):
             containing[x] = containing.get(x, 0) | bit
         seen.update(k.member_ids)
+    ints = tuple(range(len(items)))
     full = (1 << len(items)) - 1
     up = []
     for i, k in enumerate(items):
@@ -153,7 +156,15 @@ def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
                 later &= containing.get(x, 0)
                 if not later:
                     break
-        up.append(later | 1 << i)
+        # bit j is digit j of the reversed binary string: one C-level
+        # search per set bit
+        digits = bin(later)[:1:-1]
+        row = [ints[i]]
+        pos = digits.find("1", i + 1)
+        while pos >= 0:
+            row.append(ints[pos])
+            pos = digits.find("1", pos + 1)
+        up.append(tuple(row))
     return FinitePoset(items, up)
 
 
@@ -229,11 +240,9 @@ def build_ideal(family: StabilizerFamily,
             overgroup_interval(group, subgroup, top=m, cap=max_interval)
             for m in stabs)))
     bottom = _position(lattice, subgroup)
-    tops = 0
-    for m in stabs:
-        tops |= 1 << _position(lattice, m)
+    tops = frozenset(_position(lattice, m) for m in stabs)
     up = lattice.up
-    indices = [k for k in lattice.above(bottom) if up[k] & tops] or [bottom]
+    indices = [k for k in up[bottom] if not tops.isdisjoint(up[k])] or [bottom]
     members = [lattice.items[k] for k in indices] if stabs else []
     if len(members) > max_interval:
         raise IntervalTooLarge(

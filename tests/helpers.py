@@ -209,6 +209,21 @@ def moebius_number_theoretic(n):
     return (-1) ** count
 
 
+def to_mask(row: Iterable[int]) -> int:
+    """An index row as a bitmask: bit j is set iff j is in ``row``.  The
+    package stores the order as rows (``FinitePoset.up``); the oracles
+    below read it as masks, through this and ``to_row`` only."""
+    mask = 0
+    for j in row:
+        mask |= 1 << j
+    return mask
+
+
+def to_row(mask: int) -> tuple:
+    """The ascending index row of a mask's set bits."""
+    return tuple(_bits(mask))
+
+
 def random_poset(rng: random.Random, max_size: int = 10) -> FinitePoset:
     """Random poset: a random DAG on 1..max_size nodes, transitively closed."""
     n = rng.randint(1, max_size)
@@ -222,15 +237,15 @@ def random_poset(rng: random.Random, max_size: int = 10) -> FinitePoset:
         mask = up[i]
         for j in _bits(mask & ~(1 << i)):
             up[i] |= up[j]
-    return FinitePoset(list(range(n)), up)
+    return FinitePoset(list(range(n)), map(to_row, up))
 
 
 def down_sets(poset: FinitePoset) -> list:
-    """The transpose of ``poset.up``: bit i of the j-th mask is set iff
-    items[i] <= items[j].  The package keeps only the up-sets."""
+    """The transpose of ``poset.up`` as masks: bit i of the j-th mask is set
+    iff items[i] <= items[j].  The package keeps only the up-sets."""
     down = [0] * poset.size
-    for i, mask in enumerate(poset.up):
-        for j in _bits(mask):
+    for i, row in enumerate(poset.up):
+        for j in row:
             down[j] |= 1 << i
     return down
 
@@ -242,7 +257,8 @@ class BoundedPoset:
 
     def __init__(self, base: FinitePoset, bottom: int, top: int):
         full = (1 << base.size) - 1
-        if base.up[bottom] != full or down_sets(base)[top] != full:
+        if (to_mask(base.up[bottom]) != full
+                or down_sets(base)[top] != full):
             raise InvalidOrderRelation("claimed bounds do not bound the poset")
         self.base = base
         self.bottom = bottom
@@ -290,7 +306,7 @@ class TopInX(MobiusLatticeError):
 
 
 def leq(poset: FinitePoset, i: int, j: int) -> bool:
-    return bool((poset.up[i] >> j) & 1)
+    return bool((to_mask(poset.up[i]) >> j) & 1)
 
 
 def lt(poset: FinitePoset, i: int, j: int) -> bool:
@@ -302,7 +318,7 @@ def covers(poset: FinitePoset) -> list:
     down = down_sets(poset)
     out = []
     for i in range(poset.size):
-        strict = poset.up[i] & ~(1 << i)
+        strict = to_mask(poset.up[i]) & ~(1 << i)
         for j in _bits(strict):
             if strict & down[j] & ~(1 << j) == 0:
                 out.append((i, j))
@@ -395,15 +411,15 @@ def adjoin_bounds(poset: FinitePoset, reuse: bool = False) -> BoundedPoset:
     n = poset.size
     full = (1 << n) - 1
     have_bottom = have_top = None
+    up = [to_mask(row) for row in poset.up]
     if reuse:
         down = down_sets(poset)
         for i in range(n):
-            if poset.up[i] == full:
+            if up[i] == full:
                 have_bottom = i
             if down[i] == full:
                 have_top = i
     items = list(poset.items)
-    up = list(poset.up)
     if have_bottom is None:
         items.append(_Bound("0^"))
         bottom = len(items) - 1
@@ -417,7 +433,7 @@ def adjoin_bounds(poset: FinitePoset, reuse: bool = False) -> BoundedPoset:
         up.append(1 << top)
     else:
         top = have_top
-    return BoundedPoset(FinitePoset(items, up), bottom, top)
+    return BoundedPoset(FinitePoset(items, map(to_row, up)), bottom, top)
 
 
 def coatoms(bp: BoundedPoset) -> list:
@@ -426,7 +442,8 @@ def coatoms(bp: BoundedPoset) -> list:
     below_top = down_sets(base)[top]
     out = []
     for x in _bits(below_top & ~(1 << top)):
-        between = base.up[x] & below_top & ~(1 << x) & ~(1 << top)
+        between = (to_mask(base.up[x]) & below_top
+                   & ~(1 << x) & ~(1 << top))
         if between == 0:
             out.append(x)
     return out
@@ -538,8 +555,9 @@ def order_complex(poset: FinitePoset) -> SimplicialComplex:
 
     def grow(mask: int, last: int) -> None:
         faces.add(mask)
-        for j in _bits(poset.up[last] & ~(1 << last)):
-            grow(mask | (1 << j), j)
+        for j in poset.up[last]:
+            if j != last:
+                grow(mask | (1 << j), j)
 
     for i in range(poset.size):
         grow(1 << i, i)

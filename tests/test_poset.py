@@ -23,6 +23,7 @@ from helpers import (
     moebius_number_theoretic,
     random_lattice,
     random_poset,
+    to_row,
 )
 
 
@@ -92,13 +93,19 @@ def test_recursion_vs_zeta_inversion_200_random_posets():
 
 def test_relation_naming_unknown_item_rejected():
     with pytest.raises(InvalidOrderRelation, match="unknown item"):
-        FinitePoset([0, 1], [0b111, 0b010])
+        FinitePoset([0, 1], [(0, 1, 2), (1,)])
+    # the unknown item is named whatever else is wrong with the rows:
+    # unsorted, duplicate, not reflexive, not transitive, not antisymmetric
+    for rows in ([(1, 0, 5), (1,)], [(0, 0, -1), (1,)], [(1, -2), (1,)],
+                 [(0, 1), (1, 2), (2, 3)], [(0, 1, 3), (0, 1)]):
+        with pytest.raises(InvalidOrderRelation, match="unknown item"):
+            FinitePoset(range(len(rows)), rows)
 
 
 def _is_partial_order(up):
     # the three axioms tested pair by pair and triple by triple
     n = len(up)
-    rel = {(i, j) for i in range(n) for j in range(n) if up[i] >> j & 1}
+    rel = {(i, j) for i in range(n) for j in up[i]}
     return (all((i, i) in rel for i in range(n))
             and all(i == j for i, j in rel if (j, i) in rel)
             and all((i, k) in rel for i, j in rel for j2, k in rel if j == j2))
@@ -106,30 +113,47 @@ def _is_partial_order(up):
 
 @given(st.data())
 def test_validation_accepts_exactly_the_partial_orders(data):
-    # random relations on up to 6 items, made reflexive or transitively
-    # closed by chance so that valid orders are drawn often, and given an
-    # unknown item by chance
+    # random rows on up to 6 items, made reflexive or transitively closed
+    # by chance so that valid orders are drawn often; then, each by chance,
+    # an unknown item (negative or past the end), a duplicate entry and an
+    # unsorted row
     n = data.draw(st.integers(min_value=0, max_value=6))
-    up = [data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-          for _ in range(n)]
+    rows = [data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+            for _ in range(n)]
     if data.draw(st.booleans()):
-        up = [mask | 1 << i for i, mask in enumerate(up)]
+        for i, row in enumerate(rows):
+            row.add(i)
     if data.draw(st.booleans()):
         for j in range(n):
             for i in range(n):
-                if up[i] >> j & 1:
-                    up[i] |= up[j]
+                if j in rows[i]:
+                    rows[i] |= rows[j]
+    rows = [sorted(row) for row in rows]
+    index = st.integers(min_value=0, max_value=n - 1)
     if n and data.draw(st.booleans()):
-        i = data.draw(st.integers(min_value=0, max_value=n - 1))
-        up[i] |= 1 << data.draw(st.integers(min_value=n, max_value=n + 3))
-    if any(mask >> n for mask in up):
+        row = rows[data.draw(index)]
+        row.insert(data.draw(st.integers(min_value=0, max_value=len(row))),
+                   data.draw(st.integers(min_value=-3, max_value=-1)
+                             | st.integers(min_value=n, max_value=n + 3)))
+    if n and data.draw(st.booleans()):
+        row = rows[data.draw(index)]
+        if row:
+            row.insert(data.draw(st.integers(min_value=0, max_value=len(row))),
+                       data.draw(st.sampled_from(row)))
+    if n and data.draw(st.booleans()):
+        i = data.draw(index)
+        rows[i] = data.draw(st.permutations(rows[i]))
+    if any(not 0 <= j < n for row in rows for j in row):
         with pytest.raises(InvalidOrderRelation, match="unknown item"):
-            FinitePoset(range(n), up)
-    elif _is_partial_order(up):
-        assert FinitePoset(range(n), up).up == tuple(up)
+            FinitePoset(range(n), rows)
+    elif any(row != sorted(set(row)) for row in rows):
+        with pytest.raises(InvalidOrderRelation, match="strictly ascending"):
+            FinitePoset(range(n), rows)
+    elif _is_partial_order(rows):
+        assert FinitePoset(range(n), rows).up == tuple(map(tuple, rows))
     else:
         with pytest.raises(InvalidOrderRelation):
-            FinitePoset(range(n), up)
+            FinitePoset(range(n), rows)
 
 
 def test_adjoin_bounds_to_empty_poset():
@@ -252,9 +276,9 @@ def test_invalid_relation_rejected():
         FinitePoset.from_leq([0, 1], lambda a, b: True)
     with pytest.raises(InvalidOrderRelation):
         # not transitive: 0<=1, 1<=2 but not 0<=2
-        FinitePoset([0, 1, 2], [0b011, 0b110, 0b100])
-    with pytest.raises(InvalidOrderRelation, match="2 masks for 3 items"):
-        FinitePoset([0, 1, 2], [0b1, 0b10])
+        FinitePoset([0, 1, 2], [(0, 1), (1, 2), (2,)])
+    with pytest.raises(InvalidOrderRelation, match="2 rows for 3 items"):
+        FinitePoset([0, 1, 2], [(0,), (1,)])
 
 
 def test_dump_is_deterministic():
@@ -316,7 +340,7 @@ def _relabelled(poset, perm):
         for j in range(n):
             if leq(poset, i, j):
                 up[perm[i]] |= 1 << perm[j]
-    return FinitePoset(range(n), up)
+    return FinitePoset(range(n), map(to_row, up))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
@@ -349,11 +373,9 @@ def test_index_tuples_hold_the_set_bits_and_ranks_extend_the_order():
         for p in (base, _relabelled(base, perm)):
             assert sorted(p.rank) == list(range(p.size))
             for t in range(p.size):
-                assert p.above(t) == tuple(
+                assert p.up[t] == tuple(
                     j for j in range(p.size) if leq(p, t, j))
-                assert all(p.rank[t] < p.rank[j] for j in p.above(t)
-                           if j != t)
-    # past the small-int cache, the tuples still share their int objects
+                assert all(p.rank[t] < p.rank[j] for j in p.up[t] if j != t)
+    # past the small-int cache, the rows still share their int objects
     p = chain(600)
-    assert p.above(0)[500] is p.above(400)[100] is p.above(500)[0]
-    assert p.above(0) is p.above(0)
+    assert p.up[0][500] is p.up[400][100] is p.up[500][0]
