@@ -17,6 +17,7 @@ import time
 from typing import Optional, Sequence
 
 from .errors import (
+    FormatConflict,
     GroupSpecError,
     IntervalTooLarge,
     InvalidCap,
@@ -253,6 +254,14 @@ def _check_caps(args: argparse.Namespace) -> None:
             raise InvalidCap(f"--{name.replace('_', '-')} {value} is negative")
 
 
+def _check_format(args: argparse.Namespace) -> None:
+    """Reject flags whose output a CSV report would drop: its rows have
+    only the ``_CSV_COLUMNS`` and it has no summary."""
+    if args.fmt == "csv" and (args.timing or args.dump_faces):
+        raise FormatConflict(
+            "--format csv has no column for --timing or --dump-faces")
+
+
 def _check_writable(out: Optional[str]) -> None:
     """Fail before any work when the report path cannot be written.
 
@@ -290,6 +299,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     try:
         _check_caps(args)
+        _check_format(args)
         _check_writable(args.out)
         group, descriptor = load_group(args)
         if not is_irreducible(group):
@@ -346,6 +356,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.timing:
         summary["wall_time"] = round(time.monotonic() - started, 3)
     _emit(rows, args.fmt, args.out, summary)
+    if args.fmt == "csv":
+        # a CSV report has no summary, so its skip list goes to stderr
+        for skip in skips:
+            print(f"skipped: H of order {skip['h_order']}: {skip['reason']}",
+                  file=sys.stderr)
     if failures:
         return 1
     return 3 if skips else 0

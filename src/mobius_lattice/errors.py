@@ -94,6 +94,11 @@ class InvalidCap(MobiusLatticeError):
     with a subgroup file)."""
 
 
+class FormatConflict(MobiusLatticeError):
+    """A report format has no place for what other flags ask it to carry
+    (CSV rows have no timing or face columns, and CSV has no summary)."""
+
+
 class GroupSpecError(MobiusLatticeError):
     """A run's group, field, subgroup file or report path cannot be
     resolved."""

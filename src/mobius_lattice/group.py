@@ -9,10 +9,14 @@ explicit sets make every lattice operation trivially correct.
 Products act on packed rows instead of multiplying matrices.  A row vector
 over GF(q) is packed into one integer code (its entries read as base-q
 digits), and an element is keyed by the tuple of its n row codes (the bare
-code for n = 1).  The right action of an element g on all q^n row codes,
-built once from ``apply_row``, turns any product h*g into n list lookups
-and one probe of the element index.  Each element's action is built the
-first time the element is a right factor, and kept.  ``mul``
+code for n = 1).  The right action of an element g on all q^n row codes
+turns any product h*g into n list lookups and one probe of the element
+index.  Each element's action is built the first time the element is a
+right factor, and kept.  Only the roots' actions come from ``apply_row``:
+the generators', and every element's of a hand-built ``GroupSet``.  Any
+other element was first reached in ``closure`` as x*s, s a generator, and
+its action is composed from x's and s's along that breadth-first tree,
+since v*(x*s) = (v*x)*s (``_factor``).  ``mul``
 multiplies one pair; ``right_images`` multiplies a whole list of ids by one
 right factor, looking its action up once.  Both read the action through one
 accessor, and both raise ``NotASubgroup`` on an element set that is not
@@ -21,10 +25,12 @@ closed.
 ``closure`` runs on the same keys.  It is a breadth-first search over the
 Cayley graph of the generators (the orbit algorithm of Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1)
-whose every step is a pick out of a generator's row action; the sorted keys
-are then indexed once, the step a hand-built ``GroupSet`` shares.  Code
-order is the lexicographic order of row vectors, so the ids are those of
-the canonical matrix order.  No ``Matrix`` product is formed:
+whose every move is a pick out of a generator's row action.  It records,
+as each new key's step, the action of the generator that first reached it,
+so the search's tree is kept with no extra pass.  The sorted keys are then
+indexed once, the indexing a hand-built ``GroupSet`` shares with no steps.
+Code order is the lexicographic order of row vectors, so the ids are those
+of the canonical matrix order.  No ``Matrix`` product is formed:
 ``Matrix.__mul__`` is only the tests' oracle.
 
 Subgroups are grown by one routine, ``GroupSet._join``: <K, g> is built one
@@ -39,15 +45,17 @@ once it holds more than |T|/p elements, p the smallest prime dividing
 when g is one of them, or when the next new coset's representative is, since
 <K, g> then holds <K, r>.  Subgroup closures, generating
 sets, stabilizers and overgroup intervals all go through it; nothing is
-memoised beyond the full subgroup, the row actions, inverses, stabilizers,
-each element's proper non-trivial invariant subspaces, the class orbits of
-the last whole-lattice walk, the lattice certified closed under
-intersection and the tuple of element matrices, which ``elements`` builds
-from the row keys the first time it is read (row actions and subgroup
-generators read one matrix at a time, through ``element``).  The invariant
-subspaces are a list indexed by id that ``identities.stabilizer_family``
-fills one generator at a time, so each element's linear algebra runs once
-per group however many subgroups it generates.  Inverses share one memo, a
+memoised beyond the full subgroup, the row actions with the closure's
+steps and their inverse permutations, inverses, stabilizers, each element's
+proper non-trivial invariant subspaces, the class orbits of the last
+whole-lattice walk, the lattice certified closed under intersection and the
+tuple of element matrices, which ``elements`` builds from the row keys the
+first time it is read (root row actions and subgroup generators read one
+matrix at a time, through ``element``).  The invariant subspaces are a list
+indexed by id that ``identities.stabilizer_family`` fills one generator at
+a time, reading each basis row's image off the element's row action, so
+each element's linear algebra runs once per group however many subgroups
+it generates.  Inverses share one memo, a
 list indexed by id, and one producer: the power walk ``_cyclic_generators``
 takes x, x^2, ..., x^(m-1) and records x^k and x^(m-k) as each other's
 inverses.  ``inv`` runs it on a miss; ``_prime_power_cyclic_generators``
@@ -132,36 +140,48 @@ class GroupSet:
 
     __slots__ = ("field", "n", "_elements", "generators", "order",
                  "_vectors", "_codes", "_keys", "_rows", "_idx",
-                 "identity_index", "_actions", "_inv", "_subspaces",
-                 "_stab_cache", "_irreducible", "_full", "_full_ref",
-                 "_classes", "_meet_closed")
+                 "identity_index", "_actions", "_steps", "_unsteps", "_inv",
+                 "_subspaces", "_stab_cache", "_irreducible", "_full",
+                 "_full_ref", "_classes", "_meet_closed")
 
     def __init__(self, field: FqField, n: int, elements: Sequence[Matrix],
                  generators: Sequence[Matrix]):
         _, codes = _row_space(field, n)
-        self._index(field, n, [_row_key(codes, n, m) for m in elements],
-                    generators)
+        keys = [_row_key(codes, n, m) for m in elements]
+        steps = dict.fromkeys(keys)
+        if len(steps) != len(keys):
+            raise ValueError("duplicate elements")
+        self._index(field, n, steps, generators)
 
     @classmethod
-    def _from_row_keys(cls, field: FqField, n: int, keys: Iterable,
+    def _from_row_keys(cls, field: FqField, n: int, steps: dict,
                        generators: Sequence[Matrix]) -> "GroupSet":
-        """The group whose elements have the given row keys (``_row_key``)."""
+        """The group whose elements have the row keys (``_row_key``) of
+        ``steps``, each mapped to its step (``closure``)."""
         self = cls.__new__(cls)
-        self._index(field, n, keys, generators)
+        self._index(field, n, steps, generators)
         return self
 
-    def _index(self, field: FqField, n: int, keys: Iterable,
+    def _index(self, field: FqField, n: int, steps: dict,
                generators: Sequence[Matrix]) -> None:
         """Index the elements by their sorted row keys.  Codes follow the
         lexicographic order of row vectors, so this is the order of
-        ``Matrix._key``: ids do not depend on how the keys were found."""
+        ``Matrix._key``: ids do not depend on how the keys were found.
+        ``steps`` maps each key to the row action of the generator that
+        first reached it in ``closure``, or to None for a root.  Once the
+        steps are read out, the dict itself becomes the index, each key
+        mapped to its id, so no second dict of |G| keys is built."""
         self.field = field
         self.n = n
         self._vectors, self._codes = _row_space(field, n)
-        self._keys = keys = sorted(keys)
-        self._idx = {key: i for i, key in enumerate(keys)}
-        if len(self._idx) != len(keys):
-            raise ValueError("duplicate elements")
+        self._keys = keys = sorted(steps)
+        # _steps[i]: the row action of the generator s with i = x*s that
+        # first reached i, None for a root; _unsteps maps id(action) to the
+        # inverse permutation, built once per generator
+        self._steps = list(map(steps.__getitem__, keys))
+        self._unsteps = {}
+        steps.update(zip(keys, range(len(keys))))
+        self._idx = steps
         self.generators = tuple(generators)
         self.order = len(keys)
         self._full = frozenset(range(self.order))
@@ -208,12 +228,47 @@ class GroupSet:
 
     def _factor(self, j: int) -> list:
         """The row action of j, which multiplies by j on the right: the code
-        of v*j for every row vector v, in code order, built on first use."""
-        action = self._actions[j]
+        of v*j for every row vector v, in code order, built on first use.
+
+        An element y that ``closure`` first reached as x*s, s a generator,
+        has s's action as its step, and its parent x = y*s^-1 is the pick of
+        y's rows out of the inverse of that action.  The walk goes up the
+        parents to the nearest element with an action, or to the identity,
+        whose action is the identity permutation, and composes back down,
+        one pick per step, since v*(x*s) = (v*x)*s; every action on the way
+        is kept.  Any other root, an element with no step (every element of
+        a hand-built group), gets its action from ``apply_row``."""
+        actions = self._actions
+        action = actions[j]
+        if action is not None:
+            return action
+        steps, rows, idx = self._steps, self._rows, self._idx
+        path = []
+        y = j
+        while actions[y] is None and steps[y] is not None:
+            step = steps[y]
+            path.append((y, step))
+            y = idx[rows[y](self._unstep(step))]
+        action = actions[y]
         if action is None:
-            action = self._actions[j] = _matrix_row_action(
-                self.field, self._vectors, self._codes, self.element(j))
+            if y == self.identity_index:
+                action = list(range(len(self._vectors)))
+            else:
+                action = _matrix_row_action(self.field, self._vectors,
+                                            self._codes, self.element(y))
+            actions[y] = action
+        for y, step in reversed(path):
+            action = actions[y] = list(map(step.__getitem__, action))
         return action
+
+    def _unstep(self, step: list) -> list:
+        """The inverse permutation of a step's action, built once."""
+        inverse = self._unsteps.get(id(step))
+        if inverse is None:
+            inverse = self._unsteps[id(step)] = [0] * len(step)
+            for v, w in enumerate(step):
+                inverse[w] = v
+        return inverse
 
     def mul(self, i: int, j: int) -> int:
         action = self._factor(j)
@@ -435,9 +490,11 @@ def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
     Breadth-first from the identity over the Cayley graph of the generators,
     on row keys: each generator's row action is built once, and the key of
     x*g is the pick of x's row codes out of g's action, so no ``Matrix``
-    product is formed.  The final indexing sorts the keys, which is the
-    canonical matrix order, so the result is independent of generator order
-    and discovery schedule.
+    product is formed.  The search maps each new key to the action of the
+    generator that first reached it, its step; the steps form the tree
+    along which ``GroupSet._factor`` composes every other element's action.
+    The final indexing sorts the keys, which is the canonical matrix order,
+    so the ids are independent of generator order and discovery schedule.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -452,7 +509,7 @@ def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
     actions = [_matrix_row_action(field, vectors, codes, g) for g in gens]
     picker = _row_picker(n)
     ident = _row_key(codes, n, Matrix.identity(field, n))
-    seen = {ident}
+    seen = {ident: None}
     frontier = [ident]
     while frontier:
         fresh = []
@@ -465,7 +522,7 @@ def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
                         raise OrderCapExceeded(
                             f"closure exceeded cap {cap} elements: "
                             f"{len(seen) + 1} found")
-                    seen.add(y)
+                    seen[y] = action
                     fresh.append(y)
         frontier = fresh
     return GroupSet._from_row_keys(field, n, seen, gens)

@@ -40,7 +40,8 @@ from .group import (
     overgroup_interval,
     stabilizer,
 )
-from .linalg import invariant_subspaces
+# no code here calls invariant_subspaces; bench/spans.py traces it by this name
+from .linalg import invariant_subspaces, subspaces_fixed_by
 from .poset import POWERSET_CAP, FinitePoset, mobius_row
 from .simplicial import SimplicialComplex, complex_from_faces, euler
 
@@ -73,11 +74,16 @@ def _check_pair(group: GroupSet, subgroup: SubgroupRef) -> None:
 def _fixed_subspaces(group: GroupSet, i: int) -> tuple:
     """The proper non-trivial subspaces that element i fixes, in canonical
     order, from the group's memo ``GroupSet._subspaces``, filled on first
-    use."""
+    use.  Each basis row's image is read off i's row action (the code of
+    r*i is ``action[codes[r]]``), and an element of a group is invertible,
+    so ``subspaces_fixed_by`` runs without ``invariant_subspaces``'
+    invertibility check and forms no matrix."""
     found = group._subspaces[i]
     if found is None:
-        found = group._subspaces[i] = tuple(invariant_subspaces(
-            [group.element(i)], group.n, proper_nontrivial=True))
+        action, vectors, codes = group._factor(i), group._vectors, group._codes
+        found = group._subspaces[i] = tuple(subspaces_fixed_by(
+            group.field, group.n, [lambda r: vectors[action[codes[r]]]],
+            proper_nontrivial=True))
     return found
 
 

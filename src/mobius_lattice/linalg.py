@@ -9,9 +9,9 @@ representative; equality and hashing go through it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AmbientMismatch, SingularElement, TooManySubspaces
 from .gfq import SUBSPACE_CAP, FqField
@@ -354,10 +354,9 @@ def invariant_subspaces(matrices: Sequence[Matrix], n: Optional[int] = None,
     they generate.  With the flag set, 0 and the full space are removed.
     The result is a new list in canonical order (``Subspace.sort_key``).
 
-    Each candidate W is tested row by row without row reduction: a vector
-    v lies in W iff v = sum v[p] * r over W's RREF rows r, p the pivot
-    column of r.  The image of each distinct RREF row under each matrix is
-    formed once per call, since the subspaces share few rows.
+    Each matrix is checked invertible, then the test is
+    ``subspaces_fixed_by``'s, with the image of each distinct RREF row under
+    each matrix formed once per call, since the subspaces share few rows.
     """
     matrices = list(matrices)
     if not matrices:
@@ -370,20 +369,34 @@ def invariant_subspaces(matrices: Sequence[Matrix], n: Optional[int] = None,
             raise AmbientMismatch("matrices must be square over one field")
         if not m.is_invertible():
             raise SingularElement("invariant subspaces need invertible matrices")
+    images = [lru_cache(maxsize=None)(partial(apply_row, field, m=m))
+              for m in matrices]
+    return subspaces_fixed_by(field, n, images, proper_nontrivial, cap)
+
+
+def subspaces_fixed_by(field: FqField, n: int, images: Sequence[Callable],
+                       proper_nontrivial: bool = False,
+                       cap: int = SUBSPACE_CAP) -> list:
+    """Subspaces W of GF(q)^n with W*g = W for each invertible g, given by
+    its ``image``: the function taking a row vector r to r*g.  With the
+    flag set, 0 and the full space are removed.  The result is a new list in
+    canonical order (``Subspace.sort_key``).
+
+    An invertible g keeps dim W, so W*g = W once the image of every RREF
+    row of W lies in W; the caller vouches for invertibility.  Each
+    candidate W is tested without row reduction: a vector u lies in W iff
+    u = sum u[p] * r over W's RREF rows r, p the pivot column of r.  The
+    image agrees with that sum at the pivots by construction, so only the
+    free columns are compared.
+    """
     subspaces, pivots = _sorted_subspaces(field, n, cap)
     mul, add = field._mul, field._add
-    images = [{} for _ in matrices]
 
     def invariant(w: Subspace, piv: tuple, free: tuple) -> bool:
-        # an invertible m keeps dim W, so W*m = W once every basis row's
-        # image lies in W; the image agrees with sum u[p] * r at the pivots
-        # by construction, so only the free columns are compared
         rows = w.rows
-        for m, image in zip(matrices, images):
+        for image in images:
             for r in rows:
-                u = image.get(r)
-                if u is None:
-                    u = image[r] = apply_row(field, r, m)
+                u = image(r)
                 for j in free:
                     s = 0
                     for p, row in zip(piv, rows):

@@ -70,9 +70,13 @@ def complex_from_faces(vertices: Sequence,
         if mask < 0 or mask >> len(vertices):
             raise ValueError(f"face mask {mask} names no subset of "
                              f"{len(vertices)} vertices")
-        for i in _bits(mask):
-            if mask & ~(1 << i) not in masks:
+        # every face minus any one of its vertices, lowest bit first
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if mask ^ low not in masks:
                 raise NotDownwardClosed(f"face {mask:b} lacks a subset")
+            rest ^= low
     for i in range(len(vertices)):
         if (1 << i) not in masks:
             raise NotDownwardClosed(
@@ -97,7 +101,7 @@ def euler(c: SimplicialComplex) -> EulerReport:
     """
     counts: dict = {}
     for mask in c.faces:
-        dim = bin(mask).count("1") - 1
+        dim = mask.bit_count() - 1
         if dim >= 0:
             counts[dim] = counts.get(dim, 0) + 1
     top = max(counts) if counts else -1

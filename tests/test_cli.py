@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from mobius_lattice import cli, identities
+from mobius_lattice import cli, identities, linalg
 from mobius_lattice import group as group_module
 from mobius_lattice.cli import main, preset_generators
 from mobius_lattice.gfq import FqField
@@ -530,11 +530,13 @@ def _count_calls(monkeypatch, calls, module, name):
 def test_verify_certifies_meets_once_and_fixes_subspaces_per_element(
         tmp_path, monkeypatch):
     # a GL(2,5) sweep on a fresh group: the run's lattice is certified once,
-    # so no ideal runs the per-ideal meet check, and invariant_subspaces
-    # runs once per distinct generator element (the identity for H = 1)
-    # plus once for the irreducibility test
+    # so no ideal runs the per-ideal meet check; the subspaces each element
+    # fixes are found once per distinct generator element (the identity for
+    # H = 1), off its row action, and invariant_subspaces runs once, for
+    # the irreducibility test
     calls = collections.Counter()
     _count_calls(monkeypatch, calls, identities, "_validate_meets")
+    _count_calls(monkeypatch, calls, identities, "subspaces_fixed_by")
     _count_calls(monkeypatch, calls, identities, "invariant_subspaces")
     _count_calls(monkeypatch, calls, group_module, "invariant_subspaces")
     _count_calls(monkeypatch, calls, cli, "certify_meets")
@@ -545,8 +547,36 @@ def test_verify_certifies_meets_once_and_fixes_subspaces_per_element(
     subs = overgroup_interval(group, group.trivial_subgroup())
     elements = {i for h in subs[:-1]
                 for i in h.generator_ids() or (group.identity_index,)}
-    assert seen == {"invariant_subspaces": len(elements) + 1,
-                    "certify_meets": 1}
+    assert seen == {"subspaces_fixed_by": len(elements),
+                    "invariant_subspaces": 1, "certify_meets": 1}
+
+
+def test_verify_applies_matrices_only_to_roots_and_subspaces(
+        tmp_path, monkeypatch):
+    # a GL(2,5) sweep on a fresh group: apply_row builds the row actions of
+    # the 3 generators alone, 25 vectors each, and every other action is
+    # composed; it also runs in Subspace.apply, the stabilizers' orbit
+    # moves, and in invariant_subspaces, the irreducibility test
+    callers = collections.Counter()
+    apply_row = linalg.apply_row
+    sites = {"_matrix_row_action", "apply", "invariant_subspaces"}
+
+    def traced(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in sites:
+            frame = frame.f_back
+        callers[frame and frame.f_code.co_name] += 1
+        return apply_row(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "apply_row", traced)
+    monkeypatch.setattr(group_module, "apply_row", traced)
+    built = collections.Counter()
+    _count_calls(monkeypatch, built, group_module, "_matrix_row_action")
+    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "5",
+                    "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert built == {"_matrix_row_action": 3}
+    assert callers["_matrix_row_action"] == 3 * 25
+    assert set(callers) == sites
 
 
 def test_verify_one_pair_checks_its_ideal_without_the_certificate(
@@ -621,6 +651,13 @@ def _matrices_file(tmp_path, gen_lists):
 EXIT_CASES = {
     "all-verified": (lambda tmp: _GL22, 0),
     "pairs-skipped": (lambda tmp: [*_GL22, "--max-powerset", "1"], 3),
+    "pairs-skipped-csv": (lambda tmp: [
+        *_GL22, "--max-powerset", "1", "--format", "csv"], 3),
+    # a CSV row has no column for a timing or a face dump
+    "csv-with-timing": (lambda tmp: [
+        *_GL22, "--format", "csv", "--timing"], 2),
+    "csv-with-dump-faces": (lambda tmp: [
+        *_GL22, "--format", "csv", "--dump-faces"], 2),
     # caps no run can mean fail as usage errors, before any group is built
     "max-index-zero": (lambda tmp: [*_GL22, "--max-index", "0"], 2),
     # the file's subgroups are verified as named, so an index cap on them
@@ -736,6 +773,31 @@ def test_meaningless_cap_names_flag_and_value(capsys, command, flag, value,
                                               message):
     assert run_cli([command, *_GL22, flag, value]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--timing", "--dump-faces"])
+def test_csv_verify_rejects_flags_it_would_drop(tmp_path, capsys, flag):
+    out = tmp_path / "out.csv"
+    assert run_cli(["verify", *_GL22, "--format", "csv", flag,
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --format csv has no column for --timing or --dump-faces\n")
+    assert not out.exists()
+
+
+def test_csv_verify_names_skipped_pairs_on_stderr(tmp_path, capsys):
+    # a CSV report has no summary, so each pair the JSON summary lists as
+    # skipped gets one stderr line with its order and the reason
+    json_out, csv_out = tmp_path / "out.jsonl", tmp_path / "out.csv"
+    assert run_cli(["verify", *_GL22, "--max-powerset", "1",
+                    "--out", str(json_out)]) == 3
+    assert capsys.readouterr().err == ""
+    skips = json.loads(json_out.read_text().splitlines()[-1])["skips"]
+    assert run_cli(["verify", *_GL22, "--max-powerset", "1",
+                    "--format", "csv", "--out", str(csv_out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"skipped: H of order {s['h_order']}: {s['reason']}" for s in skips]
+    assert skips
 
 
 def test_zero_size_caps_are_kept(tmp_path):

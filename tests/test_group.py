@@ -25,6 +25,7 @@ from mobius_lattice.group import (
     stabilizer,
 )
 from mobius_lattice.identities import (
+    _fixed_subspaces,
     certify_meets,
     mobius_between,
     stabilizer_family,
@@ -35,11 +36,13 @@ from mobius_lattice.linalg import (
     Matrix,
     Subspace,
     enumerate_subspaces,
+    invariant_subspaces,
 )
 
 from helpers import (
     closure_by_matrix_products,
     interval_by_unpruned_coset_search,
+    invariant_subspaces_by_rref,
     lattice_by_unpruned_cyclic_extension,
     line_stabilizers,
     naive_subset_sums,
@@ -242,6 +245,66 @@ def test_query_builds_few_columns():
     assert mobius_between(group, borel, group.full_subgroup()) == -1
     built = sum(action is not None for action in group._actions)
     assert 0 < built < 64
+
+
+def _assert_actions_read_the_matrices(group, ids, seed):
+    """Each id's row action, taken on first use in shuffled order so that
+    composition starts from different known ancestors, must be the one
+    ``apply_row`` builds from its matrix; and the subspaces it fixes, read
+    off that action, must be those both matrix oracles find."""
+    ids = list(ids)
+    random.Random(seed).shuffle(ids)
+    field, n = group.field, group.n
+    for j in ids:
+        assert group._factor(j) == group_module._matrix_row_action(
+            field, group._vectors, group._codes, group.element(j)), j
+    for j in ids:
+        m = group.element(j)
+        fixed = list(_fixed_subspaces(group, j))
+        assert fixed == invariant_subspaces([m], n, proper_nontrivial=True)
+        assert fixed == invariant_subspaces_by_rref([m], n,
+                                                    proper_nontrivial=True)
+
+
+@pytest.mark.parametrize("kind,n,p,u", [
+    ("GL", 2, 3, 1), ("SL", 2, 3, 1), ("GL", 3, 2, 1), ("GL", 2, 2, 2),
+    ("GL", 2, 5, 1), ("GL", 1, 5, 1)])
+def test_composed_row_actions_match_apply_row(kind, n, p, u):
+    # a fresh group has no actions; all but the generators' are composed
+    # along closure's tree
+    group = _preset(kind, n, p, u)
+    assert not any(group._actions)
+    _assert_actions_read_the_matrices(group, range(group.order),
+                                      f"actions-{kind}{n}{p}{u}")
+
+
+def test_composed_row_actions_match_apply_row_gl33_sample():
+    group = _preset("GL", 3, 3)
+    rng = random.Random("actions-gl33")
+    _assert_actions_read_the_matrices(
+        group, rng.sample(range(group.order), 200), "actions-gl33")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["GL", "SL"])
+def test_slow_composed_row_actions_match_apply_row_n3(kind):
+    group = _preset(kind, 3, 3)
+    _assert_actions_read_the_matrices(group, range(group.order),
+                                      f"actions-{kind}33")
+
+
+def test_hand_built_group_builds_actions_from_matrices(monkeypatch, gl23):
+    # a hand-built group records no closure tree, so every element but the
+    # identity is a root whose action apply_row builds from its matrix
+    group = GroupSet(F3, 2, gl23.elements, gl23.generators)
+    built = []
+    original = group_module._matrix_row_action
+    monkeypatch.setattr(group_module, "_matrix_row_action",
+                        lambda *args: built.append(args[-1]) or original(*args))
+    for j in range(group.order):
+        assert group._factor(j) == gl23._factor(j)
+    assert built == [group.element(j) for j in range(group.order)
+                     if j != group.identity_index]
 
 
 def test_non_closed_element_set_raises():
