@@ -42,11 +42,25 @@ def _smallest_prime_factor(n: int) -> int:
     return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
 
 
-def _check_table_cap(q: int) -> None:
-    """Fail closed when the q^2-entry tables of GF(q) exceed the cap."""
-    if q * q > SUBSPACE_CAP:
-        raise TableTooLarge(f"GF({q}) needs {q * q} table entries, over "
-                            f"subspace cap {SUBSPACE_CAP}")
+def _check_table_cap(p: int, u: int = 1) -> None:
+    """Fail closed when the q^2-entry tables of GF(q), q = p**u with p >= 2,
+    exceed the cap; an unfactored q is passed as p with u = 1.
+
+    q >= 2**u, so a u past the cap's bit length fails before p**u is
+    formed, and a q past 64 bits is named by its bit length, never printed
+    with its square."""
+    if u >= SUBSPACE_CAP.bit_length():
+        bits = f"more than {u}"
+    else:
+        q = p ** u
+        if q * q <= SUBSPACE_CAP:
+            return
+        if q.bit_length() <= 64:
+            raise TableTooLarge(f"GF({q}) needs {q * q} table entries, "
+                                f"over subspace cap {SUBSPACE_CAP}")
+        bits = q.bit_length()
+    raise TableTooLarge(f"GF(q) with q of {bits} bits needs q^2 table "
+                        f"entries, over subspace cap {SUBSPACE_CAP}")
 
 
 def _trim(coeffs: Sequence[int]) -> list:
@@ -115,9 +129,11 @@ class FqField:
     def __init__(self, p: int, u: int = 1, modulus: Optional[Sequence[int]] = None):
         if u < 1:
             raise UnsupportedExtension(f"extension degree must be >= 1, got {u}")
+        if p < 2:
+            raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
+        _check_table_cap(p, u)
         q = p ** u
-        _check_table_cap(q)
-        if p < 2 or _smallest_prime_factor(p) != p:
+        if _smallest_prime_factor(p) != p:
             raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
         if modulus is None and u > 1:
             if q not in BUILTIN_MODULI:

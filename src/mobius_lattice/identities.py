@@ -135,42 +135,22 @@ class ReducibleIdeal:
 def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
     """The containment order on ``subgroups``, items sorted by ``sort_key``.
 
-    Orders grow with the index, so the index order is a linear extension and
-    only a later item can contain an earlier one.  ``containing[x]``, local
-    to the build, holds the bits of the items that contain element x; an
-    item's bit is recorded only for the elements some earlier item has,
-    since no other element can decide a containment.  Item i's up-set is
-    the AND of ``containing[x]`` over the members x of item i, masked to the
-    items after i.  Each AND is turned into i's index row at once, its
-    entries drawn from one shared ``range`` tuple, and the mask is dropped.
+    ``holding[x]``, local to the build, is the ascending list of the indices
+    of the items that hold element x.  Every item above K holds each member
+    of K, so K's up-set is the list of K's rarest member, filtered by member
+    set containment; it comes out ascending and includes K.  Each entry is
+    the ``enumerate`` int of its index, one object per index across rows.
     """
     items = sorted(subgroups, key=SubgroupRef.sort_key)
-    containing: dict = {}
-    seen: set = set()
+    holding: dict = {}
     for j, k in enumerate(items):
-        bit = 1 << j
-        for x in seen.intersection(k.member_ids):
-            containing[x] = containing.get(x, 0) | bit
-        seen.update(k.member_ids)
-    ints = tuple(range(len(items)))
-    full = (1 << len(items)) - 1
+        for x in k.member_ids:
+            holding.setdefault(x, []).append(j)
     up = []
-    for i, k in enumerate(items):
-        later = full >> (i + 1) << (i + 1)
-        if later:
-            for x in k.member_ids:
-                later &= containing.get(x, 0)
-                if not later:
-                    break
-        # bit j is digit j of the reversed binary string: one C-level
-        # search per set bit
-        digits = bin(later)[:1:-1]
-        row = [ints[i]]
-        pos = digits.find("1", i + 1)
-        while pos >= 0:
-            row.append(ints[pos])
-            pos = digits.find("1", pos + 1)
-        up.append(tuple(row))
+    for k in items:
+        ids = k.member_ids
+        rarest = min(map(holding.__getitem__, ids), key=len)
+        up.append(tuple(j for j in rarest if ids <= items[j].member_ids))
     return FinitePoset(items, up)
 
 

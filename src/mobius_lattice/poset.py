@@ -22,11 +22,11 @@ class FinitePoset:
     """An explicit finite poset over an indexed item list.
 
     ``up[i]`` is the ascending tuple of indices j with items[i] <= items[j].
-    A builder that draws the entries from one shared ``tuple(range(N))``
-    makes the rows hold about one pointer per relation.  ``rank[i]`` is i's
-    position when the elements are sorted by descending row length, ties by
-    index: i < j forces up[j] to be a proper subset of up[i], so the ranks
-    are a linear extension of the order.
+    A builder whose equal entries are one int object makes the rows hold
+    about one pointer per relation.  ``rank[i]`` is i's position when the
+    elements are sorted by descending row length, ties by index: i < j
+    forces up[j] to be a proper subset of up[i], so the ranks are a linear
+    extension of the order.
     """
 
     __slots__ = ("items", "up", "rank", "_index")

@@ -65,7 +65,8 @@ def complex_from_faces(vertices: Sequence,
     A negative mask, or one naming a vertex past the tuple, is a ValueError.
     """
     vertices = tuple(vertices)
-    masks = set(faces)
+    # the complex keeps this frozenset itself: frozenset(masks) is masks
+    masks = frozenset(faces)
     for mask in masks:
         if mask < 0 or mask >> len(vertices):
             raise ValueError(f"face mask {mask} names no subset of "

@@ -713,6 +713,12 @@ EXIT_CASES = {
     # factored, so neither waits for a trial division
     "q-large-prime": (lambda tmp: ["--q", "1000000007"], 2, "mobius"),
     "q-mersenne-prime": (lambda tmp: ["--q", str(2 ** 61 - 1)], 2),
+    # q^2 of 6,001 digits is past Python's int-to-str limit, and q >= 2**u
+    # rejects the extension before 2**(10**6) is formed
+    "q-3001-digits": (lambda tmp: ["--q", str(10 ** 3000 + 7)], 2, "mobius"),
+    "field-u-million": (lambda tmp: _gens_file(
+        tmp, dict(_gl22_spec(_GL22_GENS[0]), field={"p": 2, "u": 10 ** 6})),
+        2),
     "out-dir-missing": (lambda tmp: [
         *_GL22, "--out", str(tmp / "missing" / "out.jsonl")], 2),
     "subgroup-file-whole-group": (lambda tmp: _subgroups_file(
@@ -758,6 +764,15 @@ def test_verify_exit_codes(tmp_path, case):
     if code == 2:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("case", ["q-3001-digits", "field-u-million"])
+def test_oversized_fields_name_the_subspace_cap(tmp_path, case, capsys):
+    # the table cap's own line, not Python's int-to-str limit message
+    build_args, _, *command = EXIT_CASES[case]
+    assert run_cli([*(command or ["verify"]), *build_args(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("table entries, over subspace cap 1000000\n"), err
 
 
 @pytest.mark.parametrize("command,flag,value,message", [

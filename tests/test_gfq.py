@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -69,6 +70,20 @@ def test_field_cap_checked_before_primality(monkeypatch):
     with pytest.raises(TableTooLarge, match=r"GF\(11\) needs 121 table "
                                             r"entries, over subspace cap 100"):
         FqField(11)
+
+
+@pytest.mark.parametrize("make", [lambda: FqField(2, 10 ** 9),
+                                  lambda: FqField.from_dict(
+                                      {"p": 2, "u": 10 ** 9})],
+                         ids=["init", "from_dict"])
+def test_long_extension_fails_before_its_order_is_formed(make):
+    # q >= 2**u, so u alone rejects GF(2^(10^9)); forming 2**(10**9) and
+    # its square would take seconds and a 125 MB int before failing
+    start = time.perf_counter()
+    with pytest.raises(TableTooLarge, match=r"more than 1000000000 bits.*"
+                                            r"subspace cap 1000000"):
+        make()
+    assert time.perf_counter() - start < 1
 
 
 def test_missing_modulus_for_unknown_extension():

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -766,6 +768,38 @@ def test_whole_lattice_order_matches_pairwise_order(corpus, gl25):
                                                     gl25.trivial_subgroup()))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_subfamily_orders_match_pairwise_order(gl25, seed):
+    # any family, passed in any order: an up-row is read off the holders of
+    # the item's rarest member, so families lacking the trivial subgroup or
+    # G, whose every member set may be rare, must give the same rows
+    subs = overgroup_interval(gl25, gl25.trivial_subgroup())
+    assert (subs[0].order, subs[-1].order) == (1, gl25.order)
+    rng = random.Random(seed)
+    families = [[], [subs[-1]], subs[1:], subs[:-1], subs[1:-1]]
+    families += [rng.sample(subs, size) for size in (1, 2, 7, 60, 300)]
+    families += [rng.sample(subs[1:-1], size) for size in (3, 40, 200)]
+    for family in families:
+        family = list(family)
+        rng.shuffle(family)
+        _assert_order_matches_oracle(family)
+
+
+@pytest.mark.slow
+def test_slow_gl33_order_build_peaks_near_what_it_keeps(gl33):
+    # the build's transient memory stays below 2.5x the memory it keeps:
+    # an N-bit mask per element peaked at 4.4x on GL(3,3)
+    subs = overgroup_interval(gl33, gl33.trivial_subgroup())
+    tracemalloc.start()
+    try:
+        lattice = subgroup_lattice(subs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lattice.size == 21_731
+    assert peak < 2.5 * kept, (peak, kept)
+
+
 @pytest.fixture(scope="module")
 def gl33():
     return closure(preset_generators("GL", 3, F3))
@@ -824,8 +858,8 @@ def test_slow_whole_lattice_order_matches_pairwise_order(kind, p, u):
                          ids=["SL(3,3)", "GL(3,3)", "GL(4,2)"])
 def test_slow_whole_lattice_order_relation_counts(kind, n, p, relations):
     # regression pins, not published values: the number of pairs K <= L
-    # in the whole lattice, as the bitmask order counted them before the
-    # rows replaced it; the pairwise oracle is too slow at these sizes
+    # in the whole lattice, equal across every build of the order so far;
+    # the pairwise oracle is too slow at these sizes
     g = closure(preset_generators(kind, n, FqField(p)))
     lattice = subgroup_lattice(overgroup_interval(g, g.trivial_subgroup()))
     assert sum(map(len, lattice.up)) == relations

@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from mobius_lattice.errors import NotDownwardClosed
 from mobius_lattice.poset import FinitePoset, mobius_row
-from mobius_lattice.simplicial import complex_from_faces, euler
+from mobius_lattice.simplicial import (
+    SimplicialComplex,
+    complex_from_faces,
+    euler,
+)
 
 from helpers import (
     adjoin_bounds,
@@ -57,6 +61,13 @@ def test_strict_mode_accepts_closed_family():
     family = [0, 0b01, 0b10, 0b11]
     c = complex_from_faces("ab", family)
     assert len(c.faces) == 4
+
+
+def test_complex_keeps_a_frozenset_family_as_given():
+    # one face container: no copy in the complex or in its validating build
+    family = frozenset({0, 0b01, 0b10, 0b11})
+    assert SimplicialComplex("ab", family).faces is family
+    assert complex_from_faces("ab", family).faces is family
 
 
 @pytest.mark.parametrize("mask", [-1, 0b100, 0b111])
