@@ -39,6 +39,7 @@ from .group import (
     GroupSet,
     Matrix,
     SubgroupRef,
+    _check_row_space,
     closure,
     is_irreducible,
     overgroup_interval,
@@ -47,6 +48,7 @@ from .identities import (
     certify_meets,
     mobius_between,
     stabilizer_family,
+    store_greedy_generators,
     subgroup_lattice,
     verify_identities,
 )
@@ -164,11 +166,14 @@ def load_group(args: argparse.Namespace) -> tuple:
             name = spec.get("name", os.path.basename(args.gens_file))
             if not isinstance(name, str):
                 raise TypeError("the group name is not a string")
-        except (OSError, KeyError, ValueError, TypeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError,
+                RecursionError) as exc:
             raise GroupSpecError(f"cannot read generator file: {exc}") from exc
         group = build_group(gens, cap=args.max_order)
         return group, {"name": name, "n": n, "field": fq.to_dict()}
     fq = _flag_field(args)
+    # the row space is checked from q and n before any n x n matrix is formed
+    _check_row_space(fq.q, args.n)
     kind = args.preset or "GL"
     gens = preset_generators(kind, args.n, fq)
     group = build_group(gens, cap=args.max_order)
@@ -181,8 +186,17 @@ def load_group(args: argparse.Namespace) -> tuple:
                    "field": fq.to_dict()}
 
 
-def _subgroup_descriptor(group: GroupSet, h: SubgroupRef) -> dict:
-    gens = [group.element(i).to_lists() for i in h.generator_ids()]
+def _subgroup_descriptor(group: GroupSet, h: SubgroupRef,
+                         rendered: dict) -> dict:
+    """H's order and generator matrices as row lists.  ``rendered`` maps
+    each id rendered so far in the run to its rows, so a generator that
+    several rows share is rendered once."""
+    gens = []
+    for i in h.generator_ids():
+        rows = rendered.get(i)
+        if rows is None:
+            rows = rendered[i] = group.element(i).to_lists()
+        gens.append(rows)
     return {"order": h.order, "generators": gens}
 
 
@@ -215,7 +229,8 @@ def select_subgroups(group: GroupSet, args: argparse.Namespace,
                 gen_lists = json.load(fh)
             wanted = [group.subgroup_closure(_element_ids(group, rows_list))
                       for rows_list in gen_lists]
-        except (OSError, KeyError, ValueError, TypeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError,
+                RecursionError) as exc:
             raise GroupSpecError(f"cannot read subgroup file: {exc}") from exc
         if any(h.order == group.order for h in wanted):
             raise GroupSpecError(
@@ -307,9 +322,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "ambient group fixes a proper non-trivial subspace")
         # the one subgroup lattice of the run, shared by every pair, and
         # proved closed under intersection once instead of once per ideal
-        # when the per-ideal checks would cost more
+        # when the per-ideal checks would cost more.  Rows taken from it
+        # read their greedy generators off it; a file's subgroups are not
+        # its items and join their own
         lattice = subgroup_lattice(overgroup_interval(
             group, group.trivial_subgroup(), cap=args.max_interval))
+        if args.subgroups != "file":
+            store_greedy_generators(lattice)
         subgroups = select_subgroups(group, args, lattice.items)
         if _certificate_pays(group, lattice, subgroups):
             certify_meets(group, lattice)
@@ -319,8 +338,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = []
     failures = 0
     skips = []
+    rendered: dict = {}
     for h in subgroups:
-        desc = _subgroup_descriptor(group, h)
+        desc = _subgroup_descriptor(group, h, rendered)
         t0 = time.monotonic()
         try:
             report = verify_identities(
@@ -366,6 +386,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 3 if skips else 0
 
 
+# one encoder for every JSON line; json.dumps(r, sort_keys=True) would build
+# a new one per row and writes the same bytes
+_JSON = json.JSONEncoder(sort_keys=True)
+
 _CSV_COLUMNS = ["group", "h_order", "mu_ideal", "subspace_sum",
                 "stabilizer_sum", "stabilizer_complement_sum",
                 "subspace_chi_reduced", "stabilizer_chi_reduced", "mu_full",
@@ -384,7 +408,7 @@ def _emit(rows: list, fmt: str, out: Optional[str],
         text = buf.getvalue()
     else:
         records = rows if summary is None else rows + [summary]
-        text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+        text = "\n".join(map(_JSON.encode, records)) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -401,7 +425,7 @@ def _resolve_endpoint(group: GroupSet, spec: str) -> SubgroupRef:
         with open(spec) as fh:
             gen_lists = json.load(fh)
         ids = _element_ids(group, gen_lists)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         raise GroupSpecError(f"cannot resolve subgroup spec {spec!r}: {exc}")
     return group.subgroup_closure(ids)
 
@@ -449,7 +473,7 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
                             f"malformed report: {path}: line {number}: "
                             f"the row's group is not a string")
                     key = (row.get("group"),
-                           json.dumps(row.get("h_generators"), sort_keys=True))
+                           _JSON.encode(row.get("h_generators")))
                     # duplicates may differ in their timing only; the first
                     # row is kept
                     first = merged.setdefault(key, row)
@@ -465,6 +489,11 @@ def cmd_report(paths: Sequence[str], fmt: str, out: Optional[str]) -> int:
         return 2
     except UnicodeDecodeError as exc:
         print(f"error: malformed report: {path}: not UTF-8 text: {exc}",
+              file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        # nesting past the interpreter's recursion limit
+        print(f"error: malformed report: {path}: line {number}: {exc}",
               file=sys.stderr)
         return 2
     except (MalformedReport, GroupSpecError) as exc:

@@ -44,7 +44,9 @@ once it holds more than |T|/p elements, p the smallest prime dividing
 ``reach``, elements r known to satisfy <K, r> = T: the join is T at once
 when g is one of them, or when the next new coset's representative is, since
 <K, g> then holds <K, r>.  Subgroup closures, generating
-sets, stabilizers and overgroup intervals all go through it; nothing is
+sets (but those ``verify`` reads off its whole lattice, see
+``identities.store_greedy_generators``), stabilizers and overgroup
+intervals all go through it; nothing is
 memoised beyond the full subgroup, the row actions with the closure's
 steps and their inverse permutations, inverses, stabilizers, each element's
 proper non-trivial invariant subspaces, the class orbits of the last
@@ -445,7 +447,9 @@ class SubgroupRef:
         """A small deterministic generating set (greedy over the id order).
 
         The joins run inside H itself, so Lagrange's stop ends the last one
-        once it passes |H|/p elements."""
+        once it passes |H|/p elements.  On the items of the whole lattice
+        [1, G], ``identities.store_greedy_generators`` stores the same set
+        read off the lattice, and no join runs."""
         if self._gens is None:
             self._gens = tuple(
                 self.parent._generate(self.ids, self.member_ids)[1])
@@ -528,11 +532,22 @@ def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
     return GroupSet._from_row_keys(field, n, seen, gens)
 
 
+def _check_row_space(q: int, n: int) -> None:
+    """Fail closed when GF(q)^n, q >= 2, has more row vectors than the cap.
+
+    q^n >= 2^n, so an n past the cap's bit length fails before q**n is
+    formed, and a count past 64 bits is named by a lower bound, never
+    printed in full.  An n below 1 is left to the caller's own check."""
+    if n < SUBSPACE_CAP.bit_length() and q ** max(n, 0) <= SUBSPACE_CAP:
+        return
+    size = q ** n if n * q.bit_length() <= 64 else f"at least 2^{n}"
+    raise TableTooLarge(f"row space GF({q})^{n} has {size} vectors, over "
+                        f"subspace cap {SUBSPACE_CAP}")
+
+
 def _row_space(field: FqField, n: int) -> tuple:
     """The row vectors of GF(q)^n in code order, and the code of each."""
-    if field.q ** n > SUBSPACE_CAP:
-        raise TableTooLarge(f"row space GF({field.q})^{n} has {field.q ** n} "
-                            f"vectors, over subspace cap {SUBSPACE_CAP}")
+    _check_row_space(field.q, n)
     vectors = list(product(range(field.q), repeat=n))
     return vectors, {v: c for c, v in enumerate(vectors)}
 

@@ -135,23 +135,72 @@ class ReducibleIdeal:
 def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
     """The containment order on ``subgroups``, items sorted by ``sort_key``.
 
-    ``holding[x]``, local to the build, is the ascending list of the indices
-    of the items that hold element x.  Every item above K holds each member
-    of K, so K's up-set is the list of K's rarest member, filtered by member
-    set containment; it comes out ascending and includes K.  Each entry is
-    the ``enumerate`` int of its index, one object per index across rows.
+    ``holding[x]``, local to the build (``_holders``), is the ascending list
+    of the indices of the items that hold element x.  Every item above K
+    holds each member of K, so K's up-set is the list of K's rarest member,
+    filtered by member set containment; it comes out ascending and includes
+    K.  Each entry is the ``enumerate`` int of its index, one object per
+    index across rows.
     """
     items = sorted(subgroups, key=SubgroupRef.sort_key)
-    holding: dict = {}
-    for j, k in enumerate(items):
-        for x in k.member_ids:
-            holding.setdefault(x, []).append(j)
+    holding = _holders(items)
     up = []
     for k in items:
         ids = k.member_ids
         rarest = min(map(holding.__getitem__, ids), key=len)
         up.append(tuple(j for j in rarest if ids <= items[j].member_ids))
     return FinitePoset(items, up)
+
+
+def _holders(items: Sequence[SubgroupRef]) -> dict:
+    """Element id -> ascending list of the indices of the items holding it."""
+    holding: dict = {}
+    for j, k in enumerate(items):
+        for x in k.member_ids:
+            holding.setdefault(x, []).append(j)
+    return holding
+
+
+def store_greedy_generators(lattice: FinitePoset) -> None:
+    """Store on each item of the whole lattice [1, G] the generating set
+    ``SubgroupRef.generator_ids`` would find by its joins, read off the
+    lattice instead.
+
+    The greedy walk takes H's ids in ascending order and keeps each id i
+    not yet in the running subgroup A, which becomes <A, i>.  The items are
+    every subgroup sorted by order, so <A, i> is the first item in
+    ``holding[i]`` (``_holders``, as in ``subgroup_lattice``) whose member
+    set contains A's.
+
+    Only the enumerated [1, G] holds every subgroup; an interval or a
+    lattice missing an item can give other sets with no error.  So a family
+    whose first item is not 1 or whose last is not G is refused, and a chain
+    that does not end at H's own member set raises ``RuntimeError``, as
+    ``certify_meets`` does, before any set is stored.
+    """
+    items = lattice.items
+    group = items[0].parent
+    if items[0].order != 1 or items[-1].order != group.order:
+        raise RuntimeError("greedy generators are read off the whole "
+                           "lattice [1, G] only")
+    holding = _holders(items)
+    sets = [k.member_ids for k in items]
+    found = []
+    for k in items:
+        members, gens = sets[0], []
+        for i in k.ids:
+            if i not in members:
+                for j in holding[i]:
+                    if members <= sets[j]:
+                        members = sets[j]
+                        break
+                gens.append(i)
+        if members != k.member_ids:
+            raise RuntimeError("greedy chain missed its subgroup; the "
+                               "lattice does not hold every subgroup")
+        found.append(tuple(gens))
+    for k, gens in zip(items, found):
+        k._gens = gens
 
 
 def certify_meets(group: GroupSet, lattice: FinitePoset) -> None:

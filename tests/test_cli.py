@@ -306,6 +306,22 @@ def test_table_caps_fail_closed(command, module, flags, message, monkeypatch,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("n", ["20000", "1000000"])
+def test_large_n_fails_before_any_generator(monkeypatch, capsys, n):
+    # no preset generator is built: an n x n matrix per generator grew as n^2
+    # before the cap was read, and the error line names 2^n, not q^n in full
+    def unreachable(*args):
+        raise AssertionError("preset generators built past the row-space cap")
+
+    monkeypatch.setattr(cli, "preset_generators", unreachable)
+    start = time.perf_counter()
+    assert run_cli(["mobius", "--preset", "GL", "--n", n, "--q", "2"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: row space GF(2)^{n} has at least 2^{n} vectors, over "
+        f"subspace cap 1000000\n")
+
+
 def test_max_index_scope(tmp_path):
     out = tmp_path / "bounded.jsonl"
     assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "3",
@@ -516,6 +532,30 @@ def test_mobius_enumerates_interval_once(capsys, interval_calls):
     assert sorted(interval_calls) == ["overgroup_interval", "subgroup_lattice"]
 
 
+def test_verify_reads_row_generators_off_the_lattice(tmp_path, monkeypatch):
+    # rows of --subgroups all take their greedy generators off the run's
+    # lattice: no join inside H (the only _generate call passing top) runs,
+    # where the joins would run one per row.  A file's subgroups are not
+    # lattice items and still join their own
+    generate = group_module.GroupSet._generate
+    topped = []
+
+    def counted(self, ids, top=None):
+        if top is not None:
+            topped.append(top)
+        return generate(self, ids, top)
+
+    monkeypatch.setattr(group_module.GroupSet, "_generate", counted)
+    gl25 = ["verify", "--preset", "GL", "--n", "2", "--q", "5"]
+    assert run_cli([*gl25, "--out", str(tmp_path / "all.jsonl")]) == 0
+    assert topped == []
+    subs = tmp_path / "subs.json"
+    subs.write_text(json.dumps([[[[0, 1], [1, 0]]]]))
+    assert run_cli([*gl25, "--subgroups", "file", "--subgroups-file",
+                    str(subs), "--out", str(tmp_path / "file.jsonl")]) == 0
+    assert len(topped) == 1
+
+
 def _count_calls(monkeypatch, calls, module, name):
     """Count the calls of ``module.name`` into ``calls[name]``."""
     original = getattr(module, name)
@@ -639,6 +679,17 @@ def _subgroups_file(tmp_path, gen_lists):
     return [*_GL22, "--subgroups", "file", "--subgroups-file", str(path)]
 
 
+# JSON text nested past the interpreter's recursion limit: json raises
+# RecursionError, which every reader reports as its own exit-2 error line
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+def _text_file(tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    return str(path)
+
+
 def _matrices_file(tmp_path, gen_lists):
     # an endpoint file of ``mobius``: a JSON list of matrices
     path = tmp_path / "ends.json"
@@ -748,6 +799,25 @@ EXIT_CASES = {
         tmp, [[[1, 0], [0, 1]]]), 2),
     # GL(2,2) has order 6
     "order-cap": (lambda tmp: [*_GL22, "--max-order", "5"], 2),
+    # the row space is checked from q and n before any n x n generator is
+    # formed, and 2^n is never printed in full
+    "n-20000": (lambda tmp: ["--preset", "GL", "--n", "20000", "--q", "2"],
+                2),
+    "n-million": (lambda tmp: [
+        "--preset", "GL", "--n", "1000000", "--q", "2"], 2, "mobius"),
+    "n-negative-401-digits": (lambda tmp: [
+        "--preset", "GL", "--n", str(-10 ** 400), "--q", "2"], 2),
+    "report-deep-nesting": (lambda tmp: [_text_file(tmp, _DEEP)], 2,
+                            "report"),
+    "generator-file-deep-nesting": (lambda tmp: [
+        "--gens", _text_file(tmp, '{"field": {"p": 2, "u": 1}, "n": 2, '
+                                  f'"generators": {_DEEP}}}')], 2),
+    "subgroup-file-deep-nesting": (lambda tmp: [
+        *_GL22, "--subgroups", "file", "--subgroups-file",
+        _text_file(tmp, _DEEP)], 2),
+    "mobius-from-deep-nesting": (lambda tmp: [
+        *_GL22, "--from", _text_file(tmp, _DEEP), "--to", "full"], 2,
+        "mobius"),
     # the whole group is not contained in the trivial subgroup
     "mobius-endpoints-not-nested": (lambda tmp: [
         "--preset", "GL", "--n", "2", "--q", "3", "--from", "full",

@@ -19,6 +19,7 @@ from mobius_lattice.errors import (
 from mobius_lattice.gfq import FqField
 from mobius_lattice.group import (
     GroupSet,
+    SubgroupRef,
     closure,
     is_irreducible,
     overgroup_interval,
@@ -29,6 +30,7 @@ from mobius_lattice.identities import (
     certify_meets,
     mobius_between,
     stabilizer_family,
+    store_greedy_generators,
     subgroup_lattice,
     verify_identities,
 )
@@ -1274,9 +1276,27 @@ def test_alternating_subset_cancellation_binomial(size):
     assert sum((-1) ** k * math.comb(size, k) for k in range(size + 1)) == 0
 
 
+def _assert_generators_read_off_lattice(group):
+    # store_greedy_generators, on fresh handles of the whole lattice, stores
+    # on every item the greedy set that the joins inside G find
+    subs = overgroup_interval(group, group.trivial_subgroup())
+    lattice = subgroup_lattice(SubgroupRef(group, k.member_ids) for k in subs)
+    store_greedy_generators(lattice)
+    for k in lattice.items:
+        assert k._gens == tuple(group._generate(k.ids)[1])
+
+
 def test_generators_joined_inside_the_subgroup(corpus, gl25):
     # generator_ids runs each greedy join inside H rather than G; Lagrange's
-    # stop then fires at |H|/p, and the joins find the same generators
+    # stop then fires at |H|/p, and the joins find the same generators, as
+    # does verify's read of them off the whole lattice
     for group in [g for _, g, _ in corpus] + [gl25]:
         for k in overgroup_interval(group, group.trivial_subgroup()):
             assert k.generator_ids() == tuple(group._generate(k.ids)[1])
+        _assert_generators_read_off_lattice(group)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["SL", "GL"], ids=["SL(3,3)", "GL(3,3)"])
+def test_slow_generators_read_off_lattice_n3(kind):
+    _assert_generators_read_off_lattice(_preset(kind, 3, 3))

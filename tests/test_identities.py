@@ -15,6 +15,7 @@ from mobius_lattice.errors import (
 from mobius_lattice.cli import preset_generators
 from mobius_lattice.gfq import FqField
 from mobius_lattice.group import (
+    SubgroupRef,
     closure,
     is_irreducible,
     overgroup_interval,
@@ -29,6 +30,7 @@ from mobius_lattice.identities import (
     mobius_between,
     mu_ideal,
     stabilizer_family,
+    store_greedy_generators,
     subgroup_lattice,
     verify_identities,
 )
@@ -546,6 +548,43 @@ def test_meet_certificate_rejects_lattice_missing_an_intersection(
                            match="not closed under intersection"):
             certify_meets(group, short)
         assert group._meet_closed is not short, name
+
+
+def _fresh(group, subs):
+    # new handles of the same subgroups, with no generators cached on them
+    return [SubgroupRef(group, k.member_ids) for k in subs]
+
+
+def test_greedy_generators_refuse_a_family_other_than_the_whole_lattice(
+        corpus):
+    # an interval [H, G] with H != 1 and the lattice without G are refused
+    # outright, before any item's generators are stored
+    for name, group, subs in corpus:
+        h = next(k for k in subs if k.order > 1)
+        for family in (overgroup_interval(group, h),
+                       [k for k in subs if k.order < group.order]):
+            lattice = subgroup_lattice(_fresh(group, family))
+            with pytest.raises(RuntimeError, match=r"\[1, G\] only"):
+                store_greedy_generators(lattice)
+            assert all(k._gens is None for k in lattice.items), name
+
+
+def test_greedy_generators_check_where_each_chain_ends(corpus):
+    # with one item dropped, some item's chain passes the gap and ends at a
+    # larger subgroup; that raises before any generators are stored.  Not
+    # every drop is caught, which is why the read runs on [1, G] alone
+    caught = 0
+    for name, group, subs in corpus:
+        for dropped in subs[1:-1]:
+            lattice = subgroup_lattice(_fresh(group, [
+                k for k in subs if k is not dropped]))
+            try:
+                store_greedy_generators(lattice)
+            except RuntimeError as exc:
+                assert "missed its subgroup" in str(exc)
+                assert all(k._gens is None for k in lattice.items), name
+                caught += 1
+    assert caught > 0
 
 
 def test_meet_certificate_needs_recorded_orbits():
