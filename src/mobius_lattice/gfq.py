@@ -11,6 +11,7 @@ out in the same form.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from typing import Optional, Sequence
 
@@ -37,8 +38,11 @@ BUILTIN_MODULI = {
 }
 
 
+@lru_cache(maxsize=256)
 def _smallest_prime_factor(n: int) -> int:
-    """The smallest prime dividing n, and 1 for n = 1."""
+    """The smallest prime dividing n, and 1 for n = 1.  Cached: the
+    subgroup searches ask it for a few dozen distinct indices and orders,
+    each many times."""
     return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
 
 

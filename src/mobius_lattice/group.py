@@ -25,9 +25,14 @@ closed.
 ``closure`` runs on the same keys.  It is a breadth-first search over the
 Cayley graph of the generators (the orbit algorithm of Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1)
-whose every move is a pick out of a generator's row action.  It records,
-as each new key's step, the action of the generator that first reached it,
-so the search's tree is kept with no extra pass.  The sorted keys are then
+whose every move is a pick out of a generator's row action.  It takes
+each level one generator g at a time: the level's keys are read as n
+columns of row codes, and the keys of the whole level times g come out of
+one list comprehension, one pick per column out of g's action.  They are
+distinct, since g is invertible, so the order cap is checked once per such
+batch.  It records, as each new key's step, the action of the generator
+that first reached it, so the search's tree is kept with no extra pass.
+The sorted keys are then
 indexed once, the indexing a hand-built ``GroupSet`` shares with no steps.
 Code order is the lexicographic order of row vectors, so the ids are those
 of the canonical matrix order.  No ``Matrix`` product is formed:
@@ -40,7 +45,9 @@ once per join; whether a coset times a factor is new is one pick out of it,
 and a new coset is one pass over the old.  The join runs inside a subgroup
 T known to contain it (G unless the caller knows a smaller one) and stops
 once it holds more than |T|/p elements, p the smallest prime dividing
-[T:K]: by Lagrange's theorem it is then T.  A caller may also pass
+[T:K]: by Lagrange's theorem it is then T.  When [T:K] is p itself, no
+subgroup lies strictly between K and T, so the join of K with any g
+outside K is T before a single coset is grown.  A caller may also pass
 ``reach``, elements r known to satisfy <K, r> = T: the join is T at once
 when g is one of them, or when the next new coset's representative is, since
 <K, g> then holds <K, r>.  Subgroup closures, generating
@@ -320,9 +327,12 @@ class GroupSet:
         """<K, g> for K = ``members`` generated by ``gens`` (Dimino), inside
         a subgroup ``top`` known to contain it (default: the whole group).
 
-        Once more than |top|/p elements are found, p the smallest prime
-        dividing [top:K], the join is ``top`` itself (Lagrange: a proper
-        subgroup of top containing K has index at least p in top).
+        Let p be the smallest prime dividing [top:K].  A subgroup of top
+        containing K has index dividing [top:K] (Lagrange), so a proper one
+        has index at least p.  When [top:K] is p itself, K is maximal in
+        top and the join of K with any g outside it is ``top``, returned
+        before any coset is grown; a g in K gives K.  Otherwise the join is
+        ``top`` once it holds more than |top|/p elements.
 
         ``reach`` holds elements r known to satisfy <K, r> = top.  The join
         is ``top`` at once when g is one of them, and as soon as a new coset
@@ -331,7 +341,11 @@ class GroupSet:
         top = self._full if top is None else top
         if g in reach:
             return top
-        bound = len(top) // _smallest_prime_factor(len(top) // len(members))
+        index = len(top) // len(members)
+        p = _smallest_prime_factor(index)
+        if p == index and g not in members:
+            return top
+        bound = len(top) // p
         seen = set(members)
         if self._grow_cosets([list(members)], seen, list(gens) + [g], bound,
                              reach):
@@ -494,7 +508,12 @@ def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
     Breadth-first from the identity over the Cayley graph of the generators,
     on row keys: each generator's row action is built once, and the key of
     x*g is the pick of x's row codes out of g's action, so no ``Matrix``
-    product is formed.  The search maps each new key to the action of the
+    product is formed.  A level is taken one generator at a time, its keys
+    transposed into row-code columns (n > 1) so that the images of the whole
+    level are one list comprehension, with no picker built per element.
+    The images of one batch are distinct, g being invertible, so the cap is
+    checked per batch; past it, the error reports cap + 1 elements found.
+    The search maps each new key to the action of the
     generator that first reached it, its step; the steps form the tree
     along which ``GroupSet._factor`` composes every other element's action.
     The final indexing sorts the keys, which is the canonical matrix order,
@@ -511,23 +530,24 @@ def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
             raise SingularGenerator(f"generator {g.to_lists()} is singular")
     vectors, codes = _row_space(field, n)
     actions = [_matrix_row_action(field, vectors, codes, g) for g in gens]
-    picker = _row_picker(n)
     ident = _row_key(codes, n, Matrix.identity(field, n))
     seen = {ident: None}
     frontier = [ident]
     while frontier:
         fresh = []
-        for x in frontier:
-            rows = picker(x)
-            for action in actions:
-                y = rows(action)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise OrderCapExceeded(
-                            f"closure exceeded cap {cap} elements: "
-                            f"{len(seen) + 1} found")
-                    seen[y] = action
-                    fresh.append(y)
+        # the frontier's row codes, one column per row (n > 1)
+        columns = list(zip(*frontier)) if n > 1 else None
+        for action in actions:
+            pick = action.__getitem__
+            images = (map(pick, frontier) if n == 1
+                      else zip(*[map(pick, column) for column in columns]))
+            new = [y for y in images if y not in seen]
+            if len(seen) + len(new) > cap:
+                raise OrderCapExceeded(f"closure exceeded cap {cap} "
+                                       f"elements: {cap + 1} found")
+            for y in new:
+                seen[y] = action
+            fresh += new
         frontier = fresh
     return GroupSet._from_row_keys(field, n, seen, gens)
 

@@ -22,7 +22,9 @@ from explicit face counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -135,25 +137,31 @@ class ReducibleIdeal:
 def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
     """The containment order on ``subgroups``, items sorted by ``sort_key``.
 
-    ``holding[x]``, local to the build (``_holders``), is the ascending list
-    of the indices of the items that hold element x.  Every item above K
-    holds each member of K, so K's up-set is the list of K's rarest member,
-    filtered by member set containment; it comes out ascending and includes
-    K.  Each entry is the ``enumerate`` int of its index, one object per
-    index across rows.
+    Every item above K holds each member of K, so K's up-set is the list of
+    the items that hold any one member x of K, filtered by member set
+    containment; it comes out ascending and includes K.  The build counts,
+    in one pass over the member sets, how many items hold each element, and
+    picks for each K its rarest member, the one with the shortest list.
+    Only those members' lists are built, local to the build.  Each entry is
+    the ``enumerate`` int of its index, one object per index across rows.
     """
     items = sorted(subgroups, key=SubgroupRef.sort_key)
-    holding = _holders(items)
-    up = []
-    for k in items:
-        ids = k.member_ids
-        rarest = min(map(holding.__getitem__, ids), key=len)
-        up.append(tuple(j for j in rarest if ids <= items[j].member_ids))
-    return FinitePoset(items, up)
+    sets = [k.member_ids for k in items]
+    count = Counter(chain.from_iterable(sets)).__getitem__
+    rarest = [min(ids, key=count) for ids in sets]
+    holding = {x: [] for x in rarest}
+    wanted = holding.keys()
+    for j, ids in enumerate(sets):
+        for x in wanted & ids:
+            holding[x].append(j)
+    return FinitePoset(items, [
+        tuple(j for j in holding[x] if ids <= sets[j])
+        for x, ids in zip(rarest, sets)])
 
 
 def _holders(items: Sequence[SubgroupRef]) -> dict:
-    """Element id -> ascending list of the indices of the items holding it."""
+    """Element id -> ascending list of the indices of the items holding it;
+    ``store_greedy_generators`` reads it for every element of G."""
     holding: dict = {}
     for j, k in enumerate(items):
         for x in k.member_ids:
@@ -169,8 +177,9 @@ def store_greedy_generators(lattice: FinitePoset) -> None:
     The greedy walk takes H's ids in ascending order and keeps each id i
     not yet in the running subgroup A, which becomes <A, i>.  The items are
     every subgroup sorted by order, so <A, i> is the first item in
-    ``holding[i]`` (``_holders``, as in ``subgroup_lattice``) whose member
-    set contains A's.
+    ``holding[i]`` (``_holders``) whose member set contains A's.  It is the
+    run's one full listing of holders: ``subgroup_lattice`` lists only each
+    item's rarest member's.
 
     Only the enumerated [1, G] holds every subgroup; an interval or a
     lattice missing an item can give other sets with no error.  So a family

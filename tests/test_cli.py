@@ -591,6 +591,18 @@ def test_verify_certifies_meets_once_and_fixes_subspaces_per_element(
                     "invariant_subspaces": 1, "certify_meets": 1}
 
 
+def test_verify_builds_every_holder_list_once(tmp_path, monkeypatch):
+    # a GL(2,5) sweep lists the holders of every element once, for the
+    # greedy generators; the order build lists only each item's rarest
+    # member's holders, in a pass of its own
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, identities, "_holders")
+    assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "5",
+                    "--subgroups", "all",
+                    "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert calls == {"_holders": 1}
+
+
 def test_verify_applies_matrices_only_to_roots_and_subspaces(
         tmp_path, monkeypatch):
     # a GL(2,5) sweep on a fresh group: apply_row builds the row actions of

@@ -236,6 +236,67 @@ def test_join_seeded_sets_gl33():
     assert len(orders) > 10
 
 
+def _refuse_cosets(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coset was grown")
+
+    monkeypatch.setattr(GroupSet, "_grow_cosets", refuse)
+
+
+def test_join_at_prime_index_returns_top_at_once(monkeypatch, gl23):
+    # every pair K < T of GL(2,3) with [T:K] prime, joined with the least
+    # element of T outside K: the join is T with no coset grown, and the
+    # closure of K's generators and g by matrix products is T as well
+    subs = overgroup_interval(gl23, gl23.trivial_subgroup())
+    cases = []
+    for k in subs:
+        for t in subs:
+            index = t.order // k.order
+            if (k.member_ids < t.member_ids
+                    and all(index % d for d in range(2, index))):
+                g = min(t.member_ids - k.member_ids)
+                cases.append((k, list(k.generator_ids()), t, g))
+    assert len(cases) > 50
+    _refuse_cosets(monkeypatch)
+    for k, gens, t, g in cases:
+        assert gl23._join(k.member_ids, gens, g,
+                          t.member_ids) is t.member_ids
+    monkeypatch.undo()
+    for k, gens, t, g in cases:
+        oracle = closure_by_matrix_products(
+            [gl23.element(i) for i in (*gens, g)])
+        assert {gl23.index_of(m) for m in oracle} == t.member_ids
+
+
+def test_join_inside_k_or_at_composite_index_grows_cosets(monkeypatch,
+                                                          gl23):
+    # a g in K gives K back, also at prime index; a composite index [T:K]
+    # still grows cosets up to Lagrange's bound
+    grown = []
+    grow = GroupSet._grow_cosets
+
+    def counted(self, *args):
+        grown.append(len(args[1]))
+        return grow(self, *args)
+
+    monkeypatch.setattr(GroupSet, "_grow_cosets", counted)
+    sl = gl23.subgroup_closure(
+        gl23.index_of(Matrix.from_rows(F3, rows))
+        for rows in ([[1, 1], [0, 1]], [[1, 0], [1, 1]]))
+    assert sl.order == 24
+    gens = list(sl.generator_ids())
+    grown.clear()
+    for g in sl.ids:
+        assert gl23._join(sl.member_ids, gens, g) == sl.member_ids
+    assert len(grown) == sl.order
+    grown.clear()
+    trivial = frozenset((gl23.identity_index,))
+    x = gl23.index_of(Matrix.from_rows(F3, [[1, 1], [0, 1]]))
+    assert gl23._join(trivial, [], x) == {
+        gl23.identity_index, x, gl23.mul(x, x)}
+    assert grown == [1]
+
+
 def test_query_builds_few_columns():
     # mu(Borel, GL(2,7)) multiplies by the Borel's generators and a few
     # coset representatives, so few of the 2016 row actions are built
@@ -377,6 +438,33 @@ def test_order_cap_boundary():
     assert closure(gens, cap=48).order == 48
     with pytest.raises(OrderCapExceeded, match=r"cap 47 elements: 48 found"):
         closure(gens, cap=47)
+
+
+@pytest.mark.parametrize("n,q,order", [(1, 7, 6), (3, 3, 11232)],
+                         ids=["GL(1,7)", "GL(3,3)"])
+def test_order_cap_boundary_per_batch(n, q, order):
+    # the cap is checked once per generator batch of a breadth-first level:
+    # a cap of |G| passes, and one element less raises with the cap + 1
+    # message; n = 1 keys are bare codes
+    gens = preset_generators("GL", n, FqField(q))
+    assert closure(gens, cap=order).order == order
+    with pytest.raises(OrderCapExceeded,
+                       match=rf"^closure exceeded cap {order - 1} elements: "
+                             rf"{order} found$"):
+        closure(gens, cap=order - 1)
+
+
+def test_closure_of_repeated_generators_and_identity():
+    # a repeated generator and the identity bring no new element: the
+    # group, its ids and every row action are those of the plain list
+    gens = preset_generators("GL", 2, F3)
+    plain = closure(gens)
+    padded = closure([gens[0], Matrix.identity(F3, 2), *gens, gens[-1]])
+    assert padded.order == plain.order == 48
+    assert padded._keys == plain._keys
+    for j in range(padded.order):
+        assert padded._factor(j) == plain._factor(j)
+    assert list(padded.elements) == closure_by_matrix_products(gens)
 
 
 def test_irreducibility(gl22):

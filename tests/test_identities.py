@@ -808,20 +808,26 @@ def test_whole_lattice_order_matches_pairwise_order(corpus, gl25):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_subfamily_orders_match_pairwise_order(gl25, seed):
+def test_subfamily_orders_match_pairwise_order(gl25, gl33_union_families,
+                                               seed):
     # any family, passed in any order: an up-row is read off the holders of
     # the item's rarest member, so families lacking the trivial subgroup or
-    # G, whose every member set may be rare, must give the same rows
+    # G, whose every member set may be rare, must give the same rows.  The
+    # families are drawn from the whole lattice of GL(2,5) and from each
+    # union lattice that build_ideal builds for the ideal-gl33 subgroups
     subs = overgroup_interval(gl25, gl25.trivial_subgroup())
     assert (subs[0].order, subs[-1].order) == (1, gl25.order)
     rng = random.Random(seed)
-    families = [[], [subs[-1]], subs[1:], subs[:-1], subs[1:-1]]
-    families += [rng.sample(subs, size) for size in (1, 2, 7, 60, 300)]
-    families += [rng.sample(subs[1:-1], size) for size in (3, 40, 200)]
-    for family in families:
-        family = list(family)
-        rng.shuffle(family)
-        _assert_order_matches_oracle(family)
+    for subs in [subs, *gl33_union_families]:
+        families = [[], [subs[-1]], subs[1:], subs[:-1], subs[1:-1]]
+        families += [rng.sample(subs, min(size, len(subs)))
+                     for size in (1, 2, 7, 60, 300)]
+        families += [rng.sample(subs[1:-1], min(size, len(subs) - 2))
+                     for size in (3, 40, 200)]
+        for family in families:
+            family = list(family)
+            rng.shuffle(family)
+            _assert_order_matches_oracle(family)
 
 
 @pytest.mark.slow
@@ -851,23 +857,38 @@ _GL33_E12 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
 _GL33_E23 = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
 
 
-@pytest.mark.parametrize("gens", [
-    _GL33_TORUS + [_GL33_E12, _GL33_E23],
-    [_GL33_E12, [[0, 1, 0], [2, 0, 0], [0, 0, 1]], _GL33_TORUS[0]],
-    _GL33_TORUS + [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]],
-    _GL33_TORUS,
-    [_GL33_E12, _GL33_E23],
-], ids=["upper-borel", "gl23-plus-1", "torus-swap", "diagonal-torus",
-        "upper-unitriangular"])
-def test_interval_lattice_order_matches_pairwise_order_gl33(gl33, gens):
-    # the lattice build_ideal builds without a whole lattice: H and the
-    # intervals [H, M] up to each stabilizer M
+# the five subgroups H of the ideal-gl33 benchmark workload
+_GL33_UNION_GENERATORS = {
+    "upper-borel": _GL33_TORUS + [_GL33_E12, _GL33_E23],
+    "gl23-plus-1": [_GL33_E12, [[0, 1, 0], [2, 0, 0], [0, 0, 1]],
+                    _GL33_TORUS[0]],
+    "torus-swap": _GL33_TORUS + [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]],
+    "diagonal-torus": _GL33_TORUS,
+    "upper-unitriangular": [_GL33_E12, _GL33_E23],
+}
+
+
+def _gl33_union_family(gl33, gens):
+    """The lattice build_ideal builds without a whole lattice: H and the
+    intervals [H, M] up to each stabilizer M, sorted by ``sort_key``."""
     h = gl33.subgroup_closure([gl33.index_of(Matrix.from_rows(F3, rows))
                                for rows in gens])
     fam = stabilizer_family(gl33, h)
-    subs = {h}.union(*(overgroup_interval(gl33, h, top=m)
-                       for m in fam.distinct_stabilizers))
-    _assert_order_matches_oracle(subs)
+    return sorted({h}.union(*(overgroup_interval(gl33, h, top=m)
+                              for m in fam.distinct_stabilizers)),
+                  key=SubgroupRef.sort_key)
+
+
+@pytest.fixture(scope="module")
+def gl33_union_families(gl33):
+    return [_gl33_union_family(gl33, gens)
+            for gens in _GL33_UNION_GENERATORS.values()]
+
+
+@pytest.mark.parametrize("name", list(_GL33_UNION_GENERATORS))
+def test_interval_lattice_order_matches_pairwise_order_gl33(gl33, name):
+    _assert_order_matches_oracle(
+        _gl33_union_family(gl33, _GL33_UNION_GENERATORS[name]))
 
 
 def test_two_item_interval_order_matches_pairwise_order():
