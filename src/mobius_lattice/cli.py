@@ -44,6 +44,7 @@ from .group import (
     is_irreducible,
     overgroup_interval,
 )
+from . import identities
 from .identities import (
     certify_meets,
     mobius_between,
@@ -52,7 +53,7 @@ from .identities import (
     subgroup_lattice,
     verify_identities,
 )
-from .poset import POWERSET_CAP, FinitePoset
+from .poset import POWERSET_CAP
 
 
 def group_order_formula(kind: str, n: int, q: int) -> int:
@@ -294,22 +295,13 @@ def _check_writable(out: Optional[str]) -> None:
             os.remove(out)
 
 
-def _certificate_pays(group: GroupSet, lattice: FinitePoset,
-                      subgroups: list) -> bool:
-    """True when one meet certificate for the run costs less than the
-    per-ideal meet checks it replaces.  The certificate is classes x N ANDs;
-    the ideal of H lies in the up-set of H, so its check is at most
-    |up-set|^2 / 2 ANDs."""
-    budget = 2 * len(group._classes) * lattice.size
-    total = 0
-    for h in subgroups:
-        total += len(lattice.up[lattice.index_of(h)]) ** 2
-        if total > budget:
-            return True
-    return False
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Verify every H the --subgroups scope selects on the run's one
+    lattice [1, G].  Under ``all`` and ``reducible`` the rows are its items:
+    the element holders are listed once, for the greedy generators and for
+    ``certify_meets``, so no ideal checks its own meets.  A ``file`` scope's
+    subgroups join their own generators, and each ideal runs
+    ``_validate_meets``."""
     # wall_time covers the whole run: load, lattice, selection and the loop
     started = time.monotonic()
     try:
@@ -320,18 +312,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not is_irreducible(group):
             raise ReducibleAmbientGroup(
                 "ambient group fixes a proper non-trivial subspace")
-        # the one subgroup lattice of the run, shared by every pair, and
-        # proved closed under intersection once instead of once per ideal
-        # when the per-ideal checks would cost more.  Rows taken from it
-        # read their greedy generators off it; a file's subgroups are not
-        # its items and join their own
         lattice = subgroup_lattice(overgroup_interval(
             group, group.trivial_subgroup(), cap=args.max_interval))
         if args.subgroups != "file":
-            store_greedy_generators(lattice)
+            holding = identities._holders(lattice.items)
+            store_greedy_generators(lattice, holding)
+            certify_meets(group, lattice, holding)
         subgroups = select_subgroups(group, args, lattice.items)
-        if _certificate_pays(group, lattice, subgroups):
-            certify_meets(group, lattice)
     except MobiusLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -408,7 +395,7 @@ def _emit(rows: list, fmt: str, out: Optional[str],
         text = buf.getvalue()
     else:
         records = rows if summary is None else rows + [summary]
-        text = "\n".join(map(_JSON.encode, records)) + "\n"
+        text = "".join(_JSON.encode(r) + "\n" for r in records)
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -412,10 +412,11 @@ class GroupSet:
         return SubgroupRef(self, frozenset((self.identity_index,)))
 
     def full_subgroup(self) -> "SubgroupRef":
-        """The whole group as a subgroup: one ref per group, so its member
-        bits are built once and lookups of it compare by identity."""
+        """The whole group as a subgroup: one ref per group, so lookups of
+        it compare by identity.  Its member bits are all ones, set at once."""
         if self._full_ref is None:
             self._full_ref = SubgroupRef(self, self._full)
+            self._full_ref._bits = (1 << self.order) - 1
         return self._full_ref
 
     def __repr__(self) -> str:

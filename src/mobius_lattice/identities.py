@@ -161,7 +161,7 @@ def subgroup_lattice(subgroups: Iterable[SubgroupRef]) -> FinitePoset:
 
 def _holders(items: Sequence[SubgroupRef]) -> dict:
     """Element id -> ascending list of the indices of the items holding it;
-    ``store_greedy_generators`` reads it for every element of G."""
+    ``store_greedy_generators`` and ``certify_meets`` read it."""
     holding: dict = {}
     for j, k in enumerate(items):
         for x in k.member_ids:
@@ -169,7 +169,7 @@ def _holders(items: Sequence[SubgroupRef]) -> dict:
     return holding
 
 
-def store_greedy_generators(lattice: FinitePoset) -> None:
+def store_greedy_generators(lattice: FinitePoset, holding: dict) -> None:
     """Store on each item of the whole lattice [1, G] the generating set
     ``SubgroupRef.generator_ids`` would find by its joins, read off the
     lattice instead.
@@ -177,9 +177,8 @@ def store_greedy_generators(lattice: FinitePoset) -> None:
     The greedy walk takes H's ids in ascending order and keeps each id i
     not yet in the running subgroup A, which becomes <A, i>.  The items are
     every subgroup sorted by order, so <A, i> is the first item in
-    ``holding[i]`` (``_holders``) whose member set contains A's.  It is the
-    run's one full listing of holders: ``subgroup_lattice`` lists only each
-    item's rarest member's.
+    ``holding[i]`` (``_holders`` of the lattice's items) whose member set
+    contains A's.
 
     Only the enumerated [1, G] holds every subgroup; an interval or a
     lattice missing an item can give other sets with no error.  So a family
@@ -192,7 +191,6 @@ def store_greedy_generators(lattice: FinitePoset) -> None:
     if items[0].order != 1 or items[-1].order != group.order:
         raise RuntimeError("greedy generators are read off the whole "
                            "lattice [1, G] only")
-    holding = _holders(items)
     sets = [k.member_ids for k in items]
     found = []
     for k in items:
@@ -212,7 +210,8 @@ def store_greedy_generators(lattice: FinitePoset) -> None:
         k._gens = gens
 
 
-def certify_meets(group: GroupSet, lattice: FinitePoset) -> None:
+def certify_meets(group: GroupSet, lattice: FinitePoset,
+                  holding: dict) -> None:
     """Prove ``lattice`` closed under intersection, once for every ideal
     read off it; ``build_ideal`` then skips its per-ideal meet check on this
     lattice, and only on it.
@@ -226,26 +225,38 @@ def certify_meets(group: GroupSet, lattice: FinitePoset) -> None:
     - K & L is an item for the first member K of each orbit, its class
       representative, and every item L.
 
-    That is classes x N ANDs of ``SubgroupRef.member_bits``.  A failed
-    condition raises ``RuntimeError``, as the per-ideal check does: the
-    enumeration itself is broken.
+    For the second, L's mask has one bit per element of K & L but the
+    identity, read off the holder lists ``holding`` (``_holders``).  An item
+    M lies in K iff its mask has |M| - 1 bits, and K & L is an item iff L's
+    mask is such an M's; K = G (G & L = L) is skipped.  A failed condition
+    raises ``RuntimeError``, as the per-ideal check does: the enumeration
+    itself is broken.
     """
     classes = group._classes
     if classes is None:
         raise RuntimeError("no class orbits recorded; the whole lattice "
                            "was not enumerated")
-    items = {k.member_ids: k for k in lattice.items}
     orbits = set().union(*classes)
-    if orbits != items.keys() or sum(map(len, classes)) != len(orbits):
+    if (orbits != {k.member_ids for k in lattice.items}
+            or sum(map(len, classes)) != len(orbits)):
         raise RuntimeError(
             "class orbits do not partition the lattice; not closed under "
             "conjugation")
-    bits = {k.member_bits for k in lattice.items}
+    sizes = [k.order - 1 for k in lattice.items]
+    identity = frozenset((group.identity_index,))
     for orbit in classes:
-        rep = items[orbit[0]].member_bits
-        if not {rep & b for b in bits} <= bits:
-            raise RuntimeError(
-                "lattice is not closed under intersection")
+        if len(orbit[0]) == group.order:
+            continue
+        masks = [0] * lattice.size
+        bit = 1
+        # the most held elements take the lowest bits, so most masks are short
+        for x in sorted(orbit[0] - identity, key=lambda x: -len(holding[x])):
+            for j in holding[x]:
+                masks[j] |= bit
+            bit <<= 1
+        inside = {m for m, size in zip(masks, sizes) if m.bit_count() == size}
+        if not inside.issuperset(masks):
+            raise RuntimeError("lattice is not closed under intersection")
     group._meet_closed = lattice
 
 
@@ -269,10 +280,9 @@ def build_ideal(family: StabilizerFamily,
 
     The ideal is checked closed under meets (``_validate_meets``) unless
     ``lattice`` is the one ``certify_meets`` proved closed under
-    intersection for this group, as ``verify`` does for its whole lattice
-    once per run when the per-ideal checks would cost more: then every
-    ideal read off it is closed.  An enumerated
-    lattice and any lattice a caller builds are checked per ideal.
+    intersection for this group, as ``verify`` does once for a whole
+    lattice whose items are its rows: then every ideal read off it is
+    closed.  Any other lattice is checked per ideal.
     """
     group, subgroup = family.subgroup.parent, family.subgroup
     _check_pair(group, subgroup)

@@ -9,9 +9,9 @@ complexes (Hall's theorem) and alternating face sums.  The group oracles
 beside them build groups by matrix products, stabilizers by element scans,
 the subgroup lattice by cyclic extension without the package's
 normalizer-orbit pruning, overgroup intervals by a coset search that skips
-only double cosets, and the lattice's containment order by comparing every
-pair of member sets; invariant subspaces are found by row-reducing every
-image.
+only double cosets, the lattice's containment order by comparing every
+pair of member sets and its meet certificate by ANDs of |G|-bit member
+masks; invariant subspaces are found by row-reducing every image.
 """
 
 import itertools
@@ -141,6 +141,32 @@ def containment_order(subgroups) -> FinitePoset:
     items that contain each element."""
     return FinitePoset.from_leq(sorted(subgroups, key=SubgroupRef.sort_key),
                                 lambda a, b: a.member_ids <= b.member_ids)
+
+
+def certify_meets_by_bits(group, lattice) -> None:
+    """The meet certificate of ``identities.certify_meets`` on |G|-bit
+    member masks (``SubgroupRef.member_bits``): the same two conditions with
+    the same errors, but K & L is one AND, looked up among the items'
+    masks, for every class representative K and item L.  It records
+    nothing on the group.
+
+    Independent of ``certify_meets``, which reads K & L off the holder
+    lists of K's elements and builds no |G|-bit mask."""
+    classes = group._classes
+    if classes is None:
+        raise RuntimeError("no class orbits recorded; the whole lattice "
+                           "was not enumerated")
+    items = {k.member_ids: k for k in lattice.items}
+    orbits = set().union(*classes)
+    if orbits != items.keys() or sum(map(len, classes)) != len(orbits):
+        raise RuntimeError(
+            "class orbits do not partition the lattice; not closed under "
+            "conjugation")
+    bits = {k.member_bits for k in lattice.items}
+    for orbit in classes:
+        rep = items[orbit[0]].member_bits
+        if not {rep & b for b in bits} <= bits:
+            raise RuntimeError("lattice is not closed under intersection")
 
 
 def invariant_subspaces_by_rref(matrices, n, proper_nontrivial=False):

@@ -178,6 +178,22 @@ def test_report_dedupes_identical(tmp_path):
     assert len(read_jsonl(merged)) == read_jsonl(a)[-1]["pairs"]
 
 
+def test_report_of_summary_only_inputs_writes_no_rows(tmp_path):
+    # GL(1,2) is trivial, so its verify report is a summary with 0 pairs;
+    # the merged JSON report of it is empty, and the CSV one a header alone
+    a = tmp_path / "a.jsonl"
+    assert run_cli(["verify", "--preset", "GL", "--n", "1", "--q", "2",
+                    "--out", str(a)]) == 0
+    assert read_jsonl(a)[-1]["pairs"] == 0
+    merged = tmp_path / "merged.jsonl"
+    assert run_cli(["report", str(a), "--out", str(merged)]) == 0
+    assert merged.read_bytes() == b""
+    table = tmp_path / "merged.csv"
+    assert run_cli(["report", str(a), "--format", "csv",
+                    "--out", str(table)]) == 0
+    assert table.read_text().splitlines() == [",".join(cli._CSV_COLUMNS)]
+
+
 def test_report_conflicting_duplicate(tmp_path):
     a = tmp_path / "a.jsonl"
     assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "2",
@@ -633,10 +649,10 @@ def test_verify_applies_matrices_only_to_roots_and_subspaces(
 
 def test_verify_one_pair_checks_its_ideal_without_the_certificate(
         tmp_path, monkeypatch):
-    # GL(2,5) on its Borel subgroup: the ideal lies in the Borel's up-set of
-    # 2 subgroups, so its own meet check (at most 2^2 / 2 ANDs) costs less
-    # than the certificate's 48 classes x 466 subgroups; the row is the
-    # Borel's row of the certified full sweep, byte for byte
+    # GL(2,5) on its Borel subgroup, named in a file: the file's subgroups
+    # are not the lattice's items, so the run checks the one ideal's meets
+    # and certifies nothing; the row is the Borel's row of the certified
+    # full sweep, byte for byte
     borel = [[[2, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 1], [0, 1]]]
     subs = tmp_path / "subs.json"
     subs.write_text(json.dumps([borel]))
@@ -654,6 +670,27 @@ def test_verify_one_pair_checks_its_ideal_without_the_certificate(
     row = one.read_text().splitlines()[0]
     assert json.loads(row)["h_order"] == 80
     assert row in swept.read_text().splitlines()
+
+
+def test_verify_bounded_index_run_certifies_its_lattice(
+        tmp_path, monkeypatch):
+    # a GL(2,5) run limited to index 4 takes its rows from the enumerated
+    # lattice, so it certifies the lattice once and checks no ideal on its
+    # own; its rows are the same rows of the full sweep, byte for byte
+    gl25 = ["verify", "--preset", "GL", "--n", "2", "--q", "5"]
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, identities, "_validate_meets")
+    _count_calls(monkeypatch, calls, cli, "certify_meets")
+    bounded = tmp_path / "bounded.jsonl"
+    assert run_cli([*gl25, "--max-index", "4", "--out", str(bounded)]) == 0
+    assert dict(calls) == {"certify_meets": 1}
+    swept = tmp_path / "all.jsonl"
+    assert run_cli([*gl25, "--out", str(swept)]) == 0
+    rows = bounded.read_text().splitlines()[:-1]
+    assert rows
+    assert all(480 // json.loads(r)["h_order"] <= 4 for r in rows)
+    assert rows == [r for r in swept.read_text().splitlines()[:-1]
+                    if 480 // json.loads(r)["h_order"] <= 4]
 
 
 def test_verify_reducible_ambient_group_exits_two(tmp_path):

@@ -27,6 +27,7 @@ from mobius_lattice.group import (
 )
 from mobius_lattice.identities import (
     _fixed_subspaces,
+    _holders,
     certify_meets,
     mobius_between,
     stabilizer_family,
@@ -1266,7 +1267,7 @@ def test_lattice_records_published_class_counts(name):
         assert len({len(k) for k in orbit}) == 1
         assert order % len(orbit) == 0
     lattice = subgroup_lattice(subs)
-    certify_meets(g, lattice)
+    certify_meets(g, lattice, _holders(lattice.items))
     assert g._meet_closed is lattice
 
 
@@ -1369,7 +1370,7 @@ def _assert_generators_read_off_lattice(group):
     # on every item the greedy set that the joins inside G find
     subs = overgroup_interval(group, group.trivial_subgroup())
     lattice = subgroup_lattice(SubgroupRef(group, k.member_ids) for k in subs)
-    store_greedy_generators(lattice)
+    store_greedy_generators(lattice, _holders(lattice.items))
     for k in lattice.items:
         assert k._gens == tuple(group._generate(k.ids)[1])
 

@@ -39,6 +39,7 @@ from mobius_lattice.poset import FinitePoset
 from mobius_lattice.simplicial import euler
 
 from helpers import (
+    certify_meets_by_bits,
     containment_order,
     invariant_subspaces_by_rref,
     moebius_number_theoretic,
@@ -520,17 +521,26 @@ def test_meet_check_rejects_gl25_lattice_missing_a_meet(gl25):
         build_ideal(fam, lattice=short)
 
 
+def _certify_by_holders(group, lattice):
+    certify_meets(group, lattice, identities._holders(lattice.items))
+
+
+# the package's certificate and its |G|-bit oracle, which raise alike
+_CERTIFICATES = (_certify_by_holders, certify_meets_by_bits)
+
+
 def test_meet_certificate_rejects_lattice_missing_a_conjugate(corpus):
     # one conjugate of a non-normal subgroup dropped: the recorded class
     # orbits no longer partition the lattice, so it is not closed under
-    # conjugation and the certificate fails closed
+    # conjugation and both certificates fail closed
     for name, group, subs in corpus:
         for orbit in group._classes:
             if len(orbit) > 1:
                 short = subgroup_lattice([k for k in subs
                                           if k.member_ids != orbit[-1]])
-                with pytest.raises(RuntimeError, match="do not partition"):
-                    certify_meets(group, short)
+                for certify in _CERTIFICATES:
+                    with pytest.raises(RuntimeError, match="do not partition"):
+                        certify(group, short)
                 assert group._meet_closed is not short, name
 
 
@@ -544,10 +554,55 @@ def test_meet_certificate_rejects_lattice_missing_an_intersection(
         monkeypatch.setattr(group, "_classes", tuple(
             orbit for orbit in group._classes if orbit[0] != trivial))
         short = subgroup_lattice(subs[1:])
-        with pytest.raises(RuntimeError,
-                           match="not closed under intersection"):
-            certify_meets(group, short)
+        for certify in _CERTIFICATES:
+            with pytest.raises(RuntimeError,
+                               match="not closed under intersection"):
+                certify(group, short)
         assert group._meet_closed is not short, name
+
+
+def _verdict(certify, group, lattice):
+    try:
+        certify(group, lattice)
+    except RuntimeError as exc:
+        return str(exc)
+    return "closed"
+
+
+def _one_class_short_verdicts(group, monkeypatch):
+    """For each class of the group's whole lattice, dropped from both the
+    lattice and the recorded orbits: the verdicts of the holder
+    certificate and of its |G|-bit oracle."""
+    subs = overgroup_interval(group, group.trivial_subgroup())
+    classes = group._classes
+    # an accepted lattice is recorded on the group; the fixture's record is
+    # put back at teardown
+    monkeypatch.setattr(group, "_meet_closed", None)
+    verdicts = []
+    for dropped in classes:
+        monkeypatch.setattr(group, "_classes", tuple(
+            orbit for orbit in classes if orbit is not dropped))
+        short = subgroup_lattice(k for k in subs
+                                 if k.member_ids not in dropped)
+        verdicts.append(tuple(_verdict(certify, group, short)
+                              for certify in _CERTIFICATES))
+    return verdicts
+
+
+def test_meet_certificate_agrees_with_oracle_on_one_class_short_lattices(
+        gl25, gl32, monkeypatch):
+    # every lattice of GL(2,5), GL(3,2), GL(2,4) and SL(2,5) with one whole
+    # class dropped (48 + 15 + 21 + 12, the classes of 1 and G among them):
+    # the holder certificate and the |G|-bit oracle reject the same 53
+    # lattices, with the same error, and accept the same 43
+    verdicts = []
+    for group in (gl25, gl32,
+                  closure(preset_generators("GL", 2, FqField(2, 2))),
+                  closure(preset_generators("SL", 2, FqField(5)))):
+        verdicts += _one_class_short_verdicts(group, monkeypatch)
+    assert all(holders == bits for holders, bits in verdicts)
+    rejected = sum(holders != "closed" for holders, _ in verdicts)
+    assert (len(verdicts), rejected) == (96, 53)
 
 
 def _fresh(group, subs):
@@ -565,7 +620,8 @@ def test_greedy_generators_refuse_a_family_other_than_the_whole_lattice(
                        [k for k in subs if k.order < group.order]):
             lattice = subgroup_lattice(_fresh(group, family))
             with pytest.raises(RuntimeError, match=r"\[1, G\] only"):
-                store_greedy_generators(lattice)
+                store_greedy_generators(
+                    lattice, identities._holders(lattice.items))
             assert all(k._gens is None for k in lattice.items), name
 
 
@@ -579,7 +635,8 @@ def test_greedy_generators_check_where_each_chain_ends(corpus):
             lattice = subgroup_lattice(_fresh(group, [
                 k for k in subs if k is not dropped]))
             try:
-                store_greedy_generators(lattice)
+                store_greedy_generators(
+                    lattice, identities._holders(lattice.items))
             except RuntimeError as exc:
                 assert "missed its subgroup" in str(exc)
                 assert all(k._gens is None for k in lattice.items), name
@@ -592,8 +649,9 @@ def test_meet_certificate_needs_recorded_orbits():
     group = closure(preset_generators("GL", 2, F3))
     lattice = subgroup_lattice([group.trivial_subgroup(),
                                 group.full_subgroup()])
-    with pytest.raises(RuntimeError, match="no class orbits recorded"):
-        certify_meets(group, lattice)
+    for certify in _CERTIFICATES:
+        with pytest.raises(RuntimeError, match="no class orbits recorded"):
+            certify(group, lattice)
     assert group._meet_closed is None
 
 
@@ -605,7 +663,7 @@ def test_meet_check_runs_per_ideal_unless_the_lattice_is_certified(
     group = closure(preset_generators("GL", 2, F3))
     subs = overgroup_interval(group, group.trivial_subgroup())
     certified = subgroup_lattice(subs)
-    certify_meets(group, certified)
+    _certify_by_holders(group, certified)
     assert group._meet_closed is certified
     own = subgroup_lattice(subs)
     validate = identities._validate_meets
@@ -927,14 +985,25 @@ def test_slow_whole_lattice_order_relation_counts(kind, n, p, relations):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("kind,n,p,u", [("GL", 2, 7, 1), ("SL", 2, 3, 2),
-                                        ("SL", 3, 3, 1)],
-                         ids=["GL(2,7)", "SL(2,9)", "SL(3,3)"])
+                                        ("SL", 3, 3, 1), ("GL", 3, 3, 1)],
+                         ids=["GL(2,7)", "SL(2,9)", "SL(3,3)", "GL(3,3)"])
 def test_slow_lattice_passes_meet_certificate(kind, n, p, u):
     group = closure(preset_generators(kind, n, FqField(p, u)))
     lattice = subgroup_lattice(overgroup_interval(group,
                                                   group.trivial_subgroup()))
-    certify_meets(group, lattice)
+    _certify_by_holders(group, lattice)
     assert group._meet_closed is lattice
+
+
+@pytest.mark.slow
+def test_slow_meet_certificate_agrees_with_oracle_on_sl33_short_lattices(
+        monkeypatch):
+    # each of the 51 lattices of SL(3,3) with one whole class dropped: the
+    # holder certificate and the |G|-bit oracle give the same verdict
+    group = closure(preset_generators("SL", 3, FqField(3)))
+    verdicts = _one_class_short_verdicts(group, monkeypatch)
+    assert len(verdicts) == 51
+    assert all(holders == bits for holders, bits in verdicts)
 
 
 @pytest.mark.slow
@@ -945,7 +1014,7 @@ def test_slow_gl27_rows_on_certified_and_uncertified_lattices():
     group = closure(preset_generators("GL", 2, FqField(7)))
     subs = overgroup_interval(group, group.trivial_subgroup())
     certified = subgroup_lattice(subs)
-    certify_meets(group, certified)
+    _certify_by_holders(group, certified)
     uncertified = subgroup_lattice(subs)
     for h in subs[:-1]:
         rows = [verify_identities(group, h, lattice=lattice,
