@@ -109,19 +109,25 @@ G or M only when none does, stops at that subgroup's Lagrange bound instead
 of walking all of it.  Both spend most of their time on joins that end at
 their bound, and both fill ``reach`` by one exact ancestor rule: if
 <A, r> = S and A <= K <= S, then <K, r> = S, so a join <K, g> inside S
-that meets r is S.  ``reach`` maps each bound S to a list of witness sets.
+that meets r is S.  Both keep witnesses under every bound S their joins
+end at: the search keeps the elements a join covered, the walk the
+generators of the cyclic subgroup it joined (under G, those of its whole
+N_G(K)-orbit).  ``reach`` maps each bound S to a list of witness sets.
 Each K copies the lists of the subgroup that queued it, and merges a list
 into one set of its own (its id in ``merged``) only when a join inside S
 reads it.  K uses its witnesses for the rest of its loop and hands them to
 the subgroups it queues, whose loops start only after K's ends.  The
 searches differ only in their candidates x, in the elements that become
-witnesses, and in the class orbits that the walk records.
+witnesses, in the order they take the subgroups they queue (the walk the
+largest first, the search the last queued) and in the class orbits that
+the walk records.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import insort
+from heapq import heappop, heappush
 from itertools import chain, product
 from math import gcd
 from operator import itemgetter, methodcaller
@@ -800,10 +806,14 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     Joins run at the shared site (module docstring), bounded by G.
     ``above`` holds K's known proper overgroups by order, read off the
     classes whose order |K| divides; each new class adds its conjugates that
-    contain K.  When <K, x> = G, so is <K, y> for every generator y of every
-    cyclic subgroup in x's N_G(K)-orbit: <K, x^n> = <K, x>^n = G.  Those y
-    are the witnesses, all kept under G; a join inside a proper S reads
-    none, since none lies in S.
+    contain K.  The queue pops the largest representative first (ties in
+    push order), so a small K finds more of its overgroups in ``above``
+    and its joins stop at tighter bounds.  When <K, x> = S, so is <K, y>
+    for every generator y of <x>: those y are the witnesses, kept under S.
+    When S = G, so is <K, y> for every generator y of every cyclic subgroup
+    in x's N_G(K)-orbit, since <K, x^n> = <K, x>^n = G, and all of them are
+    kept under G; for a proper S the other orbit members give the
+    conjugates S^n, and are not kept.
 
     The class orbits are recorded on the group as ``_classes``, a tuple of
     tuples of member sets, each led by its representative and the trivial
@@ -832,10 +842,12 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
     known = {trivial}
     classes = [(trivial,)]
     # each representative K is queued with its generators, N_G(K)'s and the
-    # witness lists its parent found
-    queue = [(trivial, [], [g for g, _ in moves], {})]
+    # witness lists its parent found; the largest pops first, ties in push
+    # order
+    queue = [(-1, 0, trivial, [], [g for g, _ in moves], {})]
+    pushed = 0
     while queue:
-        current, gens, normalizer, inherited = queue.pop()
+        *_, current, gens, normalizer, inherited = heappop(queue)
         # K's own copy of the lists, so K appends to it alone
         reach = {s: list(sets) for s, sets in inherited.items()}
         merged = set()
@@ -857,6 +869,10 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
                 # generator y of a cyclic subgroup <x^n> in x's orbit
                 reach.setdefault(full, []).extend(
                     map(generators_of.__getitem__, orbit))
+            else:
+                # <K, y> = <K, x> for every generator y of <x>; the other
+                # orbit members give the conjugates of extended
+                reach.setdefault(extended, []).append(generators_of[orbit[0]])
             if extended in known:
                 continue
             conjugates, _, normalizer = _orbit_stabilizer(
@@ -869,7 +885,9 @@ def _lattice_by_cyclic_extension(group: GroupSet, cap: int) -> set:
                     insort(above, conjugate, key=len)
             # K's loop ends before this child is popped, so by then reach
             # holds every witness K finds
-            queue.append((extended, gens + [x], normalizer, reach))
+            pushed += 1
+            heappush(queue, (-len(extended), pushed, extended, gens + [x],
+                             normalizer, reach))
     group._classes = tuple(classes)
     return known
 
@@ -883,7 +901,7 @@ def _cyclic_orbits(group: GroupSet, gens: list, cyclic: list,
 
     Each generator g becomes a permutation of the positions, kept in
     ``perm_of[g]``: the walk shares one such dict across its normalizers,
-    whose Schreier generators recur (519 in all but 117 distinct on
+    whose Schreier generators recur (537 in all but 100 distinct on
     GL(4,2)).  Each orbit is walked breadth-first from the least position
     not yet seen, so it is led by its least.  Inverses are read from the
     group's memo, which ``_prime_power_cyclic_generators`` filled."""

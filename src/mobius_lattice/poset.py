@@ -2,10 +2,11 @@
 
 The order relation is stored once, as one index row per element: `up[i]` is
 the ascending tuple of the j with items[i] <= items[j].  Nothing keeps its
-transpose.  Beside the rows a poset keeps `rank`, each element's position
-in one linear extension (longer rows first).  The Mobius recursion walks the
-rows in rank order and pushes each settled value along them to the elements
-above.  A row on a subposet is given that subposet as element indices.
+transpose.  The index order must be a linear extension of the order: each
+row starts at its own index, so every element comes after everything below
+it.  The Mobius recursion walks a row as stored and pushes each settled
+value along the rows of the elements above.  A row on a subposet is given
+that subposet as element indices.
 """
 
 from __future__ import annotations
@@ -19,24 +20,25 @@ POWERSET_CAP = 22
 
 
 class FinitePoset:
-    """An explicit finite poset over an indexed item list.
+    """An explicit finite poset over an indexed item list, indexed along a
+    linear extension of its order.
 
-    ``up[i]`` is the ascending tuple of indices j with items[i] <= items[j].
-    A builder whose equal entries are one int object makes the rows hold
-    about one pointer per relation.  ``rank[i]`` is i's position when the
-    elements are sorted by descending row length, ties by index: i < j
-    forces up[j] to be a proper subset of up[i], so the ranks are a linear
-    extension of the order.
+    ``up[i]`` is the ascending tuple of indices j with items[i] <= items[j],
+    and it starts with i itself.  A builder whose equal entries are one int
+    object makes the rows hold about one pointer per relation.  Items sorted
+    by any size that grows strictly along the order (a subgroup's order, a
+    set's length) are indexed along a linear extension.
     """
 
-    __slots__ = ("items", "up", "rank", "_index")
+    __slots__ = ("items", "up", "_index", "_collected")
 
     def __init__(self, items: Sequence, up: Sequence[Sequence[int]]):
         """Check ``up``: one row per item, then unknown items, so that a
         relation naming one is always reported as such, then ascending rows,
-        reflexivity, transitivity and antisymmetry.  For a reflexive,
-        transitive relation i <= j <= i holds exactly when up[i] == up[j],
-        so the last check asks only that the rows are distinct."""
+        each starting at its own index, and transitivity.  A row starting at
+        its own index makes the relation reflexive and every other entry of
+        it larger, so i <= j <= i forces i = j: antisymmetry needs no check
+        of its own."""
         self.items = tuple(items)
         self.up = up = tuple(map(tuple, up))
         n = len(self.items)
@@ -51,18 +53,18 @@ class FinitePoset:
         if not all(all(map(lt, row, row[1:])) for row in up):
             raise InvalidOrderRelation(
                 "relation rows are not strictly ascending")
-        if not all(i in row for i, row in enumerate(up)):
-            raise InvalidOrderRelation("relation is not reflexive")
+        for i, row in enumerate(up):
+            if not row or row[0] != i:
+                if i not in row:
+                    raise InvalidOrderRelation("relation is not reflexive")
+                raise InvalidOrderRelation(
+                    f"row {i} names index {row[0]} below its own: the index "
+                    f"order is not a linear extension of the relation")
         for row in up:
             if not all(map(set(row).issuperset, map(up.__getitem__, row))):
                 raise InvalidOrderRelation("relation is not transitive")
-        if len(set(up)) != n:
-            raise InvalidOrderRelation("relation is not antisymmetric")
-        rank = [0] * n
-        by_size = sorted(range(n), key=lambda i: -len(up[i]))
-        for r, i in enumerate(by_size):
-            rank[i] = r
-        self.rank = tuple(rank)
+        # mobius_row's accumulator, zeroed over a row's slots as it starts
+        self._collected = [0] * n
 
     @classmethod
     def from_leq(cls, items: Sequence, leq: Callable) -> "FinitePoset":
@@ -83,28 +85,33 @@ def mobius_row(poset: FinitePoset, start: int,
                within: Optional[Iterable[int]] = None) -> dict:
     """Values mu(start, t) for every t >= start, by the defining recursion.
 
-    The elements of ``start``'s row are taken in rank order, so each comes
-    after everything below it, and each settled nonzero mu(start, t) is
-    pushed along t's row; an element's value is minus what it has collected
-    by its turn.  With ``within`` (element indices, which must hold
-    ``start``) the recursion runs on the subposet they induce instead: only
-    start's row is filtered by them.  A slot outside ``within`` may collect
-    a value, but it is never read.
+    The elements of ``start``'s row are taken as stored, in index order, so
+    each comes after everything below it, and each settled nonzero
+    mu(start, t) is pushed along t's row; an element's value is minus what
+    it has collected by its turn.  Every push lands in start's row, so the
+    poset's one accumulator list is zeroed over that row alone; two threads
+    must not take rows of one poset at once.  With ``within`` (element
+    indices, which must hold ``start``) the recursion runs on the subposet
+    they induce instead: only start's row is filtered by them.  A slot
+    outside ``within`` may collect a value, but it is never read.
     """
-    n = poset.size
-    if not 0 <= start < n:
+    if not 0 <= start < poset.size:
         raise ValueError(f"start {start} is not an element of the poset")
     up = poset.up
     walk = up[start]
+    collected = poset._collected
+    for t in walk:
+        collected[t] = 0
+    # start collects -1, so its value is 1
+    collected[start] = -1
     if within is not None:
         keep = frozenset(within)
         if start not in keep:
             raise ValueError(f"within does not hold the start element {start}")
         walk = filter(keep.__contains__, walk)
-    collected = [0] * n
     row = {}
-    for t in sorted(walk, key=poset.rank.__getitem__):
-        value = row[t] = 1 if t == start else -collected[t]
+    for t in walk:
+        value = row[t] = -collected[t]
         if value:
             # t's own slot gains the value too, but is never read again
             for u in up[t]:

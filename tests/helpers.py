@@ -447,9 +447,10 @@ def adjoin_bounds(poset: FinitePoset, reuse: bool = False) -> BoundedPoset:
                 have_top = i
     items = list(poset.items)
     if have_bottom is None:
-        items.append(_Bound("0^"))
-        bottom = len(items) - 1
-        up.append((1 << bottom) | full)
+        # the bottom goes first, so the index order stays a linear extension
+        items.insert(0, _Bound("0^"))
+        bottom = 0
+        up = [(full << 1) | 1] + [mask << 1 for mask in up]
     else:
         bottom = have_bottom
     if have_top is None:
@@ -458,7 +459,8 @@ def adjoin_bounds(poset: FinitePoset, reuse: bool = False) -> BoundedPoset:
         up = [mask | (1 << top) for mask in up]
         up.append(1 << top)
     else:
-        top = have_top
+        # shifted past a fresh bottom
+        top = have_top + (have_bottom is None)
     return BoundedPoset(FinitePoset(items, map(to_row, up)), bottom, top)
 
 

@@ -976,20 +976,38 @@ def _assert_witnesses_sound(group, decided):
         assert GroupSet._join(group, members, list(gens), r) == top
 
 
+def _assert_walk_witnesses_sound(monkeypatch, g):
+    # returns the decided joins, each checked against a join inside G
+    decided = _record_decided_joins(monkeypatch)
+    group_module._lattice_by_cyclic_extension(g, group_module.INTERVAL_CAP)
+    monkeypatch.undo()
+    assert decided
+    _assert_witnesses_sound(g, decided)
+    return decided
+
+
 @pytest.mark.parametrize("name", ["GL(2,3)", "SL(2,3)", "GL(3,2)",
                                   "GL(2,5)"])
 def test_cyclic_extension_witnesses_generate_g(monkeypatch, name):
     # each representative merges its witness lists into sets of its own: a
     # walk that shares one merge memo across representatives grows a set
     # that siblings hold too, and GL(2,5) then decides a join by an element
-    # r with <K, r> != G
+    # r with <K, r> != G.  Witnesses are kept under every bound, not only
+    # G: on GL(2,5) some decided joins end at a proper subgroup
     build, _ = _LATTICE_GROUPS[name]
     g = build()
-    decided = _record_decided_joins(monkeypatch)
-    group_module._lattice_by_cyclic_extension(g, group_module.INTERVAL_CAP)
-    monkeypatch.undo()
-    assert decided
-    _assert_witnesses_sound(g, decided)
+    decided = _assert_walk_witnesses_sound(monkeypatch, g)
+    if name == "GL(2,5)":
+        assert any(top is not None and len(top) < g.order
+                   for _, _, top, _ in decided)
+
+
+@pytest.mark.slow
+def test_slow_cyclic_extension_witnesses_sound_gl27(monkeypatch):
+    g = _preset("GL", 2, 7)
+    decided = _assert_walk_witnesses_sound(monkeypatch, g)
+    assert any(top is not None and len(top) < g.order
+               for _, _, top, _ in decided)
 
 
 def test_coset_search_witnesses_generate_their_bound(monkeypatch, gl33):
@@ -1020,23 +1038,24 @@ def test_coset_search_witnesses_generate_their_bound(monkeypatch, gl33):
         _assert_witnesses_sound(g, log)
 
 
-def test_cyclic_extension_false_witness_loses_subgroups(monkeypatch):
-    # mutation check: one element r with <K, r> != G planted in the walk's
-    # witnesses (K = 1, r of prime order, so <r> is reached from 1 only)
-    # must lose a class, and the unpruned oracle must see it
-    g = _preset("GL", 2, 3)
+def _assert_planted_witness_loses_subgroups(monkeypatch, g, proper_top):
+    # mutation check: one element r with <K, r> != T planted in the walk's
+    # witnesses for the join's bound T (K = 1, r of prime order, so <r> is
+    # reached from 1 only) must lose a class, and the unpruned oracle must
+    # see it; with proper_top, only under a bound T < G
     expected = lattice_by_unpruned_cyclic_extension(g)
     join = GroupSet._join
     planted = []
 
     def planting_join(self, members, gens, x, top=None,
                       reach=group_module._NO_WITNESSES):
+        bound = self.order if top is None else len(top)
         if (not planted and len(members) == 1
+                and (bound < self.order or not proper_top)
                 and sys._getframe(1).f_code.co_name
                 == "_lattice_by_cyclic_extension"):
             order = len(join(self, members, gens, x))
-            if 1 < order < self.order and all(
-                    order % d for d in range(2, order)):
+            if 1 < order < bound and all(order % d for d in range(2, order)):
                 planted.append(x)
                 reach = set(reach) | {x}
         return join(self, members, gens, x, top, reach)
@@ -1048,9 +1067,72 @@ def test_cyclic_extension_false_witness_loses_subgroups(monkeypatch):
     assert lattice < expected
 
 
+def test_cyclic_extension_false_witness_loses_subgroups(monkeypatch):
+    _assert_planted_witness_loses_subgroups(
+        monkeypatch, _preset("GL", 2, 3), proper_top=False)
+
+
+def test_cyclic_extension_false_proper_witness_loses_subgroups(monkeypatch):
+    _assert_planted_witness_loses_subgroups(
+        monkeypatch, _preset("GL", 2, 5), proper_top=True)
+
+
+def _classes_by_matrix_conjugation(g, lattice):
+    """The conjugacy classes of the member sets in ``lattice``, as a set of
+    frozensets, by conjugating member sets with matrix products."""
+    conjugations = []
+    for m in g.generators:
+        m_inv = m.inverse()
+        conjugations.append([g.index_of(m_inv * e * m) for e in g.elements])
+    classes, seen = set(), set()
+    for k in lattice:
+        if k in seen:
+            continue
+        orbit = [k]
+        seen.add(k)
+        for sub in orbit:
+            for conj in conjugations:
+                image = frozenset(map(conj.__getitem__, sub))
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        classes.add(frozenset(orbit))
+    return classes
+
+
+def test_cyclic_extension_walk_grows_pinned_products_gl25(monkeypatch):
+    # the element products the walk's extension joins grow as new cosets,
+    # counted, not timed: witnesses under every bound and the largest
+    # representative first keep it at 19,350.  The order of the walk must
+    # not change what it records: the trivial class first, and the class
+    # orbits of the lattice
+    g = _preset("GL", 2, 5)
+    grown = []
+    grow = GroupSet._grow_cosets
+
+    def counted(self, cosets, seen, factors, bound,
+                reach=group_module._NO_WITNESSES):
+        before = len(seen)
+        stop = grow(self, cosets, seen, factors, bound, reach)
+        if (sys._getframe(2).f_code.co_name
+                == "_lattice_by_cyclic_extension"):
+            grown.append(len(seen) - before)
+        return stop
+
+    monkeypatch.setattr(GroupSet, "_grow_cosets", counted)
+    lattice = group_module._lattice_by_cyclic_extension(
+        g, group_module.INTERVAL_CAP)
+    monkeypatch.undo()
+    assert sum(grown) == 19_350
+    assert g._classes[0] == (frozenset((g.identity_index,)),)
+    assert ({frozenset(orbit) for orbit in g._classes}
+            == _classes_by_matrix_conjugation(g, lattice))
+
+
 def _record_bounded_joins(monkeypatch):
     """Record (K, K's generators, x, top, <K, x>) for every extension join
-    that the walk runs inside a proper subgroup top."""
+    that the walk runs inside a proper subgroup top, the joins its
+    witnesses decide included."""
     bounded = []
     join = GroupSet._join
 
@@ -1060,7 +1142,6 @@ def _record_bounded_joins(monkeypatch):
         if (top is not None and len(top) < self.order
                 and sys._getframe(1).f_code.co_name
                 == "_lattice_by_cyclic_extension"):
-            assert not reach
             bounded.append((members, tuple(gens), g, top, extended))
         return extended
 

@@ -95,9 +95,11 @@ def test_relation_naming_unknown_item_rejected():
     with pytest.raises(InvalidOrderRelation, match="unknown item"):
         FinitePoset([0, 1], [(0, 1, 2), (1,)])
     # the unknown item is named whatever else is wrong with the rows:
-    # unsorted, duplicate, not reflexive, not transitive, not antisymmetric
+    # unsorted, duplicate, not reflexive, not transitive, not antisymmetric,
+    # or naming an index below its own
     for rows in ([(1, 0, 5), (1,)], [(0, 0, -1), (1,)], [(1, -2), (1,)],
-                 [(0, 1), (1, 2), (2, 3)], [(0, 1, 3), (0, 1)]):
+                 [(0, 1), (1, 2), (2, 3)], [(0, 1, 3), (0, 1)],
+                 [(0,), (0, 1, 2)]):
         with pytest.raises(InvalidOrderRelation, match="unknown item"):
             FinitePoset(range(len(rows)), rows)
 
@@ -113,13 +115,16 @@ def _is_partial_order(up):
 
 @given(st.data())
 def test_validation_accepts_exactly_the_partial_orders(data):
-    # random rows on up to 6 items, made reflexive or transitively closed
-    # by chance so that valid orders are drawn often; then, each by chance,
-    # an unknown item (negative or past the end), a duplicate entry and an
-    # unsorted row
+    # random rows on up to 6 items, by chance kept to the indices at or above
+    # their own, made reflexive or transitively closed, so that orders whose
+    # index order is a linear extension are drawn often; then, each by
+    # chance, an unknown item (negative or past the end), a duplicate entry
+    # and an unsorted row
     n = data.draw(st.integers(min_value=0, max_value=6))
     rows = [data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
             for _ in range(n)]
+    if data.draw(st.booleans()):
+        rows = [{j for j in row if j >= i} for i, row in enumerate(rows)]
     if data.draw(st.booleans()):
         for i, row in enumerate(rows):
             row.add(i)
@@ -149,10 +154,14 @@ def test_validation_accepts_exactly_the_partial_orders(data):
     elif any(row != sorted(set(row)) for row in rows):
         with pytest.raises(InvalidOrderRelation, match="strictly ascending"):
             FinitePoset(range(n), rows)
-    elif _is_partial_order(rows):
+    elif not _is_partial_order(rows):
+        with pytest.raises(InvalidOrderRelation):
+            FinitePoset(range(n), rows)
+    elif all(row[0] == i for i, row in enumerate(rows)):
         assert FinitePoset(range(n), rows).up == tuple(map(tuple, rows))
     else:
-        with pytest.raises(InvalidOrderRelation):
+        # a partial order, but not indexed along a linear extension
+        with pytest.raises(InvalidOrderRelation, match="below its own"):
             FinitePoset(range(n), rows)
 
 
@@ -332,50 +341,61 @@ def test_mobius_row_rejects_start_outside_poset(start, within):
 
 
 def _relabelled(poset, perm):
-    """The same order with element i renamed perm[i], so that the index
-    order is no longer a linear extension."""
+    """The same order with element i renamed perm[i], as masks."""
     n = poset.size
     up = [0] * n
     for i in range(n):
         for j in range(n):
             if leq(poset, i, j):
                 up[perm[i]] |= 1 << perm[j]
-    return FinitePoset(range(n), map(to_row, up))
+    return up
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
-def test_mobius_rows_of_relabelled_posets_match_zeta_inversion(seed, data):
-    # random_poset's edges only go up in index, so its index order is
-    # already a linear extension; a relabelling leaves the rank order as
-    # the only thing that keeps each element after everything below it
+def test_relabelled_posets_rejected_off_a_linear_extension(seed, data):
+    # random_poset's edges only go up in index, so its index order is a
+    # linear extension; a relabelling keeps that exactly when it maps every
+    # relation i <= j to perm[i] <= perm[j], and is rejected otherwise
     base = random_poset(random.Random(seed), 9)
-    p = _relabelled(base, data.draw(st.permutations(range(base.size))))
-    table = mobius_by_zeta_inversion(p)
-    for i in range(p.size):
-        assert mobius_row(p, i) == {
-            j: table.mu(i, j) for j in range(p.size) if leq(p, i, j)}
-    start = data.draw(st.integers(min_value=0, max_value=p.size - 1))
-    mask = data.draw(st.integers(min_value=0, max_value=(1 << p.size) - 1))
-    mask |= 1 << start
-    kept = [i for i in range(p.size) if mask >> i & 1]
-    sub = mobius_by_zeta_inversion(
-        FinitePoset.from_leq(kept, lambda a, b: leq(p, a, b)))
-    assert mobius_row(p, start, kept) == {
-        j: sub.mu_items(start, j) for j in kept if leq(p, start, j)}
+    perm = data.draw(st.permutations(range(base.size)))
+    rows = list(map(to_row, _relabelled(base, perm)))
+    if all(perm[i] <= perm[j] for i in range(base.size) for j in base.up[i]):
+        p = FinitePoset(range(base.size), rows)
+        assert mobius(p).table == mobius_by_zeta_inversion(p).table
+    else:
+        with pytest.raises(InvalidOrderRelation, match="below its own"):
+            FinitePoset(range(base.size), rows)
 
 
-def test_index_tuples_hold_the_set_bits_and_ranks_extend_the_order():
+def test_mobius_rows_from_shuffled_starts_match_zeta_inversion():
+    # every row shares the poset's one accumulator list; rows taken from
+    # starts in random order, each with and without a mask, must not see
+    # what an earlier row left in it
+    rng = random.Random(32)
+    for _ in range(30):
+        p = random_poset(rng, 10)
+        table = mobius_by_zeta_inversion(p)
+        starts = list(range(p.size)) * 2
+        rng.shuffle(starts)
+        for start in starts:
+            assert mobius_row(p, start) == {
+                j: table.mu(start, j) for j in p.up[start]}
+            kept = [i for i in range(p.size)
+                    if i == start or rng.random() < 0.6]
+            sub = mobius_by_zeta_inversion(
+                FinitePoset.from_leq(kept, lambda a, b: leq(p, a, b)))
+            assert mobius_row(p, start, kept) == {
+                j: sub.mu_items(start, j) for j in kept if leq(p, start, j)}
+
+
+def test_index_tuples_hold_the_set_bits_and_start_at_their_own_index():
     rng = random.Random(31)
     for _ in range(30):
-        base = random_poset(rng, 12)
-        perm = list(range(base.size))
-        rng.shuffle(perm)
-        for p in (base, _relabelled(base, perm)):
-            assert sorted(p.rank) == list(range(p.size))
-            for t in range(p.size):
-                assert p.up[t] == tuple(
-                    j for j in range(p.size) if leq(p, t, j))
-                assert all(p.rank[t] < p.rank[j] for j in p.up[t] if j != t)
+        p = random_poset(rng, 12)
+        for t in range(p.size):
+            assert p.up[t] == tuple(
+                j for j in range(p.size) if leq(p, t, j))
+            assert p.up[t][0] == t
     # past the small-int cache, the rows still share their int objects
     p = chain(600)
     assert p.up[0][500] is p.up[400][100] is p.up[500][0]
