@@ -223,8 +223,6 @@ def select_subgroups(group: GroupSet, args: argparse.Namespace,
     complete subgroup list ``subs`` (or read from the subgroup file).  H is
     reducible when it lies in a stabilizer in the trivial subgroup's family."""
     if args.subgroups == "file":
-        if not args.subgroups_file:
-            raise GroupSpecError("--subgroups file needs a path")
         try:
             with open(args.subgroups_file) as fh:
                 gen_lists = json.load(fh)
@@ -258,12 +256,20 @@ def select_subgroups(group: GroupSet, args: argparse.Namespace,
 def _check_caps(args: argparse.Namespace) -> None:
     """Reject a cap no run can mean: --max-index below 1 (no proper
     subgroup has index 0), --max-index with --subgroups file (the file names
-    the subgroups outright) or a negative size cap."""
+    the subgroups outright) or a negative size cap; and a subgroup file
+    verify would not read: --subgroups file with no --subgroups-file, or a
+    --subgroups-file under another scope."""
     max_index = getattr(args, "max_index", None)
     if max_index is not None and max_index < 1:
         raise InvalidCap(f"--max-index {max_index} is below 1")
     if max_index is not None and args.subgroups == "file":
         raise InvalidCap("--max-index does not apply to --subgroups file")
+    scope = getattr(args, "subgroups", None)
+    if scope == "file" and not args.subgroups_file:
+        raise GroupSpecError("--subgroups file needs a path")
+    if scope not in (None, "file") and args.subgroups_file:
+        raise GroupSpecError(f"--subgroups-file applies only to --subgroups "
+                             f"file, not --subgroups {scope}")
     for name in ("max_order", "max_interval", "max_powerset"):
         value = getattr(args, name)
         if value < 0:

@@ -56,8 +56,9 @@ class PowersetTooLarge(MobiusLatticeError):
 
 
 class NotASubgroup(MobiusLatticeError):
-    """An element set is not closed under products or not generated by its
-    generators, or requested interval endpoints are not nested subgroups."""
+    """A group's generators do not generate it (every ``GroupSet`` comes
+    from ``closure``, so only a replaced generator tuple reaches this), or
+    requested interval endpoints are not nested subgroups."""
 
 
 # posets

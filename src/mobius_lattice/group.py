@@ -1,10 +1,12 @@
 """Explicit finite matrix groups.
 
-Groups are stored as deduplicated element sets with a deterministic index
-(elements sorted by canonical matrix entry order at closure time), so member
-id sets are canonical and subgroup equality is set equality.  No permutation
-or polycyclic machinery: the scope is desk-scale exhaustive verification, and
-explicit sets make every lattice operation trivially correct.
+A ``GroupSet`` comes only from ``closure``, the group its generators
+generate; the class is never called.  Groups are stored as deduplicated
+element sets with a deterministic index (elements sorted by canonical matrix
+entry order at closure time), so member id sets are canonical and subgroup
+equality is set equality.  No permutation or polycyclic machinery: the scope
+is desk-scale exhaustive verification, and explicit sets make every lattice
+operation trivially correct.
 
 Products act on packed rows instead of multiplying matrices.  A row vector
 over GF(q) is packed into one integer code (its entries read as base-q
@@ -12,15 +14,13 @@ digits), and an element is keyed by the tuple of its n row codes (the bare
 code for n = 1).  The right action of an element g on all q^n row codes
 turns any product h*g into n list lookups and one probe of the element
 index.  Each element's action is built the first time the element is a
-right factor, and kept.  Only the roots' actions come from ``apply_row``:
-the generators', and every element's of a hand-built ``GroupSet``.  Any
-other element was first reached in ``closure`` as x*s, s a generator, and
-its action is composed from x's and s's along that breadth-first tree,
-since v*(x*s) = (v*x)*s (``_factor``).  ``mul``
-multiplies one pair; ``right_images`` multiplies a whole list of ids by one
-right factor, looking its action up once.  Both read the action through one
-accessor, and both raise ``NotASubgroup`` on an element set that is not
-closed.
+right factor, and kept.  Only the generators' actions come from
+``apply_row``, in ``closure``.  Every element but the identity was first
+reached there as x*s, s a generator, and its action is composed from x's
+and s's along that breadth-first tree, since v*(x*s) = (v*x)*s
+(``_factor``).  ``mul`` multiplies one pair; ``right_images`` multiplies a
+whole list of ids by one right factor, looking its action up once.  Both
+read the action through one accessor.
 
 ``closure`` runs on the same keys.  It is a breadth-first search over the
 Cayley graph of the generators (the orbit algorithm of Holt, Eick and
@@ -32,10 +32,9 @@ one list comprehension, one pick per column out of g's action.  They are
 distinct, since g is invertible, so the order cap is checked once per such
 batch.  It records, as each new key's step, the action of the generator
 that first reached it, so the search's tree is kept with no extra pass.
-The sorted keys are then
-indexed once, the indexing a hand-built ``GroupSet`` shares with no steps.
-Code order is the lexicographic order of row vectors, so the ids are those
-of the canonical matrix order.  No ``Matrix`` product is formed:
+The sorted keys are then indexed once (``GroupSet._from_closure``).  Code
+order is the lexicographic order of row vectors, so the ids are those of the
+canonical matrix order.  No ``Matrix`` product is formed:
 ``Matrix.__mul__`` is only the tests' oracle.
 
 Subgroups are grown by one routine, ``GroupSet._join``: <K, g> is built one
@@ -59,8 +58,8 @@ steps and their inverse permutations, inverses, stabilizers, each element's
 proper non-trivial invariant subspaces, the class orbits of the last
 whole-lattice walk, the lattice certified closed under intersection and the
 tuple of element matrices, which ``elements`` builds from the row keys the
-first time it is read (root row actions and subgroup generators read one
-matrix at a time, through ``element``).  The invariant subspaces are a list
+first time it is read (subgroup generators read one matrix at a time,
+through ``element``).  The invariant subspaces are a list
 indexed by id that ``identities.stabilizer_family`` fills one generator at
 a time, reading each basis row's image off the element's row action, so
 each element's linear algebra runs once per group however many subgroups
@@ -159,40 +158,29 @@ class GroupSet:
                  "_subspaces", "_stab_cache", "_irreducible", "_full",
                  "_full_ref", "_classes", "_meet_closed")
 
-    def __init__(self, field: FqField, n: int, elements: Sequence[Matrix],
-                 generators: Sequence[Matrix]):
-        _, codes = _row_space(field, n)
-        keys = [_row_key(codes, n, m) for m in elements]
-        steps = dict.fromkeys(keys)
-        if len(steps) != len(keys):
-            raise ValueError("duplicate elements")
-        self._index(field, n, steps, generators)
-
     @classmethod
-    def _from_row_keys(cls, field: FqField, n: int, steps: dict,
-                       generators: Sequence[Matrix]) -> "GroupSet":
-        """The group whose elements have the row keys (``_row_key``) of
-        ``steps``, each mapped to its step (``closure``)."""
-        self = cls.__new__(cls)
-        self._index(field, n, steps, generators)
-        return self
+    def _from_closure(cls, field: FqField, n: int, vectors: list,
+                      codes: dict, steps: dict, identity,
+                      generators: Sequence[Matrix]) -> "GroupSet":
+        """The group ``closure`` found: ``steps`` maps each element's row key
+        (``_row_key``) to the row action of the generator that first reached
+        it, or to None for ``identity``, the key the search started at;
+        ``vectors`` and ``codes`` are its row space (``_row_space``).
 
-    def _index(self, field: FqField, n: int, steps: dict,
-               generators: Sequence[Matrix]) -> None:
-        """Index the elements by their sorted row keys.  Codes follow the
+        The elements are indexed by their sorted row keys.  Codes follow the
         lexicographic order of row vectors, so this is the order of
-        ``Matrix._key``: ids do not depend on how the keys were found.
-        ``steps`` maps each key to the row action of the generator that
-        first reached it in ``closure``, or to None for a root.  Once the
-        steps are read out, the dict itself becomes the index, each key
-        mapped to its id, so no second dict of |G| keys is built."""
+        ``Matrix._key``: ids do not depend on how the keys were found.  Once
+        the steps are read out, the dict itself becomes the index, each key
+        mapped to its id, so no second dict of |G| keys is built.  The class
+        is never called: ``__new__`` alone makes the instance."""
+        self = cls.__new__(cls)
         self.field = field
         self.n = n
-        self._vectors, self._codes = _row_space(field, n)
+        self._vectors, self._codes = vectors, codes
         self._keys = keys = sorted(steps)
         # _steps[i]: the row action of the generator s with i = x*s that
-        # first reached i, None for a root; _unsteps maps id(action) to the
-        # inverse permutation, built once per generator
+        # first reached i, None for the identity; _unsteps maps id(action)
+        # to the inverse permutation, built once per generator
         self._steps = list(map(steps.__getitem__, keys))
         self._unsteps = {}
         steps.update(zip(keys, range(len(keys))))
@@ -205,10 +193,7 @@ class GroupSet:
         # _rows[i](action) picks the rows of element i out of the row action
         # of an element g: the key of the product i*g
         self._rows = list(map(_row_picker(n), keys))
-        try:
-            self.identity_index = self.index_of(Matrix.identity(field, n))
-        except KeyError:
-            raise ValueError("identity missing from element set") from None
+        self.identity_index = steps[identity]
         self._actions = [None] * self.order
         # _inv[i] is the id of the inverse of i, None until a power walk
         # (_cyclic_generators) through i has run
@@ -223,6 +208,7 @@ class GroupSet:
         # that identities.certify_meets proved closed under intersection
         self._classes = None
         self._meet_closed = None
+        return self
 
     @property
     def elements(self) -> tuple:
@@ -249,10 +235,9 @@ class GroupSet:
         has s's action as its step, and its parent x = y*s^-1 is the pick of
         y's rows out of the inverse of that action.  The walk goes up the
         parents to the nearest element with an action, or to the identity,
-        whose action is the identity permutation, and composes back down,
-        one pick per step, since v*(x*s) = (v*x)*s; every action on the way
-        is kept.  Any other root, an element with no step (every element of
-        a hand-built group), gets its action from ``apply_row``."""
+        the one element with no step, whose action is the identity
+        permutation, built on first use; it composes back down, one pick per
+        step, since v*(x*s) = (v*x)*s, and keeps every action on the way."""
         actions = self._actions
         action = actions[j]
         if action is not None:
@@ -266,12 +251,7 @@ class GroupSet:
             y = idx[rows[y](self._unstep(step))]
         action = actions[y]
         if action is None:
-            if y == self.identity_index:
-                action = list(range(len(self._vectors)))
-            else:
-                action = _matrix_row_action(self.field, self._vectors,
-                                            self._codes, self.element(y))
-            actions[y] = action
+            action = actions[y] = list(range(len(self._vectors)))
         for y, step in reversed(path):
             action = actions[y] = list(map(step.__getitem__, action))
         return action
@@ -286,22 +266,13 @@ class GroupSet:
         return inverse
 
     def mul(self, i: int, j: int) -> int:
-        action = self._factor(j)
-        try:
-            return self._idx[self._rows[i](action)]
-        except KeyError:
-            raise NotASubgroup(
-                "element set is not closed under product") from None
+        return self._idx[self._rows[i](self._factor(j))]
 
     def right_images(self, ids: Iterable[int], j: int) -> list:
         """``[mul(i, j) for i in ids]`` with one lookup of j's action for the
         whole list."""
         action, rows, idx = self._factor(j), self._rows, self._idx
-        try:
-            return [idx[rows[i](action)] for i in ids]
-        except KeyError:
-            raise NotASubgroup(
-                "element set is not closed under product") from None
+        return [idx[rows[i](action)] for i in ids]
 
     def inv(self, i: int) -> int:
         """The id of i's inverse.  On a miss, the power walk of i
@@ -382,22 +353,18 @@ class GroupSet:
         """
         rows, idx = self._rows, self._idx
         factors = [self._factor(s) for s in factors]
-        try:
-            for coset in cosets:
-                c = coset[0]
-                for f in factors:
-                    y = idx[rows[c](f)]
-                    if y not in seen:
-                        if y in reach:
-                            return True
-                        image = [idx[rows[i](f)] for i in coset]
-                        seen.update(image)
-                        if len(seen) > bound:
-                            return True
-                        cosets.append(image)
-        except KeyError:
-            raise NotASubgroup(
-                "element set is not closed under product") from None
+        for coset in cosets:
+            c = coset[0]
+            for f in factors:
+                y = idx[rows[c](f)]
+                if y not in seen:
+                    if y in reach:
+                        return True
+                    image = [idx[rows[i](f)] for i in coset]
+                    seen.update(image)
+                    if len(seen) > bound:
+                        return True
+                    cosets.append(image)
         return False
 
     def _generate(self, ids: Iterable[int],
@@ -426,7 +393,9 @@ class GroupSet:
         return self._full_ref
 
     def __repr__(self) -> str:
-        return f"GroupSet(order={self.order}, n={self.n}, field=GF({self.field.q}))"
+        # not call syntax: the class is never called
+        return (f"<GroupSet order={self.order}, n={self.n}, "
+                f"field=GF({self.field.q})>")
 
 
 class SubgroupRef:
@@ -556,7 +525,8 @@ def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
                 seen[y] = action
             fresh += new
         frontier = fresh
-    return GroupSet._from_row_keys(field, n, seen, gens)
+    return GroupSet._from_closure(field, n, vectors, codes, seen, ident,
+                                  gens)
 
 
 def _check_row_space(q: int, n: int) -> None:
@@ -606,8 +576,8 @@ def _row_picker(n: int):
 def is_irreducible(group: GroupSet) -> bool:
     """True iff the group fixes no proper non-trivial subspace."""
     if group._irreducible is None:
-        found = invariant_subspaces(list(group.generators) or list(group.elements),
-                                    group.n, proper_nontrivial=True)
+        found = invariant_subspaces(list(group.generators), group.n,
+                                    proper_nontrivial=True)
         group._irreducible = len(found) == 0
     return group._irreducible
 
@@ -965,15 +935,11 @@ def _cyclic_generators(group: GroupSet, x: int) -> tuple:
     x, in increasing k, and all of [1, x, x^2, ..., x^(m-1)].
 
     x^k and x^(m-k) are each other's inverses, so the walk records the
-    inverse of every power in the group's memo ``_inv``.  An element whose
-    powers leave the element set, or never return to the identity, raises
-    ``NotASubgroup``."""
+    inverse of every power in the group's memo ``_inv``."""
     mul, identity, inverse = group.mul, group.identity_index, group._inv
     powers = [identity]
     y = x
     while y != identity:
-        if len(powers) == group.order:
-            raise NotASubgroup(f"element {x} has no inverse")
         powers.append(y)
         y = mul(y, x)
     order = len(powers)

@@ -534,10 +534,12 @@ def interval_calls(monkeypatch):
 
 @pytest.mark.parametrize("scope", ["all", "reducible", "file"])
 def test_verify_enumerates_lattice_once(tmp_path, interval_calls, scope):
+    # only the file scope takes a subgroup file
     subs = tmp_path / "subs.json"
     subs.write_text(json.dumps([[[[0, 1], [1, 0]]]]))
+    file_flags = ["--subgroups-file", str(subs)] if scope == "file" else []
     assert run_cli(["verify", "--preset", "GL", "--n", "2", "--q", "3",
-                    "--subgroups", scope, "--subgroups-file", str(subs),
+                    "--subgroups", scope, *file_flags,
                     "--out", str(tmp_path / "out.jsonl")]) == 0
     assert sorted(interval_calls) == ["overgroup_interval", "subgroup_lattice"]
 
@@ -765,6 +767,12 @@ EXIT_CASES = {
     "max-index-with-subgroup-file": (lambda tmp: [*_subgroups_file(
         tmp, [[[[0, 1], [1, 0]]], [[[0, 1], [1, 1]]]]), "--max-index", "1"],
         2),
+    # verify reads a subgroup file only under --subgroups file, so either
+    # half without the other is a usage error, before any group is built
+    "subgroup-file-without-file-scope": (lambda tmp: [
+        *_GL22, *_subgroups_file(tmp, [[[[0, 1], [1, 0]]]])[-2:]], 2),
+    "file-scope-without-subgroup-file": (lambda tmp: [
+        *_GL22, "--subgroups", "file"], 2),
     "max-order-negative": (lambda tmp: [*_GL22, "--max-order", "-1"], 2),
     "max-interval-negative": (lambda tmp: [
         *_GL22, "--max-interval", "-1"], 2),
@@ -906,6 +914,24 @@ def test_oversized_fields_name_the_subspace_cap(tmp_path, case, capsys):
 def test_meaningless_cap_names_flag_and_value(capsys, command, flag, value,
                                               message):
     assert run_cli([command, *_GL22, flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--subgroups-file", "subs.json"],
+     "--subgroups-file applies only to --subgroups file, not --subgroups all"),
+    (["--subgroups", "reducible", "--subgroups-file", "subs.json"],
+     "--subgroups-file applies only to --subgroups file, "
+     "not --subgroups reducible"),
+    (["--subgroups", "file"], "--subgroups file needs a path"),
+], ids=["file-under-all", "file-under-reducible", "file-scope-no-path"])
+def test_subgroup_file_flags_fail_before_any_group(monkeypatch, capsys, flags,
+                                                  message):
+    # both halves of a file scope are checked with the caps, so a run that
+    # would ignore the file, or has none to read, never builds its group
+    monkeypatch.setattr(cli, "load_group", lambda args: pytest.fail(
+        "group built before the subgroup file flags were checked"))
+    assert run_cli(["verify", *_GL22, *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -331,6 +331,31 @@ def _assert_actions_read_the_matrices(group, ids, seed):
 
 
 @pytest.mark.parametrize("kind,n,p,u", [
+    ("GL", 2, 2, 1), ("GL", 2, 3, 1), ("SL", 2, 3, 1), ("GL", 3, 2, 1),
+    ("GL", 2, 5, 1), ("GL", 2, 2, 2), ("GL", 1, 5, 1)])
+def test_closure_tree_is_rooted_at_the_identity_alone(kind, n, p, u):
+    # _factor walks up the parents until an element with an action or the
+    # identity: only the identity has no step, every step is one of the
+    # generators' row actions, and each parent chain reaches the identity
+    # in fewer than |G| steps
+    group = _preset(kind, n, p, u)
+    generator_actions = [group_module._matrix_row_action(
+        group.field, group._vectors, group._codes, m)
+        for m in group.generators]
+    identity = group.identity_index
+    assert [j for j, step in enumerate(group._steps) if step is None] == \
+        [identity]
+    for j in range(group.order):
+        y, walked = j, 0
+        while y != identity:
+            step = group._steps[y]
+            assert step in generator_actions, (j, y)
+            y = group._idx[group._rows[y](group._unstep(step))]
+            walked += 1
+            assert walked < group.order, j
+
+
+@pytest.mark.parametrize("kind,n,p,u", [
     ("GL", 2, 3, 1), ("SL", 2, 3, 1), ("GL", 3, 2, 1), ("GL", 2, 2, 2),
     ("GL", 2, 5, 1), ("GL", 1, 5, 1)])
 def test_composed_row_actions_match_apply_row(kind, n, p, u):
@@ -355,48 +380,6 @@ def test_slow_composed_row_actions_match_apply_row_n3(kind):
     group = _preset(kind, 3, 3)
     _assert_actions_read_the_matrices(group, range(group.order),
                                       f"actions-{kind}33")
-
-
-def test_hand_built_group_builds_actions_from_matrices(monkeypatch, gl23):
-    # a hand-built group records no closure tree, so every element but the
-    # identity is a root whose action apply_row builds from its matrix
-    group = GroupSet(F3, 2, gl23.elements, gl23.generators)
-    built = []
-    original = group_module._matrix_row_action
-    monkeypatch.setattr(group_module, "_matrix_row_action",
-                        lambda *args: built.append(args[-1]) or original(*args))
-    for j in range(group.order):
-        assert group._factor(j) == gl23._factor(j)
-    assert built == [group.element(j) for j in range(group.order)
-                     if j != group.identity_index]
-
-
-def test_non_closed_element_set_raises():
-    t = Matrix.from_rows(F3, [[1, 1], [0, 1]])
-    group = GroupSet(F3, 2, [Matrix.identity(F3, 2), t], [t])  # t^2 left out
-    ti = group.index_of(t)
-    assert group.mul(ti, group.identity_index) == ti
-    with pytest.raises(NotASubgroup, match="not closed under product"):
-        group.mul(ti, ti)
-    assert group.right_images([ti, group.identity_index],
-                              group.identity_index) == [ti, group.identity_index]
-    with pytest.raises(NotASubgroup, match="not closed under product"):
-        group.right_images([group.identity_index, ti], ti)
-    # inv walks the powers of t, and t^2 is not in the set
-    with pytest.raises(NotASubgroup, match="not closed under product"):
-        group.inv(ti)
-    # {1, 0} is closed, but the powers of 0 never return to the identity
-    zero = Matrix.from_rows(F3, [[0, 0], [0, 0]])
-    group = GroupSet(F3, 2, [Matrix.identity(F3, 2), zero], [zero])
-    with pytest.raises(NotASubgroup, match="no inverse"):
-        group.inv(group.index_of(zero))
-    # four elements, t^2 left out: [top : 1] = 4, so Lagrange's stop would
-    # fire only past two elements, and growing <t> reaches t*t first
-    u = Matrix.from_rows(F3, [[2, 0], [0, 2]])
-    group = GroupSet(F3, 2, [Matrix.identity(F3, 2), t, u, t * u], [t, u])
-    with pytest.raises(NotASubgroup, match="not closed under product"):
-        group._join(frozenset((group.identity_index,)), [],
-                    group.index_of(t))
 
 
 def test_right_images_match_mul_gl23():
@@ -521,17 +504,19 @@ def test_stabilizer_matches_element_filter_sl29():
 
 
 def test_stabilizer_rejects_generators_of_a_proper_subgroup(gl23):
-    # the elements of GL(2,3), but generators that make only a C3
+    # a fresh GL(2,3) whose generator tuple is replaced by one that makes
+    # only a C3
     t = Matrix.from_rows(F3, [[1, 1], [0, 1]])
-    group = GroupSet(F3, 2, gl23.elements, [t])
+    group = closure(gl23.generators)
+    group.generators = (t,)
     for rows in ([[1, 0]], [[0, 1]]):  # orbits of size 3 and 1 under <t>
         with pytest.raises(NotASubgroup, match="do not generate"):
             stabilizer(group, Subspace.from_vectors(F3, 2, rows))
 
 
 def test_stabilizer_applies_generators_per_orbit_point(monkeypatch, gl33):
-    # a fresh GroupSet, so no stabilizer is cached
-    group = GroupSet(F3, 3, gl33.elements, gl33.generators)
+    # a fresh group, so no stabilizer is cached
+    group = closure(gl33.generators)
     calls = []
     apply = Subspace.apply
     monkeypatch.setattr(Subspace, "apply",
