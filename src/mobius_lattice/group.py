@@ -422,12 +422,9 @@ class SubgroupRef:
 
     @property
     def member_bits(self) -> int:
-        """The member ids as one int: bit x is set iff element x is a member."""
+        """The member ids as one int (``member_mask``), kept on the ref."""
         if self._bits is None:
-            buf = bytearray((self.parent.order + 7) >> 3)
-            for x in self.member_ids:
-                buf[x >> 3] |= 1 << (x & 7)
-            self._bits = int.from_bytes(buf, "little")
+            self._bits = member_mask(self.parent, self.member_ids)
         return self._bits
 
     def matrices(self) -> list:
@@ -476,6 +473,14 @@ class SubgroupRef:
 
     def __repr__(self) -> str:
         return f"SubgroupRef(order={self.order} of {self.parent!r})"
+
+
+def member_mask(group: GroupSet, ids: Iterable[int]) -> int:
+    """The element ids as one int: bit x is set iff x is among them."""
+    buf = bytearray((group.order + 7) >> 3)
+    for x in ids:
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
 
 
 def closure(gens: Sequence[Matrix], cap: int = ORDER_CAP) -> GroupSet:
@@ -634,7 +639,8 @@ def _orbit_stabilizer(group: GroupSet, point, moves: list,
 
 def overgroup_interval(group: GroupSet, low: SubgroupRef,
                        top: Optional[SubgroupRef] = None,
-                       cap: int = INTERVAL_CAP) -> list:
+                       cap: int = INTERVAL_CAP, *,
+                       joined: Optional[list] = None) -> list:
     """All subgroups K with low <= K <= top (top defaults to the whole group),
     sorted by ``SubgroupRef.sort_key``.
 
@@ -642,7 +648,9 @@ def overgroup_interval(group: GroupSet, low: SubgroupRef,
     conjugacy (``_lattice_by_cyclic_extension``); every other interval by
     the coset-pruned search (``_interval_by_coset_search``).  Both return the
     same member sets, and both raise ``IntervalTooLarge`` once more than
-    ``cap`` subgroups are known.
+    ``cap`` subgroups are known.  The search appends to ``joined``, when
+    given, the element it joined to find each new subgroup; the walk of the
+    whole lattice leaves it as it is.
     """
     if low.parent is not group:
         raise AmbientMismatch("subgroup belongs to a different group")
@@ -654,7 +662,8 @@ def overgroup_interval(group: GroupSet, low: SubgroupRef,
     if low.order == 1 and len(top_ids) == group.order:
         known = _lattice_by_cyclic_extension(group, cap)
     else:
-        known = _interval_by_coset_search(group, low, top_ids, cap)
+        known = _interval_by_coset_search(group, low, top_ids, cap,
+                                          joined=joined)
     refs = [SubgroupRef(group, ids) for ids in known]
     refs.sort(key=SubgroupRef.sort_key)
     return refs
@@ -667,7 +676,8 @@ def _check_cap(known: set, cap: int) -> None:
 
 
 def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
-                              top_ids: frozenset, cap: int) -> set:
+                              top_ids: frozenset, cap: int, *,
+                              joined: Optional[list] = None) -> set:
     """Member sets of [low, top] by fixed-point closure.
 
     Starting from {low}, join every known subgroup K with every element g of
@@ -688,6 +698,11 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
     Joins run at the shared site (module docstring), bounded by top.  The
     witnesses are the elements that a join giving S covered, kept under S:
     <K, r> = S for each of them outside K.
+
+    Each new subgroup <K, g> is queued with generators ``gens + [g]``; when
+    ``joined`` is a list, g is appended to it, once per new subgroup, in the
+    order they are found.  ``identities.build_ideal`` keeps those that
+    normalize ``low`` to carry the interval onto its conjugates.
     """
     candidates = sorted(top_ids)
     known = {low.member_ids}
@@ -722,6 +737,8 @@ def _interval_by_coset_search(group: GroupSet, low: SubgroupRef,
                 known.add(extended)
                 _check_cap(known, cap)
                 queue.append((extended, gens + [g], reach))
+                if joined is not None:
+                    joined.append(g)
                 insort(above, extended, key=len)
     return known
 

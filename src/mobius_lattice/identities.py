@@ -18,6 +18,15 @@ No quantity is derived from another: the Mobius value comes from the poset
 recursion on the ideal's elements of one subgroup lattice, with G adjoined as
 maximum, the sums from a pruned powerset walk and the Euler characteristics
 from explicit face counts.
+
+Without a whole lattice, the ideal is the union of the intervals
+[H, Stab(W)] over H's invariant subspaces W.  For t normalizing H,
+Stab(W t) = t^-1 Stab(W) t, so [H, Stab(W t)] is the conjugate of
+[H, Stab(W)] by t.  The coset search of each interval joins one element per
+new subgroup, and the joined elements that normalize H move the subspaces
+about; a W in the orbit of a searched one gets that interval conjugated,
+never searched again.  Each conjugation must send H onto H and the source
+stabilizer onto the target's member set, or it raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -39,11 +48,12 @@ from .group import (
     GroupSet,
     SubgroupRef,
     is_irreducible,
+    member_mask,
     overgroup_interval,
     stabilizer,
 )
 # no code here calls invariant_subspaces; bench/spans.py traces it by this name
-from .linalg import invariant_subspaces, subspaces_fixed_by
+from .linalg import Subspace, invariant_subspaces, subspaces_fixed_by
 from .poset import POWERSET_CAP, FinitePoset, mobius_row
 from .simplicial import SimplicialComplex, complex_from_faces, euler
 
@@ -58,11 +68,17 @@ class StabilizerFamily:
     subspaces to itself.  ``build_ideal``, ``alternating_sums`` and
     ``build_complexes`` take the family alone: it carries the pair (G, H),
     with H = ``subgroup`` and G = ``subgroup.parent``.
+
+    ``subgroup_mask`` is H's member mask (``member_mask``), which the walks
+    of the sums and faces compare against.  It lives with the family, one
+    pair's, and is not kept on H: in a sweep H is a lattice item, and
+    ``member_bits`` would leave a |G|-bit int on every item.
     """
 
     subgroup: SubgroupRef
     pairs: tuple
     distinct_stabilizers: tuple
+    subgroup_mask: int = field(repr=False, compare=False)
 
 
 def _check_pair(group: GroupSet, subgroup: SubgroupRef) -> None:
@@ -109,7 +125,8 @@ def stabilizer_family(group: GroupSet, subgroup: SubgroupRef) -> StabilizerFamil
     for _, stab in pairs:
         distinct[stab.member_ids] = stab
     stabs = tuple(sorted(distinct.values(), key=SubgroupRef.sort_key))
-    return StabilizerFamily(subgroup, tuple(pairs), stabs)
+    return StabilizerFamily(subgroup, tuple(pairs), stabs,
+                            member_mask(group, subgroup.member_ids))
 
 
 class ReducibleIdeal:
@@ -276,7 +293,11 @@ def build_ideal(family: StabilizerFamily,
     The members are read off ``lattice`` (a subgroup lattice holding H and
     every stabilizer, e.g. the whole lattice of the group) as the elements
     above H whose up-set holds some stabilizer.  Without one, the lattice is
-    H and the union of the intervals [H, M], enumerated directly.
+    H and the union of the intervals [H, M] (``_ideal_by_orbits``): one
+    interval per orbit of H's invariant subspaces under the normalizing
+    elements the searches joined is enumerated directly, and the rest are
+    its conjugates, each checked to map H onto H and its top onto the
+    target stabilizer.
 
     The ideal is checked closed under meets (``_validate_meets``) unless
     ``lattice`` is the one ``certify_meets`` proved closed under
@@ -290,9 +311,7 @@ def build_ideal(family: StabilizerFamily,
         raise ValueError("the ideal is defined for proper subgroups only")
     stabs = family.distinct_stabilizers
     if lattice is None:
-        lattice = subgroup_lattice({subgroup}.union(*(
-            overgroup_interval(group, subgroup, top=m, cap=max_interval)
-            for m in stabs)))
+        lattice = subgroup_lattice(_ideal_by_orbits(family, max_interval))
     bottom = _position(lattice, subgroup)
     tops = frozenset(_position(lattice, m) for m in stabs)
     up = lattice.up
@@ -305,6 +324,134 @@ def build_ideal(family: StabilizerFamily,
     if lattice is not group._meet_closed:
         _validate_meets(lattice, indices)
     return ReducibleIdeal(members, lattice, bottom, indices)
+
+
+def _ideal_by_orbits(family: StabilizerFamily, cap: int) -> list:
+    """H and the subgroups of the intervals [H, Stab(W)] over the family's
+    invariant subspaces W, with one coset search per orbit.
+
+    For t normalizing H, Stab(W t) = t^-1 Stab(W) t, so
+    [H, Stab(W t)] = t^-1 [H, Stab(W)] t.  The pairs are taken in
+    canonical order.  A W in the orbit of a searched W0 under the
+    normalizing elements known so far (``_orbit_words``) gets W0's interval
+    conjugated (``_conjugate_interval``); any other W is searched by
+    ``overgroup_interval``, and each element the search joined to find a
+    new subgroup is kept as a move when it normalizes H (``_normalizing``).
+    A stabilizer shared by two subspaces is taken once.
+    """
+    subgroup = family.subgroup
+    group = subgroup.parent
+    spans = [_span_codes(group, w) for w, _ in family.pairs]
+    position = {span: i for i, span in enumerate(spans)}
+    moves: dict = {}
+    sources: list = []
+    words: dict = {}
+    found: dict = {}
+    for i, (_, stab) in enumerate(family.pairs):
+        if stab.member_ids in found:
+            continue
+        if i in words:
+            source, u = words[i]
+            top = family.pairs[source][1]
+            found[stab.member_ids] = _conjugate_interval(
+                subgroup, found[top.member_ids], top, stab, u)
+            continue
+        joined: list = []
+        found[stab.member_ids] = [k.member_ids for k in overgroup_interval(
+            group, subgroup, top=stab, cap=cap, joined=joined)]
+        sources.append(i)
+        for t in _normalizing(subgroup, joined):
+            action = group._factor(t)
+            moves.setdefault(tuple(
+                position.get(frozenset(map(action.__getitem__, span)))
+                for span in spans), t)
+        words = _orbit_words(group, sources, moves)
+    refs = {m.member_ids: m for m in family.distinct_stabilizers}
+    refs[subgroup.member_ids] = subgroup
+    return [refs.get(ids) or SubgroupRef(group, ids)
+            for ids in {subgroup.member_ids}.union(*found.values())]
+
+
+def _span_codes(group: GroupSet, w: Subspace) -> frozenset:
+    """The codes (``GroupSet._codes``) of every vector of the subspace w,
+    so that w t is the image of this set under t's row action."""
+    field = group.field
+    add, mul = field._add, field._mul
+    vectors = [(0,) * group.n]
+    for row in w.rows:
+        vectors = [tuple(add[x][mul[c][y]] for x, y in zip(v, row))
+                   for v in vectors for c in range(field.q)]
+    return frozenset(map(group._codes.__getitem__, vectors))
+
+
+def _normalizing(subgroup: SubgroupRef, joined: Sequence[int]) -> list:
+    """The elements g of ``joined`` with g^-1 h g in H for every generator
+    h of H = ``subgroup``: then g^-1 H g <= H, and H is finite, so g
+    normalizes H."""
+    group = subgroup.parent
+    members, mul, inv = subgroup.member_ids, group.mul, group.inv
+    gens = subgroup.generator_ids()
+    return [g for g in joined
+            if all(mul(mul(inv(g), h), g) in members for h in gens)]
+
+
+def _orbit_words(group: GroupSet, sources: Sequence[int],
+                 moves: dict) -> dict:
+    """Family index j -> (source s, u) with W_s u = W_j, for every W_j in
+    the orbit of a searched W_s under ``moves``; each source maps to itself.
+
+    ``moves`` maps the permutation an element t induces on the family's
+    subspaces (j at position i when W_i t = W_j, None when W_i t is not in
+    the family) to t.  The orbits are walked breadth-first from all the
+    sources, in the order they were searched, u being the product of the
+    moves along the walk."""
+    words = {s: (s, group.identity_index) for s in sources}
+    queue = list(sources)
+    for i in queue:
+        source, u = words[i]
+        for perm, t in moves.items():
+            j = perm[i]
+            if j is not None and j not in words:
+                words[j] = (source, group.mul(u, t))
+                queue.append(j)
+    return words
+
+
+def _conjugate_interval(subgroup: SubgroupRef, sets: Sequence[frozenset],
+                        source: SubgroupRef, target: SubgroupRef,
+                        u: int) -> list:
+    """The member sets of [H, target] as the conjugates u^-1 K u of the
+    member sets K of [H, source].
+
+    The conjugation map c(x) = u^-1 x u is built on source's members one
+    left coset x H at a time: c(x) is (u^-1 x) u, and c(x h) = c(x) c(h)
+    for each h in H, one pick out of c(h)'s row action, so only the coset
+    representatives' actions are built.  It fails closed with
+    ``RuntimeError`` unless c sends H onto H and source onto target: any u
+    with W_source u = W_target passes the second test, but only a u
+    normalizing H passes the first, and with both c is a lattice
+    isomorphism of [H, source] onto [H, target]."""
+    group = subgroup.parent
+    u_inv, mul, rows, idx = group.inv(u), group.mul, group._rows, group._idx
+
+    def conjugate(x: int) -> int:
+        return mul(mul(u_inv, x), u)
+
+    bottom = subgroup.ids
+    pairs = [(group._factor(h), group._factor(conjugate(h))) for h in bottom]
+    image: dict = {}
+    for x in source.member_ids:
+        if x not in image:
+            c = conjugate(x)
+            for h, ch in pairs:
+                image[idx[rows[x](h)]] = idx[rows[c](ch)]
+    if frozenset(map(image.__getitem__, bottom)) != subgroup.member_ids:
+        raise RuntimeError("conjugating element does not normalize the "
+                           "subgroup; the interval cannot be carried over")
+    if frozenset(image.values()) != target.member_ids:
+        raise RuntimeError("conjugating element does not carry the source "
+                           "stabilizer onto the target")
+    return [frozenset(map(image.__getitem__, k)) for k in sets]
 
 
 def _validate_meets(lattice: FinitePoset, indices: Sequence[int]) -> None:
@@ -352,11 +499,11 @@ class AlternatingSums:
 def _pruned_sums(sets: Sequence[int], ambient: int, target: int):
     """Alternating sums over subsets with intersection != target and == target.
 
-    The sets are element bitmasks (``SubgroupRef.member_bits``), so an
-    intersection is one AND of two ints and a comparison one int compare.
-    Depth-first walk keeping the running intersection.  Intersections only
-    shrink and already contain the target, so once the running value hits the
-    target the whole branch lies in the complement family; the signs of that
+    The sets are element bitmasks (``member_mask``), so an intersection is
+    one AND of two ints and a comparison one int compare.  Depth-first walk
+    keeping the running intersection.  Intersections only shrink and
+    already contain the target, so once the running value hits the target
+    the whole branch lies in the complement family; the signs of that
     subtree cancel pairwise except at the full prefix, which is the only
     bookkeeping left.  Cross-checked against naive enumeration in tests.
     """
@@ -399,7 +546,7 @@ def alternating_sums(family: StabilizerFamily,
     _check_pair(group, subgroup)
     _check_powerset(family, max_powerset)
     ambient = group.full_subgroup().member_bits
-    target = subgroup.member_bits
+    target = family.subgroup_mask
     stab_sets = [m.member_bits for m in family.distinct_stabilizers]
     space_sets = [stab.member_bits for _, stab in family.pairs]
     stab_sum, stab_complement = _pruned_sums(stab_sets, ambient, target)
@@ -432,21 +579,23 @@ def build_complexes(family: StabilizerFamily,
     The first has the invariant subspaces with stabilizer bigger than H as
     vertices; a set of subspaces is a face when their stabilizers intersect
     to more than H.  The second lives on the distinct stabilizers other than
-    H itself, with faces the subsets intersecting to more than H.  Shrinking
+    H itself, with faces the subsets intersecting to more than H.  Every
+    stabilizer holds H, so it is H iff it has H's order.  Shrinking
     a face can only grow the intersection, so both families are complexes by
     construction; ``complex_from_faces`` checks that on the face masks of
     ``_faces`` and would surface a bug, never repair one.
     """
     group, subgroup = family.subgroup.parent, family.subgroup
     _check_pair(group, subgroup)
-    target = subgroup.member_bits
+    order = subgroup.order
     ambient = group.full_subgroup().member_bits
+    target = family.subgroup_mask
     space_pairs = [(w, stab.member_bits) for w, stab in family.pairs
-                   if stab.member_bits != target]
+                   if stab.order != order]
     space_vertices = [w for w, _ in space_pairs]
     space_sets = [bits for _, bits in space_pairs]
     stab_vertices = [m for m in family.distinct_stabilizers
-                     if m.member_bits != target]
+                     if m.order != order]
     stab_sets = [m.member_bits for m in stab_vertices]
     if max(len(space_vertices), len(stab_vertices)) > max_powerset:
         raise PowersetTooLarge(

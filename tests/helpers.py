@@ -9,7 +9,8 @@ complexes (Hall's theorem) and alternating face sums.  The group oracles
 beside them build groups by matrix products, stabilizers by element scans,
 the subgroup lattice by cyclic extension without the package's
 normalizer-orbit pruning, overgroup intervals by a coset search that skips
-only double cosets, the lattice's containment order by comparing every
+only double cosets, an ideal as the union of one searched interval per
+stabilizer, the lattice's containment order by comparing every
 pair of member sets and its meet certificate by ANDs of |G|-bit member
 masks; invariant subspaces are found by row-reducing every image.
 """
@@ -24,7 +25,11 @@ from mobius_lattice.errors import (
     MobiusLatticeError,
     PowersetTooLarge,
 )
-from mobius_lattice.group import SubgroupRef, _prime_power_cyclic_generators
+from mobius_lattice.group import (
+    SubgroupRef,
+    _prime_power_cyclic_generators,
+    overgroup_interval,
+)
 from mobius_lattice.linalg import (
     Matrix,
     Subspace,
@@ -130,6 +135,18 @@ def interval_by_unpruned_coset_search(group, low, top_ids):
             if extended not in known:
                 known.add(extended)
                 queue.append((extended, gens + [g]))
+    return known
+
+
+def ideal_by_interval_union(family) -> set:
+    """Member sets of H and of every interval [H, M], one coset search per
+    distinct stabilizer M of the family: the ideal ``build_ideal`` assembles
+    without a lattice, with no interval carried over by conjugation."""
+    subgroup = family.subgroup
+    known = {subgroup.member_ids}
+    for m in family.distinct_stabilizers:
+        known.update(k.member_ids for k in overgroup_interval(
+            subgroup.parent, subgroup, top=m))
     return known
 
 

@@ -41,6 +41,7 @@ from mobius_lattice.simplicial import euler
 from helpers import (
     certify_meets_by_bits,
     containment_order,
+    ideal_by_interval_union,
     invariant_subspaces_by_rref,
     moebius_number_theoretic,
 )
@@ -205,8 +206,10 @@ def test_reducible_subgroup_belongs_to_its_ideal(gl22, gl23):
                 assert ideal.members == ()
 
 
-def test_ideal_filter_path_matches_direct_path(gl23, sl23):
-    for group in (gl23, sl23):
+def test_ideal_filter_path_matches_direct_path(gl23, sl23, gl25, gl32):
+    # without a lattice, build_ideal carries intervals over by conjugation;
+    # the H = 1 families of GL(2,5) and GL(3,2) hold 6 and 14 stabilizers
+    for group in (gl23, sl23, gl25, gl32):
         subs = overgroup_interval(group, group.trivial_subgroup())
         lattice = subgroup_lattice(subs)
         for h in subs:
@@ -223,6 +226,70 @@ def test_ideal_filter_path_matches_direct_path(gl23, sl23):
             alone = verify_identities(group, h, with_decomposition=True)
             assert shared.to_dict() == alone.to_dict()
             assert shared.mu_full is not None
+
+
+@pytest.fixture(scope="module")
+def gl33():
+    return closure(preset_generators("GL", 3, F3))
+
+
+def _counted_searches(monkeypatch):
+    """The tops of the intervals build_ideal searches, as member sets."""
+    searched = []
+    search = identities.overgroup_interval
+
+    def counted(group, low, top=None, *args, **kwargs):
+        searched.append(top.member_ids)
+        return search(group, low, top, *args, **kwargs)
+
+    monkeypatch.setattr(identities, "overgroup_interval", counted)
+    return searched
+
+
+_DIAGONAL_TORUS = [[[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+                   [[1, 0, 0], [0, 2, 0], [0, 0, 1]],
+                   [[1, 0, 0], [0, 1, 0], [0, 0, 2]]]
+# H = GL(1,3) + I_2 of scripts/slow_instance.py
+_REFLECTION = [[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]
+
+
+@pytest.mark.parametrize("gens,stabs,searches,members", [
+    (_DIAGONAL_TORUS, 6, 3, 46), (_REFLECTION, 10, 5, 505)])
+def test_conjugated_ideal_equals_searched_gl33(monkeypatch, gl33, gens,
+                                               stabs, searches, members):
+    # the torus's six coordinate subspaces fall in two orbits of its
+    # monomial normalizer; the searches find the moves between them
+    h = gl33.subgroup_closure(
+        gl33.index_of(Matrix.from_rows(F3, rows)) for rows in gens)
+    family = stabilizer_family(gl33, h)
+    assert len(family.distinct_stabilizers) == stabs
+    expected = ideal_by_interval_union(family)
+    searched = _counted_searches(monkeypatch)
+    ideal = build_ideal(family)
+    assert len(set(searched)) == len(searched) == searches
+    assert {k.member_ids for k in ideal.lattice.items} == expected
+    assert len(ideal.members) == members == len(expected)
+
+
+def test_ideal_conjugation_fails_closed_on_a_non_normalizer(monkeypatch,
+                                                            gl33):
+    # t maps <e3>, the first subspace searched, onto <e2>, so it carries
+    # Stab(<e3>) onto Stab(<e2>), but it is not monomial and does not
+    # normalize the torus: planted among the moves, it must be refused
+    h = gl33.subgroup_closure(
+        gl33.index_of(Matrix.from_rows(F3, rows)) for rows in _DIAGONAL_TORUS)
+    family = stabilizer_family(gl33, h)
+    t = gl33.index_of(Matrix.from_rows(F3, [[1, 0, 0], [1, 0, 1], [0, 1, 0]]))
+    assert family.pairs[0][0] == Subspace.from_vectors(F3, 3, [[0, 0, 1]])
+    assert family.pairs[0][0].apply(gl33.element(t)) == family.pairs[1][0]
+    assert not all(gl33.mul(gl33.mul(gl33.inv(t), x), t) in h.member_ids
+                   for x in h.member_ids)
+    normalizing = identities._normalizing
+    monkeypatch.setattr(identities, "_normalizing",
+                        lambda subgroup, joined:
+                        [t] + normalizing(subgroup, joined))
+    with pytest.raises(RuntimeError, match="does not normalize"):
+        build_ideal(family)
 
 
 def test_quantities_invariant_under_conjugation(corpus):
@@ -429,6 +496,16 @@ def test_pruned_sums_match_naive_everywhere(gl22, gl23, sl23):
             assert sums.stabilizer_sum == above
             assert sums.stabilizer_complement_sum == equal
             assert sums.subspace_sum == space_above
+
+
+def test_sums_and_complexes_keep_no_mask_on_the_subgroup(gl23):
+    # in a sweep H is a lattice item: a |G|-bit int kept on each H would
+    # stay on every item of the lattice
+    for h in overgroup_interval(gl23, gl23.trivial_subgroup())[:-1]:
+        fam = stabilizer_family(gl23, h)
+        alternating_sums(fam)
+        build_complexes(fam)
+        assert h._bits is None
 
 
 def test_powerset_cancellation_each_pair(gl23):
