@@ -23,6 +23,7 @@ from mobius_lattice.group import (
 )
 from mobius_lattice import identities
 from mobius_lattice.identities import (
+    StabilizerFamily,
     alternating_sums,
     build_complexes,
     build_ideal,
@@ -500,12 +501,16 @@ def test_pruned_sums_match_naive_everywhere(gl22, gl23, sl23):
 
 def test_sums_and_complexes_keep_no_mask_on_the_subgroup(gl23):
     # in a sweep H is a lattice item: a |G|-bit int kept on each H would
-    # stay on every item of the lattice
+    # stay on every item of the lattice; the family builds H's mask on
+    # first use from its three fields, so none is passed in
     for h in overgroup_interval(gl23, gl23.trivial_subgroup())[:-1]:
         fam = stabilizer_family(gl23, h)
-        alternating_sums(fam)
+        built = StabilizerFamily(h, fam.pairs, fam.distinct_stabilizers)
+        assert built == fam
+        assert alternating_sums(built) == alternating_sums(fam)
         build_complexes(fam)
         assert h._bits is None
+        assert built.subgroup_mask == fam.subgroup_mask == h.member_bits
 
 
 def test_powerset_cancellation_each_pair(gl23):
